@@ -16,7 +16,7 @@ from .pattern import (
 from .periodic import (
     PeriodicPattern, PatternAutomorphism, IndexMap, AffineElement, Family,
     Track, NonsepTemplate, ScallopedMarker, generate, materialize_window,
-    act, compose, invert, equal, scalloped_invariant, identity_automorphism,
+    scalloped_invariant, identity_automorphism,
 )
 
 __version__ = "0.1.0"

@@ -51,10 +51,6 @@ def _mul(a, b):
     return a.compose(b)
 
 
-def _inv(a):
-    return a.inverse()
-
-
 def _identity_like(g):
     if isinstance(g, AffineElement):
         return AffineElement.identity()
@@ -72,16 +68,14 @@ class GeneratingSet:
         if not self.generators:
             raise PreconditionError("empty generating set")
         for nm, g in self.generators.items():
-            if isinstance(g, AffineElement) and g.is_identity():
-                raise PreconditionError(f"identity generator {nm}")
-            if isinstance(g, IndexMap) and g.is_identity():
+            if isinstance(g, (AffineElement, IndexMap)) and g.is_identity():
                 raise PreconditionError(f"identity generator {nm}")
 
     def symmetrized(self) -> list:
         out = []
         seen = set()
         for nm, g in sorted(self.generators.items()):
-            for name, el in ((nm, g), (nm + "^-1", _inv(g))):
+            for name, el in ((nm, g), (nm + "^-1", g.inverse())):
                 k = _key(el)
                 if k not in seen:
                     seen.add(k)
@@ -107,17 +101,16 @@ def classify_fixed_free(model: str, g) -> str:
     raise PreconditionError(f"unknown model {model!r}")
 
 
-def enumerate_ball(S: GeneratingSet, n: int, budget: int | None = None) -> dict:
-    """All distinct elements of word length <= n, mapped to their length.
-    Plain breadth-first search over the Cayley graph with normal-form
-    deduplication."""
-    if n < 0:
-        raise PreconditionError("radius must be >= 0")
+def word_ball(gens: list, ident, n: int, budget: int | None = None, key=_key,
+              tag=lambda radius, gen, parent: radius) -> dict:
+    """Breadth-first search to word length n over the (name, element) pairs
+    `gens`, deduplicated by the exact normal form `key`: {key: (element,
+    label)}.  The identity is labelled tag(0, None, None) and each new
+    product g*w tag(radius, name of g, label of w)."""
     budget = budget if budget is not None else _budget_elements()
-    gens = S.symmetrized()
-    ident = _identity_like(gens[0][1])
-    ball = {_key(ident): (ident, 0)}
-    frontier = [ident]
+    start = (ident, tag(0, None, None))
+    ball = {key(ident): start}
+    frontier = [start]
     for radius in range(1, n + 1):
         projected = len(ball) + len(frontier) * len(gens)
         if projected > budget:
@@ -125,15 +118,23 @@ def enumerate_ball(S: GeneratingSet, n: int, budget: int | None = None) -> dict:
                 f"radius {radius}: projected {projected} elements "
                 f"exceeds budget {budget}")
         nxt = []
-        for w in frontier:
-            for _, g in gens:
+        for w, label in frontier:
+            for name, g in gens:
                 c = _mul(g, w)
-                k = _key(c)
+                k = key(c)
                 if k not in ball:
-                    ball[k] = (c, radius)
-                    nxt.append(c)
+                    ball[k] = entry = (c, tag(radius, name, label))
+                    nxt.append(entry)
         frontier = nxt
-    return {k: v for k, v in ball.items()}
+    return ball
+
+
+def enumerate_ball(S: GeneratingSet, n: int, budget: int | None = None) -> dict:
+    """All distinct elements of word length <= n: {key: (element, length)}."""
+    if n < 0:
+        raise PreconditionError("radius must be >= 0")
+    gens = S.symmetrized()
+    return word_ball(gens, _identity_like(gens[0][1]), n, budget)
 
 
 @dataclass(frozen=True)
@@ -157,7 +158,10 @@ class BallStats:
 
 
 def ball_stats(S: GeneratingSet, nmax: int, budget: int | None = None) -> BallStats:
-    ball = enumerate_ball(S, nmax, budget)
+    return _stats(S, enumerate_ball(S, nmax, budget), nmax)
+
+
+def _stats(S: GeneratingSet, ball: dict, nmax: int) -> BallStats:
     per_radius = [0] * (nmax + 1)
     free_r = [0] * (nmax + 1)
     for _, (el, r) in ball.items():
@@ -242,6 +246,7 @@ class GenericityReport:
     fraction_bound_ok: bool  # |Free & B(n+R)|/|B(n+R)| >= 1/(LK)
     fractions: tuple
     lambda_gap: tuple       # |lambda_free(n) - lambda(n)| per radius
+    stats: BallStats        # of the same ball
 
     @property
     def ok(self):
@@ -265,27 +270,18 @@ def genericity_report(S: GeneratingSet, h: IndexMap, nmax: int,
     if hk not in ball:
         raise PreconditionError("designated shift outside the enumerated ball")
     R = ball[hk][1]
-    K = sum(1 for _, (el, r) in ball.items() if r <= R)
+    st = _stats(S, ball, nmax)
+    K = st.ball[R]
     L = (2 * S.size) ** R
-    dichotomy = True
-    for _, (g, r) in ball.items():
-        if classify_fixed_free(S.model, g) == FREE:
-            continue
-        if classify_fixed_free(S.model, h.compose(g)) != FREE:
-            dichotomy = False
-            break
-    st = ball_stats(S, nmax, budget)
-    fractions = []
-    bound_ok = True
-    for n in range(nmax - R + 1):
-        frac = st.free[n + R] / st.ball[n + R]
-        fractions.append(frac)
-        if frac < 1.0 / (L * K):
-            bound_ok = False
+    dichotomy = all(classify_fixed_free(S.model, g) == FREE
+                    or classify_fixed_free(S.model, h.compose(g)) == FREE
+                    for g, _ in ball.values())
+    fractions = tuple(st.free[n] / st.ball[n] for n in range(R, nmax + 1))
+    bound_ok = all(frac >= 1.0 / (L * K) for frac in fractions)
     gap = tuple(abs(st.lambda_free[n] - st.lambda_hat[n])
                 for n in range(nmax + 1))
-    return GenericityReport(nmax, R, K, L, dichotomy, bound_ok,
-                            tuple(fractions), gap)
+    return GenericityReport(nmax, R, K, L, dichotomy, bound_ok, fractions,
+                            gap, st)
 
 
 # -- shipped model builders ----------------------------------------------------

@@ -229,8 +229,10 @@ def cmd_wpd(args):
         raise BifolError("WPD scans need a periodic pattern")
     g = p.automorphisms[args.g]
     base = args.base or p.leaf_of_index("plus", 0)
+    w = args.window_size
     scan = dy.wpd_scan(p, g, base, args.eps, args.n, p.automorphisms,
-                       radius=args.ball, window=args.window_size)
+                       radius=args.ball, window=w,
+                       axis_data=dy.axis(p, g, "plus", (-w, w)))
     _emit(args, _report("wpd", dig, {
         "witnesses": list(scan.witnesses), "stable": scan.stable,
         "eps": scan.eps, "n": scan.n,
@@ -278,7 +280,7 @@ def cmd_census(args):
                    "fractions": list(gen_rep.fractions)}
         ok = gen_rep.ok
         tag = "census-skew"
-        stats = cs.ball_stats(S, args.nmax)
+        stats = gen_rep.stats
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(bio.census_csv(stats))

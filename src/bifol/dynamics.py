@@ -13,11 +13,13 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import graphs as gr
+from .census import word_ball
 from .pattern import (
     PLUS, MINUS, BifolError, FinitePattern, Mode, PreconditionError,
 )
 from .periodic import (
     IndexMap, PatternAutomorphism, PeriodicPattern, identity_automorphism,
+    scalloped_invariant,
 )
 
 
@@ -62,7 +64,7 @@ class AxisData:
 
 def _order_chain(p: FinitePattern, leaves: list[str]) -> list[str]:
     """Order pairwise-disjoint same-family leaves along their separation
-    chain (ends first detected by maximal betweenness counts)."""
+    chain from an end (a leaf of least betweenness count)."""
     if len(leaves) <= 2:
         return sorted(leaves)
     between = {l: 0 for l in leaves}
@@ -73,7 +75,8 @@ def _order_chain(p: FinitePattern, leaves: list[str]) -> list[str]:
     end = min(leaves, key=lambda l: (between[l], l))
     depth = {l: sum(1 for m in leaves if m not in (end, l)
                     and p._separates(m, end, l)) for l in leaves}
-    return sorted(leaves, key=lambda l: (depth[l], l))
+    # the end and its neighbour both have depth 0
+    return sorted(leaves, key=lambda l: (depth[l], l != end, l))
 
 
 def axis(pp: PeriodicPattern, g: PatternAutomorphism, sign: str,
@@ -113,10 +116,6 @@ def axis(pp: PeriodicPattern, g: PatternAutomorphism, sign: str,
                 t = abs(next(iter(hit)) - i)
                 break
     return AxisData(g.name or "g", sign, window, line, t)
-
-
-def block_decomposition(a: AxisData):
-    return a.blocks
 
 
 def induced_blocks(p: FinitePattern, a: AxisData, x: str, y: str):
@@ -223,10 +222,11 @@ def _fixed_residues(m: IndexMap):
 def classify_isometry(pp: PeriodicPattern, g: PatternAutomorphism,
                       window: int = 8, nmax: int = 8):
     """Order of certificates: fixed crossing point, fixed leaf, scalloped
-    invariance, bounded orbits (finite order, or intersection graph of
-    diameter one stable under doubling), then a loxodromic translation-length
-    bracket.  A degenerate bracket yields Inconclusive, never a parabolic
-    verdict."""
+    invariance, finite order (exact: the offsets sum to zero around every
+    residue cycle), scalloped invariance of g^k for k the order of g's
+    residue permutation, an intersection graph of diameter one stable under
+    doubling, then a loxodromic translation-length bracket.  A degenerate
+    bracket yields Inconclusive, never a parabolic verdict."""
     fp = _fixed_residues(g.plus)
     fm = _fixed_residues(g.minus)
     if fp and fm:
@@ -240,13 +240,16 @@ def classify_isometry(pp: PeriodicPattern, g: PatternAutomorphism,
     if fp or fm:
         sign = "plus" if fp else "minus"
         return Elliptic("fixed_leaf", f"{sign} residue {(fp or fm)[0]}")
-    if pp.scalloped is not None:
-        from .periodic import scalloped_invariant
-        if scalloped_invariant(pp, g):
-            return Elliptic("scalloped", "marked chain preserved")
+    if pp.scalloped is not None and scalloped_invariant(pp, g):
+        return Elliptic("scalloped", "marked chain preserved")
     order = g.order_if_finite()
     if order is not None:
         return Elliptic("bounded_orbit", f"finite order {order}")
+    # some power of g preserves the marked chain iff g^k does
+    k = g.residue_order()
+    if pp.scalloped is not None and k > 1 and \
+            scalloped_invariant(pp, g.power(k)):
+        return Elliptic("scalloped", f"marked chain preserved by power {k}")
     p1 = pp.materialize_window(-window, window)
     G1 = gr.build_graph(p1, gr.XPLUS)
     if gr.diameter(G1) <= 1:
@@ -296,26 +299,19 @@ def classify_isometry(pp: PeriodicPattern, g: PatternAutomorphism,
 
 def automorphism_ball(pp: PeriodicPattern, gens: dict, radius: int) -> dict:
     """Word ball over named generators (inverses included), with exact
-    normal-form deduplication; returns shortest word name per element."""
-    sym = {}
-    for nm, g in gens.items():
-        sym[nm] = g
-        sym[nm + "^-1"] = g.inverse()
-    ident = identity_automorphism(pp)
-    seen = {(ident.plus.offsets, ident.minus.offsets): ("id", ident)}
-    frontier = [("id", ident)]
-    for _ in range(radius):
-        nxt = []
-        for wname, w in frontier:
-            for gname, g in sym.items():
-                c = g.compose(w)
-                key = (c.plus.offsets, c.minus.offsets)
-                if key not in seen:
-                    nm = gname if wname == "id" else f"{gname}*{wname}"
-                    seen[key] = (nm, c)
-                    nxt.append((nm, c))
-        frontier = nxt
-    return seen
+    normal-form deduplication: {key: (shortest word name, element)}."""
+    sym = [x for nm, g in gens.items()
+           for x in ((nm, g), (nm + "^-1", g.inverse()))]
+    ball = word_ball(sym, identity_automorphism(pp), radius,
+                     key=lambda g: (g.plus.offsets, g.minus.offsets),
+                     tag=_word_name)
+    return {k: (nm, g) for k, (g, nm) in ball.items()}
+
+
+def _word_name(radius, gen, parent):
+    if gen is None:
+        return "id"
+    return gen if parent == "id" else f"{gen}*{parent}"
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -120,14 +121,26 @@ class IndexMap:
     def is_identity(self) -> bool:
         return all(o == 0 for o in self.offsets)
 
-    def order_if_finite(self, cap: int = 64) -> int | None:
-        g, n = self, 1
-        while n <= cap:
-            if g.is_identity():
-                return n
-            g = g.compose(self)
-            n += 1
-        return None
+    def cycles(self) -> list[tuple[int, int]]:
+        """(length, offset sum) of each cycle of the residue permutation; the
+        length-th power translates the cycle's indices by the sum."""
+        seen, out = set(), []
+        for r in range(self.N):
+            length = total = 0
+            while r not in seen:
+                seen.add(r)
+                total += self.offsets[r]
+                r = (r + self.offsets[r]) % self.N
+                length += 1
+            if length:
+                out.append((length, total))
+        return out
+
+    def order_if_finite(self) -> int | None:
+        """Exact: finite iff the offsets sum to zero around every residue
+        cycle, and then the lcm of the cycle lengths."""
+        cyc = self.cycles()
+        return None if any(t for _, t in cyc) else math.lcm(*(n for n, _ in cyc))
 
     def __eq__(self, other):
         return isinstance(other, IndexMap) and self.offsets == other.offsets
@@ -177,9 +190,6 @@ class PeriodicPattern:
 
     def families(self, sign: str) -> tuple[Family, ...]:
         return self.plus_families if sign == PLUS else self.minus_families
-
-    def family_of(self, sign: str, residue: int) -> Family:
-        return self.families(sign)[residue % self.period]
 
     def global_index(self, sign: str, fam: str, k: int) -> int:
         try:
@@ -307,6 +317,10 @@ class PeriodicPattern:
 class PatternAutomorphism:
     """A template-preserving pair of index maps, plus one per sign.
 
+    The constructor checks the templates where maps enter.  By translation
+    invariance and template locality its finite check certifies the infinite
+    map, so products and inverses of checked maps are built unchecked.
+
     Orientation-reversing (translation anti-commuting) maps are not modeled;
     the orientation field exists for the data format and must be +1.
     """
@@ -325,6 +339,14 @@ class PatternAutomorphism:
         self.orientation = 1
         self.name = name
         self._check_templates()
+
+    @classmethod
+    def _trusted(cls, pattern, plus, minus, name) -> "PatternAutomorphism":
+        """An automorphism valid by construction, built without the check."""
+        g = object.__new__(cls)
+        g.pattern, g.plus, g.minus, g.orientation, g.name = \
+            pattern, plus, minus, 1, name
+        return g
 
     def _reach(self) -> int:
         vals = [off for sign in (PLUS, MINUS) for f in self.pattern.families(sign)
@@ -367,15 +389,13 @@ class PatternAutomorphism:
     def compose(self, other: "PatternAutomorphism") -> "PatternAutomorphism":
         if other.pattern is not self.pattern:
             raise PreconditionError("automorphisms of different patterns")
-        return PatternAutomorphism(self.pattern,
-                                   self.plus.compose(other.plus),
-                                   self.minus.compose(other.minus),
-                                   name=f"{self.name}*{other.name}")
+        return self._trusted(self.pattern, self.plus.compose(other.plus),
+                             self.minus.compose(other.minus),
+                             f"{self.name}*{other.name}")
 
     def inverse(self) -> "PatternAutomorphism":
-        return PatternAutomorphism(self.pattern, self.plus.inverse(),
-                                   self.minus.inverse(),
-                                   name=f"{self.name}^-1")
+        return self._trusted(self.pattern, self.plus.inverse(),
+                             self.minus.inverse(), f"{self.name}^-1")
 
     def power(self, n: int) -> "PatternAutomorphism":
         g = identity_automorphism(self.pattern)
@@ -390,38 +410,22 @@ class PatternAutomorphism:
     def is_identity(self) -> bool:
         return self.plus.is_identity() and self.minus.is_identity()
 
-    def order_if_finite(self, cap: int = 64) -> int | None:
-        g, n = self, 1
-        while n <= cap:
-            if g.is_identity():
-                return n
-            g = g.compose(self)
-            n += 1
-        return None
+    def residue_order(self) -> int:
+        """Least k > 0 such that g^k maps every family to itself."""
+        return math.lcm(*(n for m in (self.plus, self.minus)
+                          for n, _ in m.cycles()))
+
+    def order_if_finite(self) -> int | None:
+        a, b = self.plus.order_if_finite(), self.minus.order_if_finite()
+        return None if a is None or b is None else math.lcm(a, b)
 
     def __repr__(self):
         return f"Automorphism({self.name or (self.plus, self.minus)})"
 
 
 def identity_automorphism(pp: PeriodicPattern) -> PatternAutomorphism:
-    return PatternAutomorphism(pp, IndexMap.identity(pp.period),
-                               IndexMap.identity(pp.period), name="id")
-
-
-def act(g: PatternAutomorphism, leaf: str) -> str:
-    return g.act(leaf)
-
-
-def compose(g: PatternAutomorphism, h: PatternAutomorphism) -> PatternAutomorphism:
-    return g.compose(h)
-
-
-def invert(g: PatternAutomorphism) -> PatternAutomorphism:
-    return g.inverse()
-
-
-def equal(g: PatternAutomorphism, h: PatternAutomorphism) -> bool:
-    return g.equal(h)
+    ident = IndexMap.identity(pp.period)
+    return PatternAutomorphism._trusted(pp, ident, ident, "id")
 
 
 def scalloped_invariant(pp: PeriodicPattern, g: PatternAutomorphism) -> bool:

@@ -92,6 +92,7 @@ def test_genericity_report():
     S = cs.skew_intmap_gens()
     h = cs.skew_designated_shift()
     rep = cs.genericity_report(S, h, 8)
+    assert rep.stats == cs.ball_stats(S, 8)
     assert rep.dichotomy_ok
     assert rep.fraction_bound_ok
     assert rep.K == 33 and rep.L == (2 * S.size) ** rep.R

@@ -6,6 +6,8 @@ from bifol.pattern import Mode, PreconditionError
 from bifol.periodic import IndexMap, PatternAutomorphism, materialize_window
 from bifol import dynamics as dy
 from bifol import graphs as gr
+from bifol.census import BudgetExceededError
+from bifol.fixtures import load_fixture
 
 
 def test_skew_axis_all_leaves(skew2):
@@ -25,6 +27,13 @@ def test_ladder_axis_blocks(ladder_periodic):
     interior = ax.blocks[1:-1]
     assert all(len(b) == 2 for b in interior)
     assert all(b[0].startswith("w") and b[1].startswith("u") for b in interior)
+
+
+def test_skew_axis_is_a_separation_chain(skew2):
+    ax = dy.axis(skew2, skew2.automorphisms["s"], "plus", (-8, 8))
+    w = materialize_window(skew2, -8, 8)
+    for a, m, c in zip(ax.leaves, ax.leaves[1:], ax.leaves[2:]):
+        assert w.separates_leaves(m, a, c), (a, m, c)
 
 
 def test_axis_invariance(ladder_periodic):
@@ -180,6 +189,13 @@ def test_classify_scalloped(scalloped):
     assert isinstance(vw, dy.Elliptic) and vw.certificate == "bounded_orbit"
 
 
+def test_classify_scalloped_power(scalloped):
+    s, swap = scalloped.automorphisms["s"], scalloped.automorphisms["swap"]
+    # (s*swap)^2 = s^2 preserves the marked chain, so s*swap is elliptic
+    v = dy.classify_isometry(scalloped, s.compose(swap), window=5, nmax=4)
+    assert isinstance(v, dy.Elliptic) and v.certificate == "scalloped"
+
+
 def test_classify_fixed_leaf(ladder_periodic):
     # a map fixing one full side: plus and minus both fixed => fixed crossing
     ident = dy.identity_automorphism(ladder_periodic)
@@ -250,3 +266,29 @@ def test_axis_prong_count_constant_per_window(skew2):
         win = materialize_window(skew2, *w)
         prongs = [l for l in ax.leaves if win.leaf(l).is_singular]
         assert prongs == []
+
+
+PERIODIC = ("ladder_periodic", "skew2", "skew3", "skew4", "scalloped",
+            "trivial_periodic")
+
+
+def test_automorphism_ball_elements_pass_the_check():
+    # products and inverses are built unchecked; the checking constructor
+    # must accept every one of them
+    for nm in PERIODIC:
+        pp = load_fixture(nm)
+        ball = dy.automorphism_ball(pp, pp.automorphisms, 4)
+        assert len(ball) > 1 or not pp.automorphisms
+        for word, h in ball.values():
+            PatternAutomorphism(pp, h.plus, h.minus)
+
+
+def test_automorphism_ball_budget(trivial_periodic, monkeypatch):
+    gens = {nm: PatternAutomorphism(trivial_periodic, IndexMap([a]),
+                                    IndexMap([b]))
+            for nm, (a, b) in (("a", (1, 1)), ("b", (0, 1)))}
+    # a rank-two free abelian group: 2r^2 + 2r + 1 elements within radius r
+    assert len(dy.automorphism_ball(trivial_periodic, gens, 16)) == 545
+    monkeypatch.setenv("BIFOL_BUDGET_MS", "1")
+    with pytest.raises(BudgetExceededError):
+        dy.automorphism_ball(trivial_periodic, gens, 16)

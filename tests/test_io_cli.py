@@ -152,6 +152,24 @@ def test_cli_wpd(capsys):
     assert rep["results"]["witnesses"] == ["id"]
 
 
+def test_cli_wpd_checks_blocks_on_the_axis(capsys, monkeypatch):
+    from bifol import dynamics as dy
+    seen, scan = [], dy.wpd_scan
+
+    def spy(*args, **kw):
+        seen.append(kw.get("axis_data"))
+        return scan(*args, **kw)
+    monkeypatch.setattr(dy, "wpd_scan", spy)
+    assert main(["wpd", "--pattern", _fx("ladder_periodic"), "--g", "s",
+                 "--ball", "3", "--eps", "1", "--n", "4",
+                 "--window", "6"]) == 0
+    assert len(seen) == 1 and isinstance(seen[0], dy.AxisData)
+    # one block per period: the block constraint is evaluated
+    assert seen[0].window == (-6, 6) and seen[0].period_blocks == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["results"]["block_constraint_ok"] is True
+
+
 def test_cli_census_skew_csv(tmp_path, capsys):
     csv = tmp_path / "c.csv"
     assert main(["census", "--model", "skew", "--nmax", "6",

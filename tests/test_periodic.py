@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -133,6 +134,49 @@ def test_template_violating_map_rejected(skew2, ladder_periodic):
 def test_orientation_reversing_rejected(skew2):
     with pytest.raises(PreconditionError):
         PatternAutomorphism(skew2, IndexMap([1]), IndexMap([1]), orientation=-1)
+
+
+def _cycle_map(N, cycles, lifts):
+    """Offsets moving each residue to the next one of its cycle, plus N times
+    the cycle's lift for that residue."""
+    offsets = [0] * N
+    for cyc, lift in zip(cycles, lifts):
+        for i, r in enumerate(cyc):
+            offsets[r] = cyc[(i + 1) % len(cyc)] - r + N * lift[i]
+    return IndexMap(offsets)
+
+
+def test_exact_order_beyond_small_powers():
+    cycles = [range(0, 4), range(4, 9), range(9, 16)]
+    lifts = [(1, -1, 0, 0), (2, 0, 0, -1, -1), (0, 0, 3, 0, 0, 0, -3)]
+    g = _cycle_map(16, [list(c) for c in cycles], lifts)
+    assert g.order_if_finite() == 140
+    assert [n for n, _ in g.cycles()] == [4, 5, 7]
+    h = g
+    for k in range(1, 140):
+        assert not h.is_identity(), k
+        h = h.compose(g)
+    assert h.is_identity()
+    moved = _cycle_map(16, [list(c) for c in cycles],
+                       [(1, 0, 0, 0), (0,) * 5, (0,) * 7])
+    assert moved.order_if_finite() is None
+
+
+@given(st.permutations(range(4)), st.integers(1, 4),
+       st.lists(st.integers(-1, 1), min_size=4, max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_exact_order_matches_powering(perm, N, lifts):
+    perm = [p for p in perm if p < N]  # a permutation of range(N)
+    g = IndexMap([perm[r] - r + N * lifts[r] for r in range(N)])
+    # any finite order divides N!, so powering that far decides it
+    bound = math.factorial(N)
+    h, brute = g, None
+    for k in range(1, bound + 1):
+        if h.is_identity():
+            brute = k
+            break
+        h = h.compose(g)
+    assert g.order_if_finite() == brute
 
 
 @given(st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=4),
