@@ -2,10 +2,10 @@
 bottleneck certification, wall metrics, lozenge detection, isometry
 classification, WPD scans, censuses and exports.
 
-Exit codes: 0 success, 1 usage, 2 validation failure, 3 property-check
-failure, 4 budget exceeded.  Reports are JSON, deterministic for fixed
-inputs and seed (the environment stamp carries only the seed and window
-sizes, never wall-clock data).
+Exit codes: 0 success, 1 usage (a malformed argument or an unknown id),
+2 validation failure, 3 property-check failure, 4 budget exceeded.  Reports
+are JSON, deterministic for fixed inputs and seed (the environment stamp
+carries only the seed and window sizes, never wall-clock data).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from . import dynamics as dy
 from . import graphs as gr
 from . import io as bio
 from . import walls as wl
-from .pattern import BifolError, InvalidPatternError
+from .pattern import BifolError, InvalidPatternError, UnknownIdError
 from .periodic import PeriodicPattern, generate
 
 EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_PROPERTY, EXIT_BUDGET = 0, 1, 2, 3, 4
@@ -38,6 +38,10 @@ CHECK_TAGS = (
     "census-skew",
     "determinism",
 )
+
+
+class UsageError(BifolError):
+    """A command-line argument is malformed."""
 
 
 def _digest(text: str) -> str:
@@ -67,6 +71,13 @@ def _load(path):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     return bio.parse_pattern_text(text), _digest(text)
+
+
+def _element(p, name):
+    try:
+        return p.automorphisms[name]
+    except KeyError:
+        raise UnknownIdError(f"unknown element {name!r}") from None
 
 
 def _finite(p, args):
@@ -176,6 +187,8 @@ def cmd_metric(args):
         results["csv"] = args.all_pairs
         results["witnesses"] = witnesses
     else:
+        if args.points.count(",") != 1:
+            raise UsageError(f"--points wants two point ids a,b, not {args.points!r}")
         a, b = args.points.split(",")
         results["points"] = [a, b]
         results["distance"] = wl.wall_distance(fp, a, b, args.kind)
@@ -204,7 +217,7 @@ def cmd_classify(args):
     p, dig = _load(args.pattern)
     if not isinstance(p, PeriodicPattern):
         raise BifolError("classification needs a periodic pattern")
-    g = p.automorphisms[args.element]
+    g = _element(p, args.element)
     verdict = dy.classify_isometry(p, g, window=args.window_size,
                                    nmax=args.nmax)
     results = {"element": args.element, "verdict": verdict.kind}
@@ -227,8 +240,9 @@ def cmd_wpd(args):
     p, dig = _load(args.pattern)
     if not isinstance(p, PeriodicPattern):
         raise BifolError("WPD scans need a periodic pattern")
-    g = p.automorphisms[args.g]
+    g = _element(p, args.g)
     base = args.base or p.leaf_of_index("plus", 0)
+    p.leaf_index(base)  # an unknown --base is a usage error, not a scan failure
     w = args.window_size
     scan = dy.wpd_scan(p, g, base, args.eps, args.n, p.automorphisms,
                        radius=args.ball, window=w,
@@ -271,8 +285,10 @@ def cmd_census(args):
         stats = rep.stats
     else:
         S = _load_gens(args) or cs.skew_intmap_gens()
-        h = (cs.IndexMap([int(x) for x in args.h.split(",")])
-             if args.h else cs.skew_designated_shift())
+        try:
+            h = cs.IndexMap(args.h.split(",")) if args.h else cs.skew_designated_shift()
+        except ValueError:
+            raise UsageError(f"--h wants integer offsets, not {args.h!r}") from None
         gen_rep = cs.genericity_report(S, h, args.nmax)
         results = {"model": S.model, "R": gen_rep.R, "K": gen_rep.K,
                    "L": gen_rep.L, "dichotomy": gen_rep.dichotomy_ok,
@@ -414,6 +430,9 @@ def main(argv=None) -> int:
     except bio.ParseError as e:
         sys.stderr.write(f"parse error: {e}\n")
         return EXIT_VALIDATION
+    except (UsageError, UnknownIdError) as e:
+        sys.stderr.write(f"usage error: {e.args[0]}\n")
+        return EXIT_USAGE
     except BifolError as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_PROPERTY

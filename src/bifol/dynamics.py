@@ -300,18 +300,23 @@ def classify_isometry(pp: PeriodicPattern, g: PatternAutomorphism,
 def automorphism_ball(pp: PeriodicPattern, gens: dict, radius: int) -> dict:
     """Word ball over named generators (inverses included), with exact
     normal-form deduplication: {key: (shortest word name, element)}."""
+    return {k: (nm, g) for k, (g, (_, nm)) in _word_ball(pp, gens, radius).items()}
+
+
+def _word_ball(pp: PeriodicPattern, gens: dict, radius: int) -> dict:
+    """The word ball as {key: (element, (word length, shortest word name))}."""
     sym = [x for nm, g in gens.items()
            for x in ((nm, g), (nm + "^-1", g.inverse()))]
-    ball = word_ball(sym, identity_automorphism(pp), radius,
+    return word_ball(sym, identity_automorphism(pp), radius,
                      key=lambda g: (g.plus.offsets, g.minus.offsets),
-                     tag=_word_name)
-    return {k: (nm, g) for k, (g, nm) in ball.items()}
+                     tag=_word_tag)
 
 
-def _word_name(radius, gen, parent):
+def _word_tag(radius, gen, parent):
     if gen is None:
-        return "id"
-    return gen if parent == "id" else f"{gen}*{parent}"
+        return (0, "id")
+    name = parent[1]
+    return (radius, gen if name == "id" else f"{gen}*{name}")
 
 
 @dataclass(frozen=True)
@@ -354,11 +359,13 @@ def wpd_scan(pp: PeriodicPattern, g: PatternAutomorphism, base: str,
     verdict = classify_isometry(pp, g, window=window, nmax=max(2, n // 2))
     if not isinstance(verdict, Loxodromic):
         raise PreconditionError("scanned element must be loxodromic")
-    ball = automorphism_ball(pp, gens, radius)
-    cands = sorted((nm, h) for nm, h in ball.values())
+    # one ball at radius + 2; its words of length <= radius are the ball
+    # at radius, with the same names, since breadth-first search is ordered
+    words = sorted((nm, r, h) for h, (r, nm) in
+                   _word_ball(pp, gens, radius + 2).values())
+    cands = [(nm, h) for nm, r, h in words if r <= radius]
+    cands2 = [(nm, h) for nm, _, h in words]
     wit = _wpd_witnesses(pp, g, base, eps, n, cands, window)
-    ball2 = automorphism_ball(pp, gens, radius + 2)
-    cands2 = sorted((nm, h) for nm, h in ball2.values())
     wit2 = _wpd_witnesses(pp, g, base, eps, n, cands2, 2 * window)
     ok = True
     if axis_data is not None and axis_data.period_blocks > 0:

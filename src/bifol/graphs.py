@@ -48,39 +48,24 @@ class LeafGraph:
                           for v in self.vertices if v in keep})
 
 
-def _crossed_by_common_nonsingular(p: FinitePattern, sign: str, a: str, b: str) -> bool:
-    other = MINUS if sign == PLUS else PLUS
-    for t in p.leaf_ids(other):
-        if p.leaf(t).is_singular:
-            continue
-        if p.intersects(t, a) and p.intersects(t, b):
-            return True
-    return False
-
-
 def build_graph(p: FinitePattern, kind: str) -> LeafGraph:
     kind = kind.lower()
     if kind not in KINDS:
         raise PreconditionError(f"unknown graph kind {kind!r}")
     if kind == XFULL:
         verts = sorted(p.leaves)
-        adj = {v: set() for v in verts}
-        for a, b in itertools.combinations(verts, 2):
-            if p.intersects(a, b):
-                adj[a].add(b)
-                adj[b].add(a)
+        linked = p.intersects
     else:
-        sign = PLUS if kind in (XPLUS, GAMMAPLUS) else MINUS
-        verts = sorted(p.leaf_ids(sign))
-        adj = {v: set() for v in verts}
-        for a, b in itertools.combinations(verts, 2):
-            if kind in (XPLUS, XMINUS):
-                linked = _crossed_by_common_nonsingular(p, sign, a, b)
-            else:
-                linked = p.pseudo_interval(a, b, Mode.NONSEP).is_interval
-            if linked:
-                adj[a].add(b)
-                adj[b].add(a)
+        verts = sorted(p.leaf_ids(PLUS if kind in (XPLUS, GAMMAPLUS) else MINUS))
+        if kind in (XPLUS, XMINUS):
+            linked = lambda a, b: p.common_transversal(a, b, nonsingular=True)
+        else:
+            linked = lambda a, b: p.pseudo_interval(a, b, Mode.NONSEP).is_interval
+    adj = {v: set() for v in verts}
+    for a, b in itertools.combinations(verts, 2):
+        if linked(a, b):
+            adj[a].add(b)
+            adj[b].add(a)
     return LeafGraph(kind, tuple(verts), {v: frozenset(ns) for v, ns in adj.items()})
 
 

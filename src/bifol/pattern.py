@@ -6,6 +6,13 @@ structural questions (does a leaf of one family cross a leaf of the other,
 does a leaf separate two others, which complementary region holds a marked
 point) reduce to exact cyclic-order arithmetic on boundary labels.
 
+Each pattern derives one relation table from its boundary labels, once, on
+first use: the sorted endpoint positions of every leaf, the face of every
+boundary position per leaf, and a crossing bitset per leaf with a mask of the
+nonsingular leaves.  Crossing is then one bit test, separation a comparison
+of two faces, and a common transversal of two leaves the AND of their
+crossing bitsets.
+
 Conventions baked into the model:
 
 * leaves of the same family never cross, and two distinct leaves may share a
@@ -21,9 +28,12 @@ Conventions baked into the model:
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 PLUS = "plus"
 MINUS = "minus"
@@ -208,11 +218,32 @@ class LozengeReport:
     chain_quadrant_flags: tuple[bool, ...]  # per chain: quadrant spread violation
 
 
+class _ById(dict):
+    """Leaf-id keyed table column; a missing id is an UnknownIdError."""
+
+    def __missing__(self, leaf_id):
+        raise UnknownIdError(f"unknown leaf {leaf_id!r}")
+
+
+class _Relations(NamedTuple):
+    """Every leaf relation of a pattern, derived once from its boundary
+    labels.  Face i of a leaf is the open boundary arc from its i-th to its
+    (i+1)-th endpoint, counterclockwise (the last face wraps round); bit i of
+    a bitset stands for ``leaf_ids()[i]``."""
+
+    index: _ById      # leaf id -> bit position
+    ep: _ById         # leaf id -> sorted endpoint positions
+    face: _ById       # leaf id -> face of every circle position, None on its endpoints
+    cross: _ById      # leaf id -> bitset of the leaves crossing it
+    nonsingular: int  # bitset of the leaves with two endpoints
+
+
 class FinitePattern:
     """A validated chord diagram: boundary circle, signed leaves, declarations.
 
-    Instances are immutable after construction; every query is a pure
-    function, so concurrent reads are safe.
+    Instances are immutable after construction.  The relation table is
+    derived once from the boundary labels on the first query and never
+    changes after; every query is a pure function of it.
     """
 
     def __init__(self, boundary, leaves, singularities=(), nonseparated=(),
@@ -239,10 +270,6 @@ class FinitePattern:
         for s in self.singularities:
             for lid in s.leaves():
                 self._sing_by_leaf.setdefault(lid, []).append(s)
-        self._intersects_cache: dict[frozenset, bool] = {}
-        self._ep_cache: dict[str, list[int]] = {}
-        self._arcs_cache: dict[str, list[tuple[int, int]]] = {}
-        self._arcof_cache: dict[tuple[str, str], int | None] = {}
 
     # -- low level circle arithmetic ------------------------------------
 
@@ -256,11 +283,6 @@ class FinitePattern:
         except KeyError:
             raise UnknownIdError(f"unknown boundary label {label!r}") from None
 
-    def _in_open_arc(self, a: int, b: int, x: int) -> bool:
-        # open arc from position a counterclockwise to position b
-        d = (b - a) % self.n
-        return 0 < (x - a) % self.n < d
-
     def leaf(self, leaf_id: str) -> Leaf:
         try:
             return self.leaves[leaf_id]
@@ -272,74 +294,71 @@ class FinitePattern:
             return list(self.leaves)
         return [lid for lid, lf in self.leaves.items() if lf.sign == sign]
 
-    def endpoint_positions(self, leaf_id: str) -> list[int]:
-        out = self._ep_cache.get(leaf_id)
-        if out is None:
-            out = sorted(self.pos(e) for e in self.leaf(leaf_id).endpoints)
-            self._ep_cache[leaf_id] = out
-        return out
-
-    def arcs_of(self, leaf_id: str) -> list[tuple[int, int]]:
-        """Complementary boundary arcs of a leaf, as (start,end) position
-        pairs in cyclic order.  One arc per face of the leaf."""
-        out = self._arcs_cache.get(leaf_id)
-        if out is None:
-            ep = self.endpoint_positions(leaf_id)
-            out = [(ep[i], ep[(i + 1) % len(ep)]) for i in range(len(ep))]
-            self._arcs_cache[leaf_id] = out
-        return out
-
-    def _arc_of_leaf(self, host: str, other: str) -> int | None:
-        """Arc of ``host`` holding (the first endpoint of) a disjoint leaf."""
-        key = (host, other)
-        out = self._arcof_cache.get(key, -1)
-        if out == -1:
-            out = self.arc_index_of_position(
-                host, self.endpoint_positions(other)[0])
-            self._arcof_cache[key] = out
-        return out
+    def endpoint_positions(self, leaf_id: str) -> tuple[int, ...]:
+        return self._table.ep[leaf_id]
 
     def arc_index_of_position(self, leaf_id: str, x: int) -> int | None:
         """Index of the open arc of ``leaf_id`` containing circle position x,
         or None when x is an endpoint of the leaf."""
-        for i, (a, b) in enumerate(self.arcs_of(leaf_id)):
-            if self._in_open_arc(a, b, x):
-                return i
-        return None
+        return self._table.face[leaf_id][x]
 
     def arc_index_of_gap(self, leaf_id: str, anchor_pos: int) -> int:
         """Arc of ``leaf_id`` containing the gap just ccw of ``anchor_pos``."""
-        for i, (a, b) in enumerate(self.arcs_of(leaf_id)):
-            if (anchor_pos - a) % self.n < (b - a) % self.n:
-                return i
-        raise AssertionError("gap not located")  # unreachable: arcs cover circle
+        t = self._table
+        face = t.face[leaf_id][anchor_pos]
+        return t.ep[leaf_id].index(anchor_pos) if face is None else face
 
     def _spread(self, over: str, target: str) -> set[int]:
         """Arc indices of ``target`` that contain endpoints of ``over``
         (shared endpoints excluded)."""
-        out = set()
-        for e in self.leaf(over).endpoints:
-            idx = self.arc_index_of_position(target, self.pos(e))
-            if idx is not None:
-                out.add(idx)
+        t = self._table
+        face = t.face[target]
+        out = {face[x] for x in t.ep[over]}
+        out.discard(None)
         return out
 
-    def shared_endpoints(self, l1: str, l2: str) -> set[str]:
-        return set(self.leaf(l1).endpoints) & set(self.leaf(l2).endpoints)
+    @functools.cached_property
+    def _table(self) -> _Relations:
+        """The relation table, derived from the boundary labels on first use
+        (not in ``__init__``, so ``validate`` can report bad labels)."""
+        n = self.n
+        index, ep, face = _ById(), _ById(), _ById()
+        nonsingular = 0
+        for i, lf in enumerate(self.leaves.values()):
+            index[lf.id] = i
+            nonsingular |= (not lf.is_singular) << i
+            e = ep[lf.id] = tuple(sorted(self.pos(x) for x in lf.endpoints))
+            row = [len(e) - 1] * e[0]
+            for j, (a, b) in enumerate(zip(e, e[1:] + (n,))):
+                row += [None] + [j] * (b - a - 1)
+            face[lf.id] = row
+        cross = _ById.fromkeys(index, 0)
+        by_sign = {sign: self.leaf_ids(sign) for sign in SIGNS}
+        for sign, other in ((PLUS, MINUS), (MINUS, PLUS)):
+            for t in by_sign[sign]:
+                ft, bit = face[t], 1 << index[t]
+                for a in by_sign[other]:
+                    hit = {ft[x] for x in ep[a]}
+                    hit.discard(None)
+                    if len(hit) >= 2:
+                        cross[a] |= bit
+        return _Relations(index, ep, face, cross, nonsingular)
 
     # -- relations --------------------------------------------------------
 
     def intersects(self, l1: str, l2: str) -> bool:
         """True iff the two leaves cross: signs differ and some two endpoints
-        of one lie in two distinct open arcs of the circle minus the other."""
-        key = frozenset((l1, l2))
-        cached = self._intersects_cache.get(key)
-        if cached is not None:
-            return cached
-        a, b = self.leaf(l1), self.leaf(l2)
-        val = a.sign != b.sign and len(self._spread(l2, l1)) >= 2
-        self._intersects_cache[key] = val
-        return val
+        of ``l2`` lie in two distinct open arcs of the circle minus ``l1``."""
+        t = self._table
+        return bool(t.cross[l2] >> t.index[l1] & 1)
+
+    def common_transversal(self, a: str, b: str, nonsingular: bool = False) -> int:
+        """Bitset of the leaves crossing both ``a`` and ``b`` (bit i stands
+        for ``leaf_ids()[i]``), only the nonsingular ones on request; zero iff
+        the two leaves have no common transversal."""
+        t = self._table
+        both = t.cross[a] & t.cross[b]
+        return both & t.nonsingular if nonsingular else both
 
     def perfect_fits(self) -> list[tuple[tuple[str, str], tuple[str, str]]]:
         """Shared-endpoint ray pairs, as ((plus_id,label),(minus_id,label))."""
@@ -357,9 +376,6 @@ class FinitePattern:
                 for m in minus:
                     fits.append(((p, label), (m, label)))
         return fits
-
-    def is_nonsingular(self, leaf_id: str) -> bool:
-        return not self.leaf(leaf_id).is_singular
 
     # -- validation -------------------------------------------------------
 
@@ -420,7 +436,7 @@ class FinitePattern:
         ids = sorted(self.leaves)
         for l1, l2 in itertools.combinations(ids, 2):
             a, b = self.leaves[l1], self.leaves[l2]
-            shared = self.shared_endpoints(l1, l2)
+            shared = set(a.endpoints) & set(b.endpoints)
             s12, s21 = self._spread(l2, l1), self._spread(l1, l2)
             if a.sign == b.sign:
                 if shared:
@@ -467,9 +483,9 @@ class FinitePattern:
                 if self._separates(m, l1, l2):
                     v.append(Violation("nonseparated pair separated by same-sign leaf",
                                        (l1, l2, m)))
-            other = MINUS if sign == PLUS else PLUS
-            for t in self.leaf_ids(other):
-                if self.intersects(t, l1) and self.intersects(t, l2):
+            common = self.common_transversal(l1, l2)
+            for i, t in enumerate(self.leaves):
+                if common >> i & 1:
                     v.append(Violation("nonseparated pair has common transversal",
                                        (l1, l2, t)))
 
@@ -495,15 +511,10 @@ class FinitePattern:
         # still rejected lazily by separator_chain at query time
         if not v and len(self.leaves) <= 36:
             for sign in SIGNS:
-                ids_s = self.leaf_ids(sign)
-                for x, y in itertools.combinations(sorted(ids_s), 2):
-                    seps = [m for m in ids_s if m not in (x, y)
-                            and self._separates(m, x, y)]
-                    depths = {}
-                    for m in seps:
-                        depths[m] = sum(1 for m2 in seps if m2 != m
-                                        and self._separates(m2, x, m))
-                    if len(set(depths.values())) != len(depths):
+                for x, y in itertools.combinations(sorted(self.leaf_ids(sign)), 2):
+                    try:
+                        self.separator_chain(x, y)
+                    except InvalidPatternError:
                         v.append(Violation("incomparable separators (non-planar data)",
                                            (x, y)))
         return ValidationReport(tuple(v))
@@ -518,7 +529,9 @@ class FinitePattern:
 
     def _separates(self, m: str, l1: str, l2: str) -> bool:
         # unchecked core: all same sign, pairwise distinct and disjoint
-        return self._arc_of_leaf(m, l1) != self._arc_of_leaf(m, l2)
+        t = self._table
+        face = t.face[m]
+        return face[t.ep[l1][0]] != face[t.ep[l2][0]]
 
     def separates_leaves(self, m: str, l1: str, l2: str) -> bool:
         """Does leaf ``m`` separate ``l1`` from ``l2`` in the plane?
@@ -530,9 +543,6 @@ class FinitePattern:
             raise PreconditionError("separates_leaves requires same-sign leaves")
         if len({m, l1, l2}) != 3:
             raise PreconditionError("separates_leaves requires distinct leaves")
-        # same-sign ==> disjoint in a valid pattern; defensive check anyway
-        if self.intersects(m, l1) or self.intersects(m, l2):
-            raise PreconditionError("separates_leaves requires disjoint leaves")
         return self._separates(m, l1, l2)
 
     def _face_of_point(self, pt: Point, leaf_id: str) -> int | None:
@@ -542,13 +552,8 @@ class FinitePattern:
             return None
         if pt.kind == "crossing":
             same = pt.plus_leaf if self.leaf(leaf_id).sign == PLUS else pt.minus_leaf
-            if same == leaf_id:
-                return None
-            if self.intersects(same, leaf_id):
-                # cannot happen: same has the same sign as leaf_id
-                raise AssertionError("same-sign crossing in face lookup")
-            return self.arc_index_of_position(
-                leaf_id, self.endpoint_positions(same)[0])
+            t = self._table
+            return t.face[leaf_id][t.ep[same][0]]
         return self.arc_index_of_gap(leaf_id, self.pos(pt.anchor))
 
     def point(self, pid_or_point) -> Point:
@@ -640,15 +645,14 @@ class FinitePattern:
         if not self.intersects(leaf_id, target_id):
             return None
         spread = sorted(self._spread(leaf_id, target_id))
-        arcs = self.arcs_of(target_id)
-        k = len(arcs)
+        ep = self._table.ep[target_id]
         if len(spread) != 2:
             return None  # singularity partner: crossing at the singular point
         i, j = spread
         if j - i == 1:
-            return arcs[i][1]
-        if i == 0 and j == k - 1:
-            return arcs[j][1]
+            return ep[j]  # the ray between faces i and j
+        if i == 0 and j == len(ep) - 1:
+            return ep[0]
         return None
 
     def quadrant_incidence(self, plus_id: str, minus_id: str,
@@ -661,14 +665,12 @@ class FinitePattern:
         met = set()
         if leaf_id in (plus_id, minus_id):
             return set(range(npts))
-        for e in self.leaf(leaf_id).endpoints:
-            x = self.pos(e)
-            for qi, (a, b) in enumerate(quads):
-                if self._in_open_arc(a, b, x):
-                    met.add(qi)
+        starts = [a for a, _ in quads]
+        for x in self.endpoint_positions(leaf_id):
+            i = bisect.bisect_left(starts, x)
+            if i == npts or starts[i] != x:
+                met.add((i - 1) % npts)  # x lies in (starts[i - 1], starts[i])
         for bound in (plus_id, minus_id):
-            if self.leaf(leaf_id).sign == self.leaf(bound).sign:
-                continue
             ray = self._ray_crossed(leaf_id, bound)
             if ray is None:
                 continue

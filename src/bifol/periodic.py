@@ -206,7 +206,7 @@ class PeriodicPattern:
         for sign in (PLUS, MINUS):
             if fam in self._fam_index[sign]:
                 return sign
-        raise UnknownIdError(f"unknown family {fam!r}")
+        raise UnknownIdError(f"unknown leaf {name!r}: no family {fam!r}")
 
     def leaf_index(self, name: str) -> tuple[str, int]:
         """(sign, global index) of a leaf name like 'p3'."""

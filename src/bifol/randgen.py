@@ -64,9 +64,7 @@ def random_pattern(seed: int, max_leaves: int = 20,
             if any(pattern._separates(m, a, b)
                    for m in pattern.leaf_ids(la.sign) if m not in (a, b)):
                 continue
-            other = MINUS if la.sign == PLUS else PLUS
-            if any(pattern.intersects(t, a) and pattern.intersects(t, b)
-                   for t in pattern.leaf_ids(other)):
+            if pattern.common_transversal(a, b):
                 continue
             candidates.append((a, b))
         if candidates:

@@ -41,14 +41,7 @@ def aligned(p: FinitePattern, l1: str, l2: str) -> bool:
     """Disjoint, and no third leaf of the pattern crosses both."""
     if l1 == l2:
         raise PreconditionError("alignment needs two distinct leaves")
-    if p.intersects(l1, l2):
-        return False
-    for t in p.leaves:
-        if t in (l1, l2):
-            continue
-        if p.intersects(t, l1) and p.intersects(t, l2):
-            return False
-    return True
+    return not (p.intersects(l1, l2) or p.common_transversal(l1, l2))
 
 
 def reeb_separated(p: FinitePattern, l1: str, l2: str) -> bool:
@@ -77,18 +70,12 @@ def _separation_depth(p: FinitePattern, x, leaves: list[str]) -> dict:
     """Partial order position of each separator: how many other separators
     (disjoint from it) lie between the point x and it."""
     px = p.point(x)
-
-    def between(m: str, l: str) -> bool:
-        # does m lie between the point x and the leaf l?  (m, l disjoint)
-        fx = p._face_of_point(px, m)
-        fl = p.arc_index_of_position(m, p.endpoint_positions(l)[0])
-        return fx != fl
-
-    depth = {}
-    for l in leaves:
-        depth[l] = sum(1 for m in leaves
-                       if m != l and not p.intersects(m, l) and between(m, l))
-    return depth
+    face_x = {m: p._face_of_point(px, m) for m in leaves}
+    # m lies between x and a leaf l disjoint from it when l is off x's face of m
+    return {l: sum(1 for m in leaves if m != l and not p.intersects(m, l)
+                   and p.arc_index_of_position(m, p.endpoint_positions(l)[0])
+                   != face_x[m])
+            for l in leaves}
 
 
 def _longest_chain(p: FinitePattern, kind: str, seps: list[str], x) -> tuple[str, ...]:

@@ -6,7 +6,7 @@ from bifol.pattern import Mode, PreconditionError
 from bifol.periodic import IndexMap, PatternAutomorphism, materialize_window
 from bifol import dynamics as dy
 from bifol import graphs as gr
-from bifol.census import BudgetExceededError
+from bifol.census import BudgetExceededError, word_ball
 from bifol.fixtures import load_fixture
 
 
@@ -229,6 +229,28 @@ def test_wpd_scan_ladder(ladder_periodic):
     assert scan.witnesses == ("id",)
     assert scan.stable
     assert scan.block_constraint_ok
+
+
+@pytest.mark.parametrize("name", ["ladder_periodic", "skew2"])
+def test_wpd_scan_enumerates_one_ball(name, monkeypatch):
+    pp = load_fixture(name)
+    s, gens = pp.automorphisms["s"], dict(pp.automorphisms)
+    base = pp.leaf_of_index("plus", 0)
+    radii = []
+
+    def spy(gens_, ident, n, *args, **kw):
+        radii.append(n)
+        return word_ball(gens_, ident, n, *args, **kw)
+
+    monkeypatch.setattr(dy, "word_ball", spy)
+    scan = dy.wpd_scan(pp, s, base, 1.0, 4, gens, radius=2, window=8)
+    assert radii == [4]
+    # the witnesses of the two balls enumerated apart
+    wit = [dy._wpd_witnesses(pp, s, base, 1.0, 4,
+                             sorted(dy.automorphism_ball(pp, gens, r).values()), w)
+           for r, w in ((2, 8), (4, 16))]
+    assert scan.witnesses == wit[0]
+    assert scan.stable == (wit[0] == wit[1])
 
 
 def test_wpd_eps_zero(ladder_periodic):

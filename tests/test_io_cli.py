@@ -170,6 +170,22 @@ def test_cli_wpd_checks_blocks_on_the_axis(capsys, monkeypatch):
     assert rep["results"]["block_constraint_ok"] is True
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["classify", "--pattern", _fx("skew2"), "--element", "nope"], "nope"),
+    (["wpd", "--pattern", _fx("skew2"), "--g", "nope"], "nope"),
+    (["metric", "--in", _fx("grid3"), "--kind", "d+", "--points", "x00"],
+     "--points"),
+    (["census", "--model", "skew", "--nmax", "4", "--h", "3,x"], "--h"),
+    (["dist", "--kind", "xplus", "--in", _fx("ladder8"), "--from", "zz",
+      "--to", "r1"], "zz"),
+    (["wpd", "--pattern", _fx("skew2"), "--g", "s", "--base", "zz9"], "zz9"),
+])
+def test_cli_malformed_input_is_a_usage_error(argv, named, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and named in err, err
+
+
 def test_cli_census_skew_csv(tmp_path, capsys):
     csv = tmp_path / "c.csv"
     assert main(["census", "--model", "skew", "--nmax", "6",

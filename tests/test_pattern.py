@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -243,6 +244,33 @@ def test_separator_order_total():
                 seps = p.separator_chain(x, y)
                 for m1, m2 in itertools.combinations(seps, 2):
                     assert p._separates(m1, x, m2) != p._separates(m2, x, m1)
+
+
+@pytest.mark.parametrize("name, window", [("ladder_periodic", (-6, 6)),
+                                          ("scalloped", (-3, 3))])
+def test_relation_table_matches_geometry_past_the_sweep_cap(name, window):
+    # windows larger than validate's 36-leaf incomparable-separator sweep
+    p = generate(name).materialize_window(*window)
+    assert len(p.leaves) > 36
+    ids = p.leaf_ids()
+    crossing = {}
+    for a, b in itertools.product(p.leaf_ids(PLUS), p.leaf_ids(MINUS)):
+        crossing[a, b] = crossing[b, a] = geometric_intersects(p, a, b)
+        assert p.intersects(a, b) == p.intersects(b, a) == crossing[a, b], (a, b)
+    rng = random.Random(7)
+    for sign in (PLUS, MINUS):
+        same = p.leaf_ids(sign)
+        for m, l1, l2 in (rng.sample(same, 3) for _ in range(400)):
+            assert p._separates(m, l1, l2) == \
+                geometric_separates_leaves(p, m, l1, l2), (m, l1, l2)
+        for a, b in itertools.combinations(same, 2):
+            brute = {t for t in ids if crossing.get((t, a)) and crossing.get((t, b))}
+            for nonsingular in (False, True):
+                mask = p.common_transversal(a, b, nonsingular=nonsingular)
+                got = {t for i, t in enumerate(ids) if mask >> i & 1}
+                want = {t for t in brute
+                        if not (nonsingular and p.leaf(t).is_singular)}
+                assert got == want, (a, b)
 
 
 # -- quadrants and prongs -----------------------------------------------------------------
