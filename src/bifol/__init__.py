@@ -9,14 +9,11 @@ from .pattern import (
     PLUS, MINUS, Mode, BifolError, InvalidPatternError, UnknownIdError,
     PreconditionError, DegenerateInputError, FinitePattern, Leaf, Singularity,
     Point, PseudoInterval, Lozenge, LozengeReport, ValidationReport,
-    validate_pattern, relations, separates_leaves, separates_point,
-    pseudo_interval, faces_and_quadrants, is_dividing_prong, partially_linked,
-    detect_lozenges,
 )
 from .periodic import (
     PeriodicPattern, PatternAutomorphism, IndexMap, AffineElement, Family,
-    Track, NonsepTemplate, ScallopedMarker, generate, materialize_window,
-    scalloped_invariant, identity_automorphism,
+    Track, NonsepTemplate, ScallopedMarker, generate, scalloped_invariant,
+    identity_automorphism,
 )
 
 __version__ = "0.1.0"

@@ -356,7 +356,7 @@ def wpd_scan(pp: PeriodicPattern, g: PatternAutomorphism, base: str,
     segment by less than eps; the stability flag reports invariance of the
     witness set under growing the candidate ball by two and doubling the
     window."""
-    verdict = classify_isometry(pp, g, window=window, nmax=max(2, n // 2))
+    verdict = classify_isometry(pp, g, window=window)
     if not isinstance(verdict, Loxodromic):
         raise PreconditionError("scanned element must be loxodromic")
     # one ball at radius + 2; its words of length <= radius are the ball

@@ -140,8 +140,8 @@ def serialize(p) -> str:
 
 
 def parse_pattern_text(text: str):
-    """Parse and validate a pattern; finite patterns are validated in full,
-    periodic ones through a representative window."""
+    """Parse and validate a pattern; finite patterns are validated here,
+    periodic ones by their constructor, on the window (0, reach)."""
     try:
         d = json.loads(text)
     except json.JSONDecodeError as e:
@@ -149,9 +149,7 @@ def parse_pattern_text(text: str):
     if not isinstance(d, dict):
         raise ParseError("top level must be an object")
     if "period" in d:
-        pp = periodic_from_dict(d)
-        pp.materialize_window(0, 2)  # validation runs on a sample window
-        return pp
+        return periodic_from_dict(d)
     p = finite_from_dict(d)
     rep = p.validate()
     if not rep.ok:

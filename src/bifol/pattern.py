@@ -806,44 +806,3 @@ def _is_cyclic_run(indices: set[int], n: int, max_len: int) -> bool:
             return True
     return False
 
-
-# Module-level operation aliases matching the public surface.
-
-def validate_pattern(p: FinitePattern) -> ValidationReport:
-    return p.validate()
-
-
-def relations(p: FinitePattern):
-    """Intersection table and perfect-fit list for a valid pattern."""
-    ids = sorted(p.leaves)
-    table = {frozenset((a, b)): p.intersects(a, b)
-             for a, b in itertools.combinations(ids, 2)}
-    return table, p.perfect_fits()
-
-
-def separates_leaves(p, m, l1, l2):
-    return p.separates_leaves(m, l1, l2)
-
-
-def separates_point(p, leaf_id, x, y):
-    return p.separates_point(leaf_id, x, y)
-
-
-def pseudo_interval(p, x, y, mode=Mode.NONSEP):
-    return p.pseudo_interval(x, y, mode)
-
-
-def faces_and_quadrants(p, sing):
-    return p.faces_and_quadrants(sing)
-
-
-def is_dividing_prong(p, sing, x, y):
-    return p.is_dividing_prong(sing, x, y)
-
-
-def partially_linked(p, a, b):
-    return p.partially_linked(a, b)
-
-
-def detect_lozenges(p):
-    return p.detect_lozenges()

@@ -8,9 +8,16 @@ offset + block index) of the leaf's index.  Crossings, windows and
 automorphism checks are all evaluated exactly from this data, so no floating
 point or sampling enters anywhere.
 
+A periodic pattern is certified once, in its constructor, by validating the
+window (0, reach): every violation involves at most three leaves, leaves
+farther apart than the template span relate as at the span plus one, so by
+translation invariance each violation of the infinite pattern has a copy in
+that window.  Windows are faithful truncations of a certified pattern and
+are not validated again.
+
 The module also owns every shipped fixture generator: finite patterns are
-built from the same track/chord helpers that windows of periodic patterns
-use.
+built by the same track walk (``_chord_pattern``) that builds the windows of
+periodic patterns.
 """
 
 from __future__ import annotations
@@ -77,6 +84,35 @@ def parse_leaf_name(name: str) -> tuple[str, int]:
     if not fam or not idx or not fam.isalpha():
         raise UnknownIdError(f"not a periodic leaf name: {name!r}")
     return fam, int(idx)
+
+
+BOT, TOP = "bot", "top"
+_CORRIDOR = (Track(BOT, 1), Track(TOP, -1))
+
+
+def _chord_pattern(chords, tracks=_CORRIDOR, nonseparated=(), singularities=(),
+                   points=()):
+    """Finite pattern from chords (id, sign, [(track, value), ...]) on the
+    given tracks.  Walking the circle (the tracks in order, each in its own
+    direction) labels every occupied position c0, c1, ..., so each leaf's
+    endpoints come out sorted.  A position holds one leaf, or two leaves of
+    opposite signs (a perfect fit)."""
+    at = {t.name: {} for t in tracks}
+    for cid, sign, eps in chords:
+        for tr, val in eps:
+            at[tr].setdefault(val, []).append(sign)
+    rank = {}
+    for t in tracks:
+        for v in sorted(at[t.name], reverse=t.direction == -1):
+            signs = at[t.name][v]
+            if len(signs) > 2 or (len(signs) == 2 and signs[0] == signs[1]):
+                raise PreconditionError(
+                    f"track {t.name}: >2 leaves or same-sign share at {v}")
+            rank[(t.name, v)] = len(rank)
+    leaves = [Leaf(cid, sign, tuple(f"c{i}" for i in sorted(rank[e] for e in eps)))
+              for cid, sign, eps in chords]
+    return FinitePattern([f"c{i}" for i in range(len(rank))], leaves,
+                         singularities, nonseparated, points)
 
 
 class IndexMap:
@@ -171,6 +207,8 @@ class PeriodicPattern:
         self.band = band  # optional per-residue crossing-offset sets
         self.name = name
         self._track_order = {t.name: i for i, t in enumerate(self.tracks)}
+        if len(self._track_order) != len(self.tracks):
+            raise PreconditionError("track names must be unique")
         self._fam_index = {PLUS: {f.name: i for i, f in enumerate(self.plus_families)},
                            MINUS: {f.name: i for i, f in enumerate(self.minus_families)}}
         names = [f.name for f in self.plus_families + self.minus_families]
@@ -181,6 +219,8 @@ class PeriodicPattern:
                 for tname, _ in f.endpoints:
                     if tname not in self._track_order:
                         raise PreconditionError(f"unknown track {tname!r}")
+        # positional arguments: the benchmark tracer unpacks (self, lo, hi)
+        self.materialize_window(0, self.reach()).require_valid()
         if automorphisms:
             for nm, (po, mo) in automorphisms.items():
                 self.automorphisms[nm] = PatternAutomorphism(
@@ -246,72 +286,36 @@ class PeriodicPattern:
         inside = sum(1 for x in bb if lo < x < hi)
         return inside == 1
 
+    def reach(self) -> int:
+        """Width in blocks of a window holding a copy of every configuration
+        of at most three leaves: ceil(template span) + 1, since leaves farther
+        apart than the span relate as at the span plus one, and the widest
+        nonseparation offset on top."""
+        vals = [off for sign in (PLUS, MINUS) for f in self.families(sign)
+                for _, off in f.endpoints]
+        return (math.ceil(max(vals) - min(vals)) + 1
+                + max((abs(t.offset) for t in self.nonsep), default=0))
+
     def nonsep_pairs_in(self, lo: int, hi: int) -> list[frozenset]:
-        out = []
-        for t in self.nonsep:
-            sign = self.sign_of_leaf(leaf_name(t.fam_a, 0))
-            for k in range(lo, hi + 1):
-                k2 = k + t.offset
-                if lo <= k2 <= hi:
-                    out.append(frozenset((leaf_name(t.fam_a, k),
-                                          leaf_name(t.fam_b, k2))))
-            if sign not in (PLUS, MINUS):  # pragma: no cover - defensive
-                raise PreconditionError("bad nonsep template")
-        return out
+        return [frozenset((leaf_name(t.fam_a, k), leaf_name(t.fam_b, k + t.offset)))
+                for t in self.nonsep for k in range(lo, hi + 1)
+                if lo <= k + t.offset <= hi]
 
     # -- windows ------------------------------------------------------------
 
     def materialize_window(self, lo: int, hi: int) -> FinitePattern:
         """Finite pattern holding every family copy with block index in
-        [lo, hi]; the boundary circle is synthesized from the track layout."""
+        [lo, hi] and the declared nonseparated pairs among them; the boundary
+        circle is the track walk over their endpoints.  The constructor has
+        certified the pattern, so the window is valid and is not checked."""
         if lo >= hi:
             raise PreconditionError("window needs lo < hi")
-        per_track: dict[int, dict[Fraction, list]] = {
-            i: {} for i in range(len(self.tracks))}
-        leaf_eps: dict[str, list] = {}
-        sigs = []
-        for sign in (PLUS, MINUS):
-            for fam in self.families(sign):
-                for k in range(lo, hi + 1):
-                    nm = leaf_name(fam.name, k)
-                    leaf_eps[nm] = []
-                    for tname, off in fam.endpoints:
-                        ti = self._track_order[tname]
-                        val = off + k
-                        per_track[ti].setdefault(val, []).append((nm, sign))
-        # assign labels walking the circle
-        labels = []
-        pos_of: dict[tuple[int, Fraction], str] = {}
-        for ti, tr in enumerate(self.tracks):
-            vals = sorted(per_track[ti], reverse=(tr.direction == -1))
-            for v in vals:
-                users = per_track[ti][v]
-                signs = {s for _, s in users}
-                if len(users) > 2 or (len(users) == 2 and len(signs) != 2):
-                    raise PreconditionError(
-                        f"track {tr.name}: >2 leaves or same-sign share at {v}")
-                lab = f"c{len(labels)}"
-                labels.append(lab)
-                pos_of[(ti, v)] = lab
-        for sign in (PLUS, MINUS):
-            for fam in self.families(sign):
-                for k in range(lo, hi + 1):
-                    nm = leaf_name(fam.name, k)
-                    for tname, off in fam.endpoints:
-                        ti = self._track_order[tname]
-                        leaf_eps[nm].append(pos_of[(ti, off + k)])
-        order = {lab: i for i, lab in enumerate(labels)}
-        leaves = []
-        for sign in (PLUS, MINUS):
-            for fam in self.families(sign):
-                for k in range(lo, hi + 1):
-                    nm = leaf_name(fam.name, k)
-                    eps = tuple(sorted(leaf_eps[nm], key=order.get))
-                    leaves.append(Leaf(nm, sign, eps))
-        fp = FinitePattern(labels, leaves, sigs,
-                           nonseparated=self.nonsep_pairs_in(lo, hi))
-        fp.require_valid()
-        return fp
+        chords = [(leaf_name(f.name, k), sign,
+                   [(tname, off + k) for tname, off in f.endpoints])
+                  for sign in (PLUS, MINUS) for f in self.families(sign)
+                  for k in range(lo, hi + 1)]
+        return _chord_pattern(chords, self.tracks,
+                              nonseparated=self.nonsep_pairs_in(lo, hi))
 
 
 class PatternAutomorphism:
@@ -349,12 +353,9 @@ class PatternAutomorphism:
         return g
 
     def _reach(self) -> int:
-        vals = [off for sign in (PLUS, MINUS) for f in self.pattern.families(sign)
-                for _, off in f.endpoints]
-        span = max(vals) - min(vals)
         off_span = max(max(map(abs, self.plus.offsets)),
                        max(map(abs, self.minus.offsets)), 1)
-        return (int(span) + 2 + off_span) * self.pattern.period
+        return (self.pattern.reach() + 1 + off_span) * self.pattern.period
 
     def _check_templates(self):
         pp, B = self.pattern, self._reach()
@@ -403,9 +404,6 @@ class PatternAutomorphism:
         for _ in range(abs(n)):
             g = base.compose(g)
         return g
-
-    def equal(self, other: "PatternAutomorphism") -> bool:
-        return self.plus == other.plus and self.minus == other.minus
 
     def is_identity(self) -> bool:
         return self.plus.is_identity() and self.minus.is_identity()
@@ -488,32 +486,6 @@ class AffineElement:
 
 
 # -- fixture generators -------------------------------------------------------
-
-BOT, TOP = "bot", "top"
-_CORRIDOR = (Track(BOT, 1), Track(TOP, -1))
-
-
-def _chord_pattern(chords, nonseparated=(), singularities=(), points=()):
-    """Finite pattern from corridor chords: each chord is
-    (id, sign, [(track, value), ...]) with track in {bot, top}."""
-    per_track = {BOT: {}, TOP: {}}
-    for cid, _sign, eps in chords:
-        for tr, val in eps:
-            per_track[tr].setdefault(Fraction(val), []).append(cid)
-    labels, pos_of = [], {}
-    for tr, rev in ((BOT, False), (TOP, True)):
-        for v in sorted(per_track[tr], reverse=rev):
-            lab = f"c{len(labels)}"
-            labels.append(lab)
-            pos_of[(tr, v)] = lab
-    order = {lab: i for i, lab in enumerate(labels)}
-    leaves = []
-    for cid, sign, eps in chords:
-        labs = sorted((pos_of[(tr, Fraction(val))] for tr, val in eps),
-                      key=order.get)
-        leaves.append(Leaf(cid, sign, tuple(labs)))
-    return FinitePattern(labels, leaves, singularities, nonseparated, points)
-
 
 def _circle_pattern(n_positions, leaves, **kw):
     """Finite pattern from leaves given as (id, sign, [positions]) on a circle
@@ -788,7 +760,3 @@ def generate(kind: str, *args):
         raise PreconditionError(
             f"unknown kind {kind!r}; known: {sorted(_GENERATORS)}") from None
     return gen(*args)
-
-
-def materialize_window(pp: PeriodicPattern, lo: int, hi: int) -> FinitePattern:
-    return pp.materialize_window(lo, hi)

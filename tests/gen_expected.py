@@ -9,7 +9,7 @@ from pathlib import Path
 
 from bifol import census as cs
 from bifol import graphs as gr
-from bifol.periodic import generate, materialize_window
+from bifol.periodic import generate
 
 
 def ladder_tables():
@@ -42,7 +42,7 @@ def bottleneck_x_table():
         fixture_specs.append((f"ladder{n}", generate("ladder", n)))
     for W in (2, 3, 4):
         fixture_specs.append((f"skew{W}w8",
-                              materialize_window(generate("skew", W), 0, 8)))
+                              generate("skew", W).materialize_window(0, 8)))
     for name, p in fixture_specs:
         G = gr.build_graph(p, gr.XFULL)
         out[name] = gr.minimal_bottleneck_constant(G, 8)

@@ -19,7 +19,7 @@ from bifol import graphs as gr
 from bifol import walls as wl
 from bifol.cli import main as cli_main
 from bifol.pattern import Mode, Point
-from bifol.periodic import IndexMap, PatternAutomorphism, generate, materialize_window
+from bifol.periodic import IndexMap, PatternAutomorphism, generate
 from bifol.randgen import random_pattern
 
 from oracles import oracle_pseudo_interval_set, all_monotone_paths, oracle_wall_sup
@@ -52,7 +52,7 @@ def _acceptance_fixtures():
            ("chain3", generate("chain", 3)),
            ("prong3", generate("prong", 3))]
     for W in (2, 3, 4):
-        out.append((f"skew{W}w16", materialize_window(generate("skew", W), 0, 16)))
+        out.append((f"skew{W}w16", generate("skew", W).materialize_window(0, 16)))
     for n in range(2, 9):
         out.append((f"ladder{n}", generate("ladder", n)))
     for m in range(2, 7):
@@ -189,7 +189,7 @@ def test_criterion_6_ladder_and_prong_bounds():
 def test_criterion_7_projection_and_overlap():
     pp = generate("ladder_periodic")
     s = pp.automorphisms["s"]
-    w = materialize_window(pp, -6, 6)
+    w = pp.materialize_window(-6, 6)
     ax = dy.axis(pp, s, "plus", (-6, 6))
     G = gr.build_graph(w, gr.XPLUS)
     # Lemma 4.9 analogue: projection is closest up to the pair ambiguity
@@ -228,7 +228,7 @@ def test_criterion_7_projection_and_overlap():
         assert abs(ii - idx_of[x]) <= 1 and abs(jj - idx_of[y]) <= 1
     # skew windows: the single-block line projects trivially and exactly
     sk = generate("skew", 2)
-    wsk = materialize_window(sk, -5, 5)
+    wsk = sk.materialize_window(-5, 5)
     axk = dy.axis(sk, sk.automorphisms["s"], "plus", (-5, 5))
     Gk = gr.build_graph(wsk, gr.XPLUS)
     for x in axk.leaves:
@@ -251,7 +251,7 @@ def test_criterion_8_theorem_E():
     v = dy.classify_isometry(lp, s, window=8, nmax=6)
     assert isinstance(v, dy.Loxodromic) and v.tau_lower > 0
     # sandwich bound around block distances for k <= 6
-    w = materialize_window(lp, -8, 8)
+    w = lp.materialize_window(-8, 8)
     ax = dy.axis(lp, s, "plus", (-8, 8))
     blocks = ax.blocks[1:-1]
     G = gr.build_graph(w, gr.XPLUS)

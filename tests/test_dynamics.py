@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from bifol.pattern import Mode, PreconditionError
-from bifol.periodic import IndexMap, PatternAutomorphism, materialize_window
+from bifol.periodic import IndexMap, PatternAutomorphism
 from bifol import dynamics as dy
 from bifol import graphs as gr
 from bifol.census import BudgetExceededError, word_ball
@@ -31,7 +31,7 @@ def test_ladder_axis_blocks(ladder_periodic):
 
 def test_skew_axis_is_a_separation_chain(skew2):
     ax = dy.axis(skew2, skew2.automorphisms["s"], "plus", (-8, 8))
-    w = materialize_window(skew2, -8, 8)
+    w = skew2.materialize_window(-8, 8)
     for a, m, c in zip(ax.leaves, ax.leaves[1:], ax.leaves[2:]):
         assert w.separates_leaves(m, a, c), (a, m, c)
 
@@ -64,7 +64,7 @@ def test_trivial_translation_axis(trivial_periodic):
 def test_induced_blocks_lemma(ladder_periodic):
     s = ladder_periodic.automorphisms["s"]
     lo, hi = -4, 4
-    w = materialize_window(ladder_periodic, lo, hi)
+    w = ladder_periodic.materialize_window(lo, hi)
     ax = dy.axis(ladder_periodic, s, "plus", (lo, hi))
     blocks = ax.blocks
     idx_of = {l: i for i, b in enumerate(blocks) for l in b}
@@ -86,7 +86,7 @@ def test_induced_blocks_lemma(ladder_periodic):
 
 
 def test_induced_single_block(ladder_periodic):
-    w = materialize_window(ladder_periodic, -2, 2)
+    w = ladder_periodic.materialize_window(-2, 2)
     # both endpoints inside one axis block: a single true interval
     assert w.pseudo_interval("w0", "u1").blocks == (("w0", "u1"),)
 
@@ -99,7 +99,7 @@ def test_projection_identity_on_line(grid3):
 
 def test_projection_off_line(ladder_periodic):
     s = ladder_periodic.automorphisms["s"]
-    w = materialize_window(ladder_periodic, -3, 3)
+    w = ladder_periodic.materialize_window(-3, 3)
     ax = dy.axis(ladder_periodic, s, "plus", (-3, 3))
     # a hook hangs off its junction gap: projects to the nonseparated pair
     pr = dy.project_to_pseudoline(w, ax.line, "r0")
@@ -109,7 +109,7 @@ def test_projection_off_line(ladder_periodic):
 def test_projection_distance_bound(ladder_periodic):
     # d(x, p_A(x)) <= d(x, y) for every y on the line
     s = ladder_periodic.automorphisms["s"]
-    w = materialize_window(ladder_periodic, -3, 3)
+    w = ladder_periodic.materialize_window(-3, 3)
     ax = dy.axis(ladder_periodic, s, "plus", (-3, 3))
     G = gr.build_graph(w, gr.XPLUS)
     for x in w.leaf_ids("plus"):
@@ -124,7 +124,7 @@ def test_projection_distance_bound(ladder_periodic):
 
 def test_overlap_identity(ladder_periodic):
     pp = ladder_periodic
-    w = materialize_window(pp, -4, 4)
+    w = pp.materialize_window(-4, 4)
     s = pp.automorphisms["s"]
     ax = dy.axis(pp, s, "plus", (-4, 4))
     ident = s.compose(s.inverse())
@@ -139,7 +139,7 @@ def test_overlap_identity(ladder_periodic):
 
 def test_overlap_with_shift(ladder_periodic):
     pp = ladder_periodic
-    w = materialize_window(pp, -5, 5)
+    w = pp.materialize_window(-5, 5)
     s = pp.automorphisms["s"]
     ax = dy.axis(pp, s, "plus", (-5, 5))
     a, b = ax.leaves[1], ax.leaves[-2]
@@ -152,7 +152,7 @@ def test_overlap_with_shift(ladder_periodic):
 
 def test_overlap_too_close_errors(ladder_periodic):
     pp = ladder_periodic
-    w = materialize_window(pp, -2, 2)
+    w = pp.materialize_window(-2, 2)
     s = pp.automorphisms["s"]
     ax = dy.axis(pp, s, "plus", (-2, 2))
     a = ax.leaves[0]
@@ -208,7 +208,7 @@ def test_prop42_sandwich(ladder_periodic):
     # (m+2)(k-1)+2 >= d(B_0, B_k) >= k-1 with m the block diameter
     pp = ladder_periodic
     s = pp.automorphisms["s"]
-    w = materialize_window(pp, -8, 8)
+    w = pp.materialize_window(-8, 8)
     ax = dy.axis(pp, s, "plus", (-8, 8))
     blocks = ax.blocks[1:-1]
     G = gr.build_graph(w, gr.XPLUS)
@@ -285,7 +285,7 @@ def test_axis_prong_count_constant_per_window(skew2):
     s = skew2.automorphisms["s"]
     for w in ((-3, 3), (-6, 6)):
         ax = dy.axis(skew2, s, "plus", w)
-        win = materialize_window(skew2, *w)
+        win = skew2.materialize_window(*w)
         prongs = [l for l in ax.leaves if win.leaf(l).is_singular]
         assert prongs == []
 

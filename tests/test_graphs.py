@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from bifol.pattern import PLUS, Mode, PreconditionError, UnknownIdError
-from bifol.periodic import generate, materialize_window
+from bifol.periodic import generate
 from bifol import graphs as gr
 from bifol.randgen import random_pattern
 
@@ -149,7 +149,7 @@ def test_qi_inclusion(grid3, prong3, ladder3):
 
 
 def test_qi_inclusion_tight_on_skew(skew2):
-    w = materialize_window(skew2, 0, 8)
+    w = skew2.materialize_window(0, 8)
     rep = gr.qi_inclusion_report(w)
     assert rep.ok
     assert rep.max_ratio == 2.0

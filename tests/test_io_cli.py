@@ -52,6 +52,43 @@ def test_parse_validates():
         bio.parse_pattern_text(text)
 
 
+# plus families p and q cross at block distance 3 only: p3 x q0
+CROSSING_AT_THREE = {
+    "period": 2, "name": "crossing_at_three",
+    "tracks": [["bot", 1], ["top", -1]],
+    "plus_families": [
+        {"name": "p", "endpoints": [["bot", "0"], ["top", "0"]]},
+        {"name": "q", "endpoints": [["bot", "7/2"], ["top", "5/2"]]}],
+    "minus_families": [
+        {"name": "m", "endpoints": [["bot", "1/4"], ["bot", "1/3"]]},
+        {"name": "n", "endpoints": [["bot", "2/3"], ["bot", "4/5"]]}],
+    "nonsep": [], "automorphisms": {},
+}
+
+
+def test_periodic_crossing_past_the_sample_window_rejected(tmp_path, capsys):
+    text = json.dumps(CROSSING_AT_THREE)
+    with pytest.raises(InvalidPatternError, match="same-sign crossing: p3, q0"):
+        bio.parse_pattern_text(text)
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", "--in", str(path)]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["results"]["valid"] is False
+
+
+@pytest.mark.parametrize("fam_a, fam_b", [("zz", "w"), ("u", "zz")])
+def test_cli_validate_nonsep_unknown_family(fam_a, fam_b, tmp_path, capsys):
+    d = json.loads(fixture_text("ladder_periodic"))
+    d["nonsep"] = [[fam_a, fam_b, 0]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d), encoding="utf-8")
+    assert main(["validate", "--in", str(path)]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["results"]["valid"] is False
+    assert "nonseparated pair names unknown leaf" in rep["results"]["violations"]
+
+
 def test_dot_export(grid3, tmp_path):
     G = gr.build_graph(grid3, gr.XPLUS)
     text = bio.export_dot(grid3, G)
@@ -147,6 +184,15 @@ def test_cli_classify_loxodromic(capsys):
 def test_cli_wpd(capsys):
     assert main(["wpd", "--pattern", _fx("ladder_periodic"), "--g", "s",
                  "--ball", "3", "--eps", "1", "--n", "4",
+                 "--window", "6"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["results"]["witnesses"] == ["id"]
+
+
+@pytest.mark.parametrize("name", ["skew3", "skew4"])
+def test_cli_wpd_small_n(name, capsys):
+    # a short axis segment does not cut the classification short
+    assert main(["wpd", "--pattern", _fx(name), "--g", "s", "--n", "4",
                  "--window", "6"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["results"]["witnesses"] == ["id"]

@@ -1,13 +1,17 @@
 import itertools
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bifol.pattern import PreconditionError
+from bifol.fixtures import load_fixture
+from bifol.pattern import MINUS, PLUS, InvalidPatternError, PreconditionError
 from bifol.periodic import (
-    AffineElement, IndexMap, PatternAutomorphism, generate,
-    materialize_window, scalloped_invariant,
+    BOT, TOP, _CORRIDOR, AffineElement, Family, IndexMap, NonsepTemplate,
+    PatternAutomorphism, PeriodicPattern, Track, _chord_pattern, generate,
+    scalloped_invariant,
 )
 from bifol import graphs as gr
 
@@ -23,7 +27,7 @@ def test_trivial_passes_validate_and_diameter(grid3):
 
 
 def test_skew_band_contract(skew2):
-    w = materialize_window(skew2, 0, 6)
+    w = skew2.materialize_window(0, 6)
     for i in range(7):
         for j in range(7):
             expected = i <= j < i + 2
@@ -31,37 +35,123 @@ def test_skew_band_contract(skew2):
 
 
 def test_skew_window_distance(skew2):
-    w = materialize_window(skew2, 0, 6)
+    w = skew2.materialize_window(0, 6)
     G = gr.build_graph(w, gr.XPLUS)
     assert gr.distance(G, "p0", "p6") == 6
     assert oracle_bfs_distance(G.adj, "p0", "p6") == 6
 
 
 def test_skew_small_window_counts(skew2):
-    w = materialize_window(skew2, 0, 3)
+    w = skew2.materialize_window(0, 3)
     assert len(w.leaf_ids("plus")) == 4 and len(w.leaf_ids("minus")) == 4
     assert w.validate().ok
 
 
 def test_window_preconditions(skew2):
     with pytest.raises(PreconditionError):
-        materialize_window(skew2, 0, 0)
+        skew2.materialize_window(0, 0)
     with pytest.raises(PreconditionError):
         generate("skew", 1)
     with pytest.raises(PreconditionError):
         generate("ladder", 0)
     with pytest.raises(PreconditionError):
         generate("prong", 2)
+    with pytest.raises(PreconditionError, match="track names"):
+        PeriodicPattern((Track(BOT, 1), Track(BOT, -1)), skew2.plus_families,
+                        skew2.minus_families)
 
 
-def test_every_window_validates(ladder_periodic, scalloped, trivial_periodic, skew2):
-    for pp in (ladder_periodic, scalloped, trivial_periodic, skew2):
-        for lo, hi in ((0, 2), (-3, 3), (0, 5)):
-            assert materialize_window(pp, lo, hi).validate().ok
+PERIODIC_FIXTURES = ("skew2", "skew3", "skew4", "ladder_periodic",
+                     "trivial_periodic", "scalloped")
+
+
+def test_every_window_validates():
+    # windows do not check themselves: this guards the constructor's
+    # certificate on the windows the CLI defaults, the tests and dynamics use
+    for name in PERIODIC_FIXTURES:
+        pp = load_fixture(name)
+        for lo, hi in ((0, 2), (-3, 3), (0, 5), (0, 6), (-6, 6), (-8, 8),
+                       (-16, 16)):
+            assert pp.materialize_window(lo, hi).validate().ok, (name, lo, hi)
+
+
+def _corridor_template(rng):
+    """1-2 families per sign on the corridor, offsets in quarters, and an
+    optional nonseparation template.  A second family of a sign is the first
+    one with its endpoints moved by u and u + e quarters, neither a whole
+    block; for bottom-to-top chords it crosses the first at block distance j
+    iff 4j lies strictly between u and u + e, which happens up to j = 4."""
+    q = lambda n: Fraction(n, 4)  # noqa: E731
+
+    def families(sign, names):
+        if rng.random() < 0.25:
+            t, a = rng.choice((BOT, TOP)), rng.randint(0, 8)
+            eps = ((t, q(a)), (t, q(a + rng.randint(1, 3))))
+        else:
+            eps = ((BOT, q(rng.randint(0, 8))), (TOP, q(rng.randint(0, 8))))
+        out = [Family(names[0], sign, eps)]
+        if len(names) == 2:
+            u, e = rng.choice([(u, e) for u in range(1, 16) for e in (-2, -1, 0, 1, 2)
+                               if u % 4 and (u + e) % 4])
+            (t0, a), (t1, b) = eps
+            out.append(Family(names[1], sign, ((t0, a + q(u)), (t1, b + q(u + e)))))
+        return out
+
+    period = rng.randint(1, 2)
+    plus = families(PLUS, "pq"[:period])
+    minus = families(MINUS, "mn"[:period])
+    nonsep = []
+    if rng.random() < 0.4:
+        fams = rng.choice((plus, minus))
+        nonsep.append(NonsepTemplate(rng.choice(fams).name,
+                                     rng.choice(fams).name, rng.randint(-1, 1)))
+    return plus, minus, nonsep
+
+
+def _window_fails(plus, minus, nonsep, lo, hi):
+    """Build the window through the track walk and validate it."""
+    blocks = range(lo, hi + 1)
+    chords = [(f"{f.name}{k}", f.sign, [(t, off + k) for t, off in f.endpoints])
+              for f in plus + minus for k in blocks]
+    pairs = [(f"{t.fam_a}{k}", f"{t.fam_b}{k + t.offset}")
+             for t in nonsep for k in blocks if k + t.offset in blocks]
+    try:
+        return not _chord_pattern(chords, nonseparated=pairs).validate().ok
+    except PreconditionError:
+        return True
+
+
+def test_certificate_matches_every_nearby_window():
+    # the constructor rejects a template iff some window (lo, hi) with
+    # -R <= lo < hi <= R, R = reach + 2, fails validation.  Each such window
+    # is a translate of (-R, -R + hi - lo): shifting every offset by one block
+    # keeps the order of the values the walk sorts, so one window per width
+    # decides.
+    rng = random.Random(20261018)
+    rejected = past_sample = 0
+    for i in range(200):
+        plus, minus, nonsep = _corridor_template(rng)
+        vals = [off for f in plus + minus for _, off in f.endpoints]
+        reach = (math.ceil(max(vals) - min(vals)) + 1
+                 + max((abs(t.offset) for t in nonsep), default=0))
+        R = reach + 2
+        fails = any(_window_fails(plus, minus, nonsep, -R, hi)
+                    for hi in range(-R + 1, R + 1))
+        try:
+            pp = PeriodicPattern(_CORRIDOR, plus, minus, nonsep=nonsep)
+        except (InvalidPatternError, PreconditionError):
+            rejected += 1
+            past_sample += not _window_fails(plus, minus, nonsep, 0, 2)
+            assert fails, (i, plus, minus, nonsep)
+        else:
+            assert not fails and pp.reach() == reach, (i, plus, minus, nonsep)
+    # both verdicts are well represented, and some templates fail only on
+    # windows wider than (0, 2)
+    assert 60 <= rejected <= 180 and past_sample >= 3, (rejected, past_sample)
 
 
 def test_ladder_periodic_window_blocks(ladder_periodic):
-    w = materialize_window(ladder_periodic, -2, 2)
+    w = ladder_periodic.materialize_window(-2, 2)
     pi = w.pseudo_interval("u-1", "w1")
     # three junction pairs inside the chain, one split each
     assert pi.n_blocks == 4
@@ -86,8 +176,8 @@ def test_sinestrip_growth_monotone():
 def test_windowing_monotone(ladder_periodic, skew2):
     # distances never increase when the window grows
     for pp in (skew2, ladder_periodic):
-        small = materialize_window(pp, -2, 2)
-        big = materialize_window(pp, -4, 4)
+        small = pp.materialize_window(-2, 2)
+        big = pp.materialize_window(-4, 4)
         Gs = gr.build_graph(small, gr.XPLUS)
         Gb = gr.build_graph(big, gr.XPLUS)
         for u, v in itertools.combinations(Gs.vertices, 2):
@@ -96,8 +186,8 @@ def test_windowing_monotone(ladder_periodic, skew2):
 
 
 def test_window_stability_flag(skew2):
-    small = materialize_window(skew2, -4, 4)
-    big = materialize_window(skew2, -8, 8)
+    small = skew2.materialize_window(-4, 4)
+    big = skew2.materialize_window(-8, 8)
     Gs, Gb = (gr.build_graph(w, gr.XPLUS) for w in (small, big))
     assert gr.distance(Gs, "p-2", "p2") == gr.distance(Gb, "p-2", "p2") == 4
 
@@ -228,7 +318,7 @@ def test_scalloped_marker_missing(skew2):
 
 
 def test_scalloped_window_has_both_chains(scalloped):
-    w = materialize_window(scalloped, 0, 5)
+    w = scalloped.materialize_window(0, 5)
     rep = w.detect_lozenges()
     keys = {(L.plus1, L.plus2) for L in rep.lozenges}
     # vertical bricks share consecutive plus sides, horizontal bricks skip one

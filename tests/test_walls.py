@@ -5,7 +5,6 @@ import pytest
 from bifol.pattern import (
     PLUS, DegenerateInputError, Point, PreconditionError,
 )
-from bifol.periodic import materialize_window
 from bifol import walls as wl
 from bifol.randgen import random_pattern
 
@@ -61,7 +60,7 @@ def test_wall_distance_unknown_point(grid3):
 
 def test_skew_aligned_family_size(skew2):
     # far-apart crossings on a window admit aligned families of linear size
-    w = materialize_window(skew2, 0, 8)
+    w = skew2.materialize_window(0, 8)
     a = Point.crossing("a", "p0", "m0")
     b = Point.crossing("b", "p8", "m8")
     d = wl.wall_distance(w, a, b, wl.D_PLUS)
@@ -137,7 +136,7 @@ def test_qi_metric_grid3(grid3):
 
 
 def test_qi_metric_skew_window(skew2):
-    w = materialize_window(skew2, 0, 9)
+    w = skew2.materialize_window(0, 9)
     pts = [Point.crossing(f"q{i}", f"p{i}", f"m{i}") for i in (0, 3, 6, 9)]
     rep = wl.qi_metric_report(w, points=pts)
     assert rep.ok, rep.violations
@@ -173,8 +172,8 @@ def test_wall_distance_finite_everywhere(grid3, chain3):
 
 def test_wall_distance_window_monotone(skew2):
     # wall distances never decrease when the window grows
-    small = materialize_window(skew2, -3, 3)
-    big = materialize_window(skew2, -6, 6)
+    small = skew2.materialize_window(-3, 3)
+    big = skew2.materialize_window(-6, 6)
     a = Point.crossing("a", "p-2", "m-2")
     b = Point.crossing("b", "p2", "m2")
     for kind in wl.KINDS:
@@ -186,7 +185,7 @@ def test_wall_distance_window_monotone(skew2):
 def test_skew3_aligned_family_scales():
     from bifol.periodic import generate as gen
 
-    w = materialize_window(gen("skew", 3), 0, 12)
+    w = gen("skew", 3).materialize_window(0, 12)
     a = Point.crossing("a", "p0", "m0")
     b = Point.crossing("b", "p12", "m12")
     wit = wl.longest_chain_witness(w, a, b, wl.D_PLUS)
