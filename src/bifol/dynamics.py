@@ -9,7 +9,6 @@ window doubling, never asserted as limits.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from . import graphs as gr
@@ -63,20 +62,22 @@ class AxisData:
 
 
 def _order_chain(p: FinitePattern, leaves: list[str]) -> list[str]:
-    """Order pairwise-disjoint same-family leaves along their separation
-    chain from an end (a leaf of least betweenness count)."""
+    """Order same-family leaves that form a separation chain, from the end
+    of least id."""
     if len(leaves) <= 2:
         return sorted(leaves)
-    between = {l: 0 for l in leaves}
-    for a, b in itertools.combinations(leaves, 2):
-        for m in leaves:
-            if m not in (a, b) and p._separates(m, a, b):
-                between[m] += 1
-    end = min(leaves, key=lambda l: (between[l], l))
-    depth = {l: sum(1 for m in leaves if m not in (end, l)
-                    and p._separates(m, end, l)) for l in leaves}
-    # the end and its neighbour both have depth 0
-    return sorted(leaves, key=lambda l: (depth[l], l != end, l))
+
+    def farthest(a):
+        # separator sets grow along the chain, so the leaf with the most
+        # separators between it and a is an end
+        return max((b for b in leaves if b != a),
+                   key=lambda b: (p._seps(a, b).bit_count(), b))
+
+    one = farthest(leaves[0])
+    end, other = sorted((one, farthest(one)))
+    # leaves off the chain may separate its ends too (scalloped windows)
+    on = set(leaves)
+    return [end] + [m for m in p.separator_chain(end, other) if m in on] + [other]
 
 
 def axis(pp: PeriodicPattern, g: PatternAutomorphism, sign: str,

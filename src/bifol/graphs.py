@@ -60,7 +60,7 @@ def build_graph(p: FinitePattern, kind: str) -> LeafGraph:
         if kind in (XPLUS, XMINUS):
             linked = lambda a, b: p.common_transversal(a, b, nonsingular=True)
         else:
-            linked = lambda a, b: p.pseudo_interval(a, b, Mode.NONSEP).is_interval
+            linked = lambda a, b: not p._breaks(a, b)
     adj = {v: set() for v in verts}
     for a, b in itertools.combinations(verts, 2):
         if linked(a, b):

@@ -8,10 +8,14 @@ point) reduce to exact cyclic-order arithmetic on boundary labels.
 
 Each pattern derives one relation table from its boundary labels, once, on
 first use: the sorted endpoint positions of every leaf, the face of every
-boundary position per leaf, and a crossing bitset per leaf with a mask of the
-nonsingular leaves.  Crossing is then one bit test, separation a comparison
-of two faces, and a common transversal of two leaves the AND of their
-crossing bitsets.
+boundary position per leaf, a crossing bitset per leaf, a side bitset per
+leaf (which nonsingular leaves hold its first endpoint on their face 0) and
+masks of the nonsingular, plus and minus leaves.  Crossing is then one bit
+test, separation a comparison of two faces, and a common transversal of two
+leaves the AND of their crossing bitsets.  The separators of two same-family
+leaves are the XOR of their side bitsets (singular leaves compared face by
+face), so a separator chain, a broken pseudo-interval and the leaves
+separating two points each cost O(k) integer operations.
 
 Conventions baked into the model:
 
@@ -229,13 +233,33 @@ class _Relations(NamedTuple):
     """Every leaf relation of a pattern, derived once from its boundary
     labels.  Face i of a leaf is the open boundary arc from its i-th to its
     (i+1)-th endpoint, counterclockwise (the last face wraps round); bit i of
-    a bitset stands for ``leaf_ids()[i]``."""
+    a bitset stands for ``leaf_ids()[i]``.
 
+    ``side[l]`` has bit m set when the first endpoint of l lies on face 0 of
+    the nonsingular leaf m (never when it is an endpoint of m).  Two leaves
+    disjoint from m lie on opposite sides of it iff their side bits for m
+    differ, so ``side[x] ^ side[y]`` holds every nonsingular separator of x
+    and y, and a crossing point of P and M lies on face 0 of a plus leaf
+    iff P does, of a minus leaf iff M does."""
+
+    ids: tuple        # bit position -> leaf id
     index: _ById      # leaf id -> bit position
     ep: _ById         # leaf id -> sorted endpoint positions
     face: _ById       # leaf id -> face of every circle position, None on its endpoints
     cross: _ById      # leaf id -> bitset of the leaves crossing it
+    side: _ById       # leaf id -> bitset of the nonsingular leaves with it on face 0
     nonsingular: int  # bitset of the leaves with two endpoints
+    plus: int         # bitset of the plus leaves
+    minus: int        # bitset of the minus leaves
+    nonsep: tuple     # two-bit mask of every declared nonseparated pair
+
+
+def _bits(mask: int):
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class FinitePattern:
@@ -322,16 +346,30 @@ class FinitePattern:
         """The relation table, derived from the boundary labels on first use
         (not in ``__init__``, so ``validate`` can report bad labels)."""
         n = self.n
-        index, ep, face = _ById(), _ById(), _ById()
-        nonsingular = 0
+        index, ep, face, side = _ById(), _ById(), _ById(), _ById()
+        nonsingular = plus = 0
+        starts = [[] for _ in range(n)]  # leaves by first endpoint
+        toggle = [0] * n  # nonsingular leaves by endpoint
         for i, lf in enumerate(self.leaves.values()):
             index[lf.id] = i
-            nonsingular |= (not lf.is_singular) << i
+            plus |= (lf.sign == PLUS) << i
             e = ep[lf.id] = tuple(sorted(self.pos(x) for x in lf.endpoints))
             row = [len(e) - 1] * e[0]
             for j, (a, b) in enumerate(zip(e, e[1:] + (n,))):
                 row += [None] + [j] * (b - a - 1)
             face[lf.id] = row
+            starts[e[0]].append(lf.id)
+            if not lf.is_singular:
+                nonsingular |= 1 << i
+                for x in e:
+                    toggle[x] |= 1 << i
+        # one sweep round the circle: ``inside`` holds the nonsingular leaves
+        # whose face 0 contains the current position
+        inside = 0
+        for x in range(n):
+            for lid in starts[x]:
+                side[lid] = inside & ~toggle[x]
+            inside ^= toggle[x]
         cross = _ById.fromkeys(index, 0)
         by_sign = {sign: self.leaf_ids(sign) for sign in SIGNS}
         for sign, other in ((PLUS, MINUS), (MINUS, PLUS)):
@@ -342,7 +380,12 @@ class FinitePattern:
                     hit.discard(None)
                     if len(hit) >= 2:
                         cross[a] |= bit
-        return _Relations(index, ep, face, cross, nonsingular)
+        nonsep = tuple(sum(1 << index[l] for l in pair)
+                       for pair in self.nonseparated
+                       if len(pair) == 2 and all(l in index for l in pair))
+        everything = (1 << len(index)) - 1
+        return _Relations(tuple(index), index, ep, face, cross, side,
+                          nonsingular, plus, everything & ~plus, nonsep)
 
     # -- relations --------------------------------------------------------
 
@@ -476,13 +519,9 @@ class FinitePattern:
             if self.leaves[l1].sign != self.leaves[l2].sign:
                 v.append(Violation("nonseparated pair has mixed signs", (l1, l2)))
                 continue
-            sign = self.leaves[l1].sign
-            for m in self.leaf_ids(sign):
-                if m in (l1, l2):
-                    continue
-                if self._separates(m, l1, l2):
-                    v.append(Violation("nonseparated pair separated by same-sign leaf",
-                                       (l1, l2, m)))
+            for m in self._ids_of(self._seps(l1, l2)):
+                v.append(Violation("nonseparated pair separated by same-sign leaf",
+                                   (l1, l2, m)))
             common = self.common_transversal(l1, l2)
             for i, t in enumerate(self.leaves):
                 if common >> i & 1:
@@ -506,17 +545,11 @@ class FinitePattern:
                     v.append(Violation("region point anchor not on boundary",
                                        (pt.id,)))
 
-        # separator order must be strict on every same-sign pair; the full
-        # quartic sweep is bounded to desk-size patterns, larger ones are
-        # still rejected lazily by separator_chain at query time
-        if not v and len(self.leaves) <= 36:
-            for sign in SIGNS:
-                for x, y in itertools.combinations(sorted(self.leaf_ids(sign)), 2):
-                    try:
-                        self.separator_chain(x, y)
-                    except InvalidPatternError:
-                        v.append(Violation("incomparable separators (non-planar data)",
-                                           (x, y)))
+        # No separator-order sweep is needed: once no two same-sign leaves
+        # cross or share an endpoint, the leaves of one family are disjoint
+        # chords and trees in the disc, so the separators of two of them are
+        # nested and totally ordered at every size.  separator_chain still
+        # raises on non-planar data it is handed unchecked.
         return ValidationReport(tuple(v))
 
     def require_valid(self):
@@ -532,6 +565,40 @@ class FinitePattern:
         t = self._table
         face = t.face[m]
         return face[t.ep[l1][0]] != face[t.ep[l2][0]]
+
+    def _ids_of(self, bits: int, sign: str | None = None) -> list[str]:
+        """The leaf ids of a bitset, of one sign on request, in
+        ``leaf_ids()`` order."""
+        t = self._table
+        if sign is not None:
+            bits &= t.plus if sign == PLUS else t.minus
+        return [t.ids[i] for i in _bits(bits)]
+
+    def _seps(self, x: str, y: str) -> int:
+        """Bitset of the leaves of x's family, x and y excluded, that separate
+        x from y: the unchecked core of ``separator_chain`` (x and y of one
+        family and disjoint).  Nonsingular separators come from the side
+        bitsets, the few singular ones from a comparison of faces."""
+        t = self._table
+        family = t.plus if t.plus >> t.index[x] & 1 else t.minus
+        out = (t.side[x] ^ t.side[y]) & family
+        singular = family & ~t.nonsingular
+        if singular:
+            ex, ey = t.ep[x][0], t.ep[y][0]
+            for i in _bits(singular):
+                face = t.face[t.ids[i]]
+                if face[ex] != face[ey]:
+                    out |= 1 << i
+        return out & ~(1 << t.index[x] | 1 << t.index[y])
+
+    def _breaks(self, x: str, y: str) -> bool:
+        """Does the NONSEP pseudo-interval between two same-family leaves
+        have two or more blocks?  No same-family leaf separates a declared
+        nonseparated pair, so a pair inside the closed chain is consecutive
+        in it, and the chain breaks iff some declared pair lies inside."""
+        t = self._table
+        closed = self._seps(x, y) | 1 << t.index[x] | 1 << t.index[y]
+        return any(pair & closed == pair for pair in t.nonsep)
 
     def separates_leaves(self, m: str, l1: str, l2: str) -> bool:
         """Does leaf ``m`` separate ``l1`` from ``l2`` in the plane?
@@ -564,6 +631,34 @@ class FinitePattern:
         except KeyError:
             raise UnknownIdError(f"unknown point {pid_or_point!r}") from None
 
+    def _point_seps(self, px: Point, py: Point) -> int:
+        """Bitset of the leaves separating two points, with the convention of
+        ``separates_point``: a leaf holding exactly one of the points
+        separates them, a leaf holding both does not.  Between two crossing
+        points the nonsingular leaves are read from the side bitsets; region
+        points and singular leaves are read by face lookups."""
+        t = self._table
+        (on_x, side_x), (on_y, side_y) = self._point_bits(px), self._point_bits(py)
+        off = (t.plus | t.minus) & ~(on_x | on_y)
+        out, slow = on_x ^ on_y, off
+        if side_x is not None and side_y is not None:
+            out |= (side_x ^ side_y) & off
+            slow &= ~t.nonsingular
+        for i in _bits(slow):
+            m = t.ids[i]
+            if self._face_of_point(px, m) != self._face_of_point(py, m):
+                out |= 1 << i
+        return out
+
+    def _point_bits(self, pt: Point) -> tuple[int, int | None]:
+        """The leaves through a point, and the nonsingular leaves holding it
+        on their face 0 (None for a region point)."""
+        if pt.kind != "crossing":
+            return 0, None
+        t, P, M = self._table, pt.plus_leaf, pt.minus_leaf
+        return (1 << t.index[P] | 1 << t.index[M],
+                (t.side[P] & t.plus) | (t.side[M] & t.minus))
+
     def separates_point(self, leaf_id: str, x, y) -> bool:
         """Leaf-separation of two marked points, with the convention that a
         point lying on the leaf is separated from any point off the leaf."""
@@ -587,15 +682,16 @@ class FinitePattern:
             raise PreconditionError("pseudo-interval endpoints must share a sign")
         if x == y:
             return []
-        ids_s = self.leaf_ids(sx)
-        seps = [m for m in ids_s if m not in (x, y) and self._separates(m, x, y)]
-        depth = {}
-        for m in seps:
-            depth[m] = sum(1 for m2 in seps if m2 != m and self._separates(m2, x, m))
-        if len(set(depth.values())) != len(depth):
-            raise InvalidPatternError(
-                f"incomparable separators between {x} and {y} (non-planar data)")
-        return sorted(seps, key=lambda m: depth[m])
+        seps = self._seps(x, y)
+        chain = [None] * seps.bit_count()
+        for m in self._ids_of(seps):
+            # depth: how many separators lie between x and m, 0..k-1
+            depth = (self._seps(x, m) & seps).bit_count()
+            if chain[depth] is not None:
+                raise InvalidPatternError(
+                    f"incomparable separators between {x} and {y} (non-planar data)")
+            chain[depth] = m
+        return chain
 
     def _prong_divides_chain(self, sing: Singularity, left: str, right: str) -> bool:
         try:

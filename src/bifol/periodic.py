@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .pattern import (
-    PLUS, MINUS, FinitePattern, Leaf, Point, PreconditionError,
-    Singularity, UnknownIdError,
+    PLUS, MINUS, FinitePattern, InvalidPatternError, Leaf, Point,
+    PreconditionError, Singularity, UnknownIdError,
 )
 
 
@@ -107,7 +107,8 @@ def _chord_pattern(chords, tracks=_CORRIDOR, nonseparated=(), singularities=(),
             signs = at[t.name][v]
             if len(signs) > 2 or (len(signs) == 2 and signs[0] == signs[1]):
                 raise PreconditionError(
-                    f"track {t.name}: >2 leaves or same-sign share at {v}")
+                    f"track {t.name}, position {v}: more than two leaves or "
+                    f"two of one sign share the position")
             rank[(t.name, v)] = len(rank)
     leaves = [Leaf(cid, sign, tuple(f"c{i}" for i in sorted(rank[e] for e in eps)))
               for cid, sign, eps in chords]
@@ -220,7 +221,11 @@ class PeriodicPattern:
                     if tname not in self._track_order:
                         raise PreconditionError(f"unknown track {tname!r}")
         # positional arguments: the benchmark tracer unpacks (self, lo, hi)
-        self.materialize_window(0, self.reach()).require_valid()
+        try:
+            certificate = self.materialize_window(0, self.reach())
+        except PreconditionError as e:  # translates share a boundary position
+            raise InvalidPatternError(f"invalid periodic pattern: {e}") from None
+        certificate.require_valid()
         if automorphisms:
             for nm, (po, mo) in automorphisms.items():
                 self.automorphisms[nm] = PatternAutomorphism(

@@ -61,10 +61,7 @@ def random_pattern(seed: int, max_leaves: int = 20,
             la, lb = pattern.leaves[a], pattern.leaves[b]
             if la.sign != lb.sign:
                 continue
-            if any(pattern._separates(m, a, b)
-                   for m in pattern.leaf_ids(la.sign) if m not in (a, b)):
-                continue
-            if pattern.common_transversal(a, b):
+            if pattern._seps(a, b) or pattern.common_transversal(a, b):
                 continue
             candidates.append((a, b))
         if candidates:

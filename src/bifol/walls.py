@@ -15,8 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from .pattern import (
-    PLUS, MINUS, DegenerateInputError, FinitePattern, Mode,
-    PreconditionError,
+    PLUS, MINUS, DegenerateInputError, FinitePattern, PreconditionError,
 )
 
 D_H, D_PLUS, D_MINUS, D_RPLUS, D_RMINUS = "dH", "d+", "d-", "dR+", "dR-"
@@ -50,7 +49,7 @@ def reeb_separated(p: FinitePattern, l1: str, l2: str) -> bool:
         raise PreconditionError("Reeb separation needs two distinct leaves")
     if p.leaf(l1).sign != p.leaf(l2).sign:
         raise PreconditionError("Reeb separation is a same-sign relation")
-    return p.pseudo_interval(l1, l2, Mode.NONSEP).n_blocks >= 2
+    return p._breaks(l1, l2)
 
 
 def _pair_admissible(p: FinitePattern, kind: str, l1: str, l2: str) -> bool:
@@ -60,10 +59,12 @@ def _pair_admissible(p: FinitePattern, kind: str, l1: str, l2: str) -> bool:
 
 
 def separating_leaves(p: FinitePattern, x, y, kind: str) -> list[str]:
-    px, py = p.point(x), p.point(y)
-    sign = _SIGN_OF[kind]
-    ids = sorted(p.leaves) if sign is None else sorted(p.leaf_ids(sign))
-    return [l for l in ids if p.separates_point(l, px, py)]
+    return _of_kind(p, p._point_seps(p.point(x), p.point(y)), kind)
+
+
+def _of_kind(p: FinitePattern, seps: int, kind: str) -> list[str]:
+    """The leaves of a separator bitset that a metric kind counts, sorted."""
+    return sorted(p._ids_of(seps, _SIGN_OF[kind]))
 
 
 def _separation_depth(p: FinitePattern, x, leaves: list[str]) -> dict:
@@ -117,10 +118,11 @@ def wall_distance(p: FinitePattern, x, y, kind: str) -> int:
     px, py = p.point(x), p.point(y)
     if px.key() == py.key():
         return 0
-    if not separating_leaves(p, px, py, D_H):
+    seps = p._point_seps(px, py)
+    if not seps:
         raise DegenerateInputError(
             f"no leaf of the truncation separates {px.id} from {py.id}")
-    sup = len(longest_chain_witness(p, px, py, kind))
+    sup = len(_longest_chain(p, kind, _of_kind(p, seps, kind), px))
     return sup + 1 if kind in _PLUS_ONE else sup
 
 

@@ -77,6 +77,18 @@ def test_periodic_crossing_past_the_sample_window_rejected(tmp_path, capsys):
     assert rep["results"]["valid"] is False
 
 
+def test_periodic_shared_position_is_invalid_data(tmp_path, capsys):
+    # the plus family on bot 0 / bot 1: p0 and p1 share the position bot 1
+    d = json.loads(fixture_text("skew2"))
+    d["plus_families"][0]["endpoints"] = [["bot", "0/1"], ["bot", "1/1"]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d), encoding="utf-8")
+    assert main(["validate", "--in", str(path)]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["results"]["valid"] is False
+    assert "track bot, position 1" in rep["results"]["violations"]
+
+
 @pytest.mark.parametrize("fam_a, fam_b", [("zz", "w"), ("u", "zz")])
 def test_cli_validate_nonsep_unknown_family(fam_a, fam_b, tmp_path, capsys):
     d = json.loads(fixture_text("ladder_periodic"))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bifol.pattern import (
-    PLUS, MINUS, FinitePattern, Leaf, Mode, Point,
+    PLUS, MINUS, FinitePattern, InvalidPatternError, Leaf, Mode, Point,
     PreconditionError, Singularity, UnknownIdError,
 )
 from bifol.periodic import generate, ladder_chords, _chord_pattern
@@ -246,10 +246,142 @@ def test_separator_order_total():
                     assert p._separates(m1, x, m2) != p._separates(m2, x, m1)
 
 
+def _brute_seps(p, x, y):
+    return [m for m in p.leaf_ids(p.leaf(x).sign)
+            if m not in (x, y) and p._separates(m, x, y)]
+
+
+def _brute_chain(p, x, y):
+    seps = _brute_seps(p, x, y)
+    depth = {m: sum(1 for m2 in seps if m2 != m and p._separates(m2, x, m))
+             for m in seps}
+    assert len(set(depth.values())) == len(depth), (x, y)
+    return sorted(seps, key=depth.get)
+
+
+def _differential_patterns():
+    from bifol.fixtures import MANIFEST, load_fixture
+    from bifol.periodic import PeriodicPattern
+
+    for name in sorted(MANIFEST):
+        p = load_fixture(name)
+        if not isinstance(p, PeriodicPattern):
+            yield name, p
+    yield "ladder_periodic", generate("ladder_periodic").materialize_window(-6, 6)
+    yield "scalloped", generate("scalloped").materialize_window(-3, 3)
+    for seed in range(40):
+        yield f"random{seed}", random_pattern(seed, max_leaves=14)
+
+
+def _probe_points(p, rng):
+    pts = list(p.points.values())
+    crossings = [(a, b) for a, b in itertools.product(p.leaf_ids(PLUS),
+                                                        p.leaf_ids(MINUS))
+                 if p.intersects(a, b)]
+    for i, (a, b) in enumerate(rng.sample(crossings, min(6, len(crossings)))):
+        pts.append(Point.crossing(f"qx{i}", a, b))
+    for i, lab in enumerate(rng.sample(p.boundary, min(6, len(p.boundary)))):
+        pts.append(Point.region(f"qr{i}", lab))
+    return pts
+
+
+def test_separator_bitsets_match_brute_force():
+    # every bitset reading against a face-by-face loop kept here, and against
+    # the path oracle and float geometry on small regular patterns
+    rng = random.Random(11)
+    for name, p in _differential_patterns():
+        small = len(p.leaves) <= 14 and all(not lf.is_singular
+                                            for lf in p.leaves.values())
+        for sign in (PLUS, MINUS):
+            pairs = list(itertools.permutations(p.leaf_ids(sign), 2))
+            if len(pairs) > 1000:
+                pairs = rng.sample(pairs, 1000)
+            for x, y in pairs:
+                seps = p._seps(x, y)
+                assert p._ids_of(seps) == _brute_seps(p, x, y), (name, x, y)
+                chain = p.separator_chain(x, y)
+                assert chain == _brute_chain(p, x, y), (name, x, y)
+                assert p._breaks(x, y) == \
+                    (p.pseudo_interval(x, y).n_blocks >= 2), (name, x, y)
+                if small and x < y:
+                    assert set(chain) | {x, y} == \
+                        oracle_pseudo_interval_set(p, x, y), (name, x, y)
+                    for m in p.leaf_ids(sign):
+                        if m not in (x, y):
+                            assert (m in chain) == \
+                                geometric_separates_leaves(p, m, x, y), (name, m)
+        pts = _probe_points(p, rng)
+        for a, b in itertools.product(pts, pts):
+            want = [l for l in p.leaf_ids() if p.separates_point(l, a, b)]
+            assert p._ids_of(p._point_seps(a, b)) == want, (name, a.id, b.id)
+
+
+def _loose_diagram(seed):
+    """Random chords of both signs, up to 60 leaves; a same-sign crossing is
+    kept now and then, so some draws are non-planar."""
+    rng = random.Random(seed)
+    grid = rng.sample(range(10_000), 120)
+    chords = []
+    for i in range(rng.randint(4, 60)):
+        sign = rng.choice((PLUS, MINUS))
+        e1, e2 = sorted(grid[2 * i: 2 * i + 2])
+        planar = all(not ((e1 < c1 < e2) != (e1 < c2 < e2))
+                     for s, c1, c2 in chords if s == sign)
+        if planar or rng.random() < 0.02:
+            chords.append((sign, e1, e2))
+    return _circle_chords(chords)
+
+
+def _circle_chords(chords):
+    positions = sorted(x for _, a, b in chords for x in (a, b))
+    label = {x: f"c{i}" for i, x in enumerate(positions)}
+    leaves = [Leaf(f"l{i}", sign, (label[a], label[b]))
+              for i, (sign, a, b) in enumerate(chords)]
+    return FinitePattern([label[x] for x in positions], leaves)
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=30, deadline=None)
+def test_valid_patterns_never_have_incomparable_separators(seed):
+    # the pairwise checks of validate imply a total separator order, so a
+    # separator sweep in validate would find nothing more at any size
+    for p in (_loose_diagram(seed), random_pattern(seed, max_leaves=60)):
+        ok = p.validate().ok
+        for sign in (PLUS, MINUS):
+            for x, y in itertools.permutations(p.leaf_ids(sign), 2):
+                try:
+                    p.separator_chain(x, y)
+                except InvalidPatternError:
+                    assert not ok, (seed, x, y)
+
+
+def test_incomparable_separators_raise_on_nonplanar_data():
+    p = _circle_chords([(PLUS, 0, 3), (PLUS, 1, 4), (PLUS, 2, 6), (PLUS, 5, 7)])
+    assert not p.validate().ok
+    with pytest.raises(InvalidPatternError, match="incomparable separators"):
+        p.separator_chain("l1", "l3")
+
+
+def test_large_pattern_with_one_same_sign_crossing_rejected():
+    p = random_pattern(0, max_leaves=60)
+    assert len(p.leaves) > 36
+    host = next(lf for lf in p.leaves.values() if lf.sign == PLUS)
+    # a short plus chord round the host's first endpoint crosses it alone
+    at = p.boundary.index(host.endpoints[0])
+    boundary = list(p.boundary[:at]) + ["z0", host.endpoints[0], "z1"] + \
+        list(p.boundary[at + 1:])
+    leaves = list(p.leaves.values()) + [Leaf("bad", PLUS, ("z0", "z1"))]
+    q = FinitePattern(boundary, leaves, nonseparated=p.nonseparated,
+                      points=p.points.values())
+    rules = [(v.rule, set(v.subjects)) for v in q.validate().violations]
+    assert rules == [("same-sign crossing", {host.id, "bad"})]
+
+
 @pytest.mark.parametrize("name, window", [("ladder_periodic", (-6, 6)),
                                           ("scalloped", (-3, 3))])
 def test_relation_table_matches_geometry_past_the_sweep_cap(name, window):
-    # windows larger than validate's 36-leaf incomparable-separator sweep
+    # windows larger than 36 leaves, the cap of a separator sweep that
+    # validate used to run
     p = generate(name).materialize_window(*window)
     assert len(p.leaves) > 36
     ids = p.leaf_ids()
