@@ -1,11 +1,12 @@
 """Word-ball censuses over exactly represented automorphism groups.
 
-Two concrete models: the affine model for the trivial plane (integer pairs
-(matrix power, translation vector) under the fixed hyperbolic matrix) and the
-integer-map model for the skew plane (bijections of Z commuting with
-translation by the period).  Elements carry exact normal forms, so ball
-enumeration, classification into fixed-point versus free elements, and the
-growth/genericity reports are deterministic and reproducible.
+Two concrete models: the affine model for the trivial plane (A^k followed by
+the translation v, for a fixed hyperbolic matrix A) and the integer-map model
+for the skew plane (bijections of Z commuting with translation by the
+period).  The census runs on integer normal forms, each its own dedup key:
+the tuple (k, v0, v1), or the tuple of offsets.  Ball enumeration, the
+fixed/free classification and the growth/genericity reports are exact and
+deterministic; element objects are built only by `enumerate_ball`.
 """
 
 from __future__ import annotations
@@ -13,15 +14,21 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .pattern import BifolError, PreconditionError
-from .periodic import AffineElement, IndexMap
+from .periodic import AffineElement, IndexMap, _mat_pow_vec
 
 TRIVIAL_AFFINE = "trivial_affine"
 SKEW_INTMAP = "skew_intmap"
 MODELS = (TRIVIAL_AFFINE, SKEW_INTMAP)
+_ELEMENT = {TRIVIAL_AFFINE: AffineElement, SKEW_INTMAP: IndexMap}
 
 FIXED, FREE = "fixed", "free"
+
+# free on normal forms, by the rules of classify_fixed_free
+_FREE = {TRIVIAL_AFFINE: lambda t: t[0] == 0 and t != (0, 0, 0),
+         SKEW_INTMAP: lambda t: 0 not in t}
 
 
 class BudgetExceededError(BifolError):
@@ -37,24 +44,17 @@ def _budget_elements(default: int = 2_000_000) -> int:
     return max(1, int(ms)) * 500
 
 
-def _key(g):
-    if isinstance(g, AffineElement):
-        return ("aff", g.k, g.v)
-    if isinstance(g, IndexMap):
-        return ("map", g.offsets)
-    raise PreconditionError(f"unsupported element {g!r}")
+def _affine_mul(row, w):
+    """(k1, v1)(k, v) = (k1 + k, v1 + A^k1 v); row: k1, v1, A^k1 by columns."""
+    k1, x, y, a, c, b, d = row
+    k, p, q = w
+    return (k1 + k, x + a * p + b * q, y + c * p + d * q)
 
 
-def _mul(a, b):
-    if isinstance(a, AffineElement):
-        return a.mul(b)
-    return a.compose(b)
-
-
-def _identity_like(g):
-    if isinstance(g, AffineElement):
-        return AffineElement.identity()
-    return IndexMap.identity(g.N)
+def _intmap_mul(g, w):
+    """g after w on offset tuples, as `IndexMap.compose`."""
+    n = len(w)
+    return tuple([o + g[(r + o) % n] for r, o in enumerate(w)])
 
 
 @dataclass(frozen=True)
@@ -63,22 +63,29 @@ class GeneratingSet:
     generators: dict  # name -> element; inverses are added automatically
 
     def __post_init__(self):
+        # generators enter the census here, so the tuple products trust them
         if self.model not in MODELS:
             raise PreconditionError(f"unknown model {self.model!r}")
         if not self.generators:
             raise PreconditionError("empty generating set")
+        first = next(iter(self.generators.values()))
         for nm, g in self.generators.items():
-            if isinstance(g, (AffineElement, IndexMap)) and g.is_identity():
-                raise PreconditionError(f"identity generator {nm}")
+            if not isinstance(g, _ELEMENT[self.model]):
+                raise PreconditionError(f"generator {nm!r}: model mismatch")
+            if g.is_identity():
+                raise PreconditionError(f"identity generator {nm!r}")
+            if isinstance(g, IndexMap) and g.N != first.N:
+                raise PreconditionError(f"generator {nm!r}: period mismatch "
+                                        f"({g.N}, not {first.N})")
 
     def symmetrized(self) -> list:
-        out = []
-        seen = set()
+        """(name, element) for every generator and its inverse, in name
+        order, without repeats (an involution is its own inverse)."""
+        out, seen = [], set()
         for nm, g in sorted(self.generators.items()):
             for name, el in ((nm, g), (nm + "^-1", g.inverse())):
-                k = _key(el)
-                if k not in seen:
-                    seen.add(k)
+                if el not in seen:
+                    seen.add(el)
                     out.append((name, el))
         return out
 
@@ -90,26 +97,21 @@ class GeneratingSet:
 def classify_fixed_free(model: str, g) -> str:
     """Trivial model: free iff pure nonzero translation.  Skew model: fixed
     iff some index has offset zero (the identity counts as fixed)."""
-    if model == TRIVIAL_AFFINE:
-        if not isinstance(g, AffineElement):
-            raise PreconditionError("model mismatch: expected an affine element")
-        return FREE if (g.k == 0 and g.v != (0, 0)) else FIXED
-    if model == SKEW_INTMAP:
-        if not isinstance(g, IndexMap):
-            raise PreconditionError("model mismatch: expected an integer map")
-        return FIXED if any(o == 0 for o in g.offsets) else FREE
-    raise PreconditionError(f"unknown model {model!r}")
+    if not isinstance(g, _ELEMENT.get(model, ())):
+        raise PreconditionError(f"model mismatch: {g!r} in model {model!r}")
+    t = (g.k, *g.v) if model == TRIVIAL_AFFINE else g.offsets
+    return FREE if _FREE[model](t) else FIXED
 
 
-def word_ball(gens: list, ident, n: int, budget: int | None = None, key=_key,
-              tag=lambda radius, gen, parent: radius) -> dict:
-    """Breadth-first search to word length n over the (name, element) pairs
-    `gens`, deduplicated by the exact normal form `key`: {key: (element,
-    label)}.  The identity is labelled tag(0, None, None) and each new
-    product g*w tag(radius, name of g, label of w)."""
+def word_ball(gens: list, ident, n: int, mul, budget: int | None = None,
+              key=None, tag=lambda radius, gen, parent: radius) -> dict:
+    """Breadth-first search to word length n over the (name, g) pairs `gens`
+    with the product mul(g, w) = g*w: {normal form: (element, label)}, keyed
+    by key(element), or the element itself.  The identity is labelled
+    tag(0, None, None) and each new g*w tag(radius, name of g, label of w)."""
     budget = budget if budget is not None else _budget_elements()
     start = (ident, tag(0, None, None))
-    ball = {key(ident): start}
+    ball = {ident if key is None else key(ident): start}
     frontier = [start]
     for radius in range(1, n + 1):
         projected = len(ball) + len(frontier) * len(gens)
@@ -120,8 +122,8 @@ def word_ball(gens: list, ident, n: int, budget: int | None = None, key=_key,
         nxt = []
         for w, label in frontier:
             for name, g in gens:
-                c = _mul(g, w)
-                k = key(c)
+                c = mul(g, w)
+                k = c if key is None else key(c)
                 if k not in ball:
                     ball[k] = entry = (c, tag(radius, name, label))
                     nxt.append(entry)
@@ -129,12 +131,25 @@ def word_ball(gens: list, ident, n: int, budget: int | None = None, key=_key,
     return ball
 
 
-def enumerate_ball(S: GeneratingSet, n: int, budget: int | None = None) -> dict:
-    """All distinct elements of word length <= n: {key: (element, length)}."""
+def _ball(S: GeneratingSet, n: int, budget: int | None) -> dict:
+    """{normal form t: (t, word length)}, from one operation table: a row
+    per symmetrized generator, read by the model's product."""
     if n < 0:
         raise PreconditionError("radius must be >= 0")
     gens = S.symmetrized()
-    return word_ball(gens, _identity_like(gens[0][1]), n, budget)
+    if S.model == SKEW_INTMAP:
+        return word_ball([(nm, g.offsets) for nm, g in gens],
+                         (0,) * gens[0][1].N, n, _intmap_mul, budget)
+    return word_ball([(nm, (g.k, *g.v, *_mat_pow_vec(g.k, (1, 0)),
+                            *_mat_pow_vec(g.k, (0, 1)))) for nm, g in gens],
+                     (0, 0, 0), n, _affine_mul, budget)
+
+
+def enumerate_ball(S: GeneratingSet, n: int, budget: int | None = None) -> dict:
+    """{normal form: (element, word length)} for word lengths <= n."""
+    el = IndexMap if S.model == SKEW_INTMAP else \
+        (lambda t: AffineElement(t[0], t[1:]))
+    return {t: (el(t), r) for t, (_, r) in _ball(S, n, budget).items()}
 
 
 @dataclass(frozen=True)
@@ -149,31 +164,23 @@ class BallStats:
     lambda_free: tuple[float, ...]
 
     def rows(self):
-        out = []
-        for i, n in enumerate(self.radii):
-            frac = self.free[i] / self.ball[i] if self.ball[i] else 0.0
-            out.append((n, self.ball[i], self.free[i], frac,
-                        self.lambda_hat[i], self.lambda_free[i]))
-        return out
+        return [(n, b, f, f / b if b else 0.0, lam, lamf)
+                for n, b, f, lam, lamf in zip(self.radii, self.ball, self.free,
+                                              self.lambda_hat, self.lambda_free)]
 
 
 def ball_stats(S: GeneratingSet, nmax: int, budget: int | None = None) -> BallStats:
-    return _stats(S, enumerate_ball(S, nmax, budget), nmax)
+    return _stats(S, _ball(S, nmax, budget), nmax)
 
 
 def _stats(S: GeneratingSet, ball: dict, nmax: int) -> BallStats:
-    per_radius = [0] * (nmax + 1)
-    free_r = [0] * (nmax + 1)
-    for _, (el, r) in ball.items():
+    per_radius, free_r = [0] * (nmax + 1), [0] * (nmax + 1)
+    free = _FREE[S.model]
+    for t, r in ball.values():
         per_radius[r] += 1
-        if classify_fixed_free(S.model, el) == FREE:
+        if free(t):
             free_r[r] += 1
-    cum_b, cum_f, B, F = [], [], 0, 0
-    for n in range(nmax + 1):
-        B += per_radius[n]
-        F += free_r[n]
-        cum_b.append(B)
-        cum_f.append(F)
+    cum_b, cum_f = list(accumulate(per_radius)), list(accumulate(free_r))
     # sphere-step form of the doubling estimate: every word of length n+1 is
     # a generator times a word of length n, so the new elements number at
     # most 2|S| |B(n)|.  (The cumulative form fails at n=0 by the identity.)
@@ -191,10 +198,8 @@ def _stats(S: GeneratingSet, ball: dict, nmax: int) -> BallStats:
 @dataclass(frozen=True)
 class GrowthReport:
     stats: BallStats
-    doubling_ok: bool
     loglog_slope_free: float | None       # free counts in the ambient ball
     loglog_slope_intrinsic: float | None  # translation subgroup, own metric
-    lambda_hat_top: float
     checks: dict
 
     @property
@@ -232,8 +237,7 @@ def growth_report(S: GeneratingSet, nmax: int, budget: int | None = None) -> Gro
         checks["exponential_whole_ball"] = st.lambda_hat[nmax] >= 0.3
         checks["free_rate_below_group_rate"] = \
             st.lambda_free[nmax] < st.lambda_hat[nmax]
-    return GrowthReport(st, st.doubling_ok, slope, slope_int,
-                        st.lambda_hat[nmax], checks)
+    return GrowthReport(st, slope, slope_int, checks)
 
 
 @dataclass(frozen=True)
@@ -264,18 +268,15 @@ def genericity_report(S: GeneratingSet, h: IndexMap, nmax: int,
     if any(o < h.N + 1 for o in h.offsets):
         raise PreconditionError(
             "designated shift must displace every index by more than the period")
-    ball = enumerate_ball(S, nmax, budget)
-    # word length of h inside the ball
-    hk = _key(h)
-    if hk not in ball:
+    ball = _ball(S, nmax, budget)
+    if h.offsets not in ball:
         raise PreconditionError("designated shift outside the enumerated ball")
-    R = ball[hk][1]
+    R = ball[h.offsets][1]  # word length of h
     st = _stats(S, ball, nmax)
     K = st.ball[R]
     L = (2 * S.size) ** R
-    dichotomy = all(classify_fixed_free(S.model, g) == FREE
-                    or classify_fixed_free(S.model, h.compose(g)) == FREE
-                    for g, _ in ball.values())
+    free = _FREE[SKEW_INTMAP]
+    dichotomy = all(free(t) or free(_intmap_mul(h.offsets, t)) for t in ball)
     fractions = tuple(st.free[n] / st.ball[n] for n in range(R, nmax + 1))
     bound_ok = all(frac >= 1.0 / (L * K) for frac in fractions)
     gap = tuple(abs(st.lambda_free[n] - st.lambda_hat[n])
@@ -309,13 +310,3 @@ def skew_intmap_gens() -> GeneratingSet:
 
 def skew_designated_shift() -> IndexMap:
     return IndexMap([3, 3])
-
-
-def translation_subgroup_ball(nmax: int) -> set:
-    """Independent enumeration of the translations reachable in the trivial
-    model: BFS that tracks only elements with zero matrix part via exact
-    products, used as a cross-check oracle."""
-    S = trivial_affine_gens()
-    ball = enumerate_ball(S, nmax)
-    return {el.v for _, (el, r) in ball.items()
-            if el.k == 0 and el.v != (0, 0)}

@@ -256,35 +256,45 @@ def cmd_wpd(args):
 
 
 def _load_gens(args):
-    """Optional generator file: {"A": {"k": 1, "v": [0, 0]}, ...} for the
-    affine model, {"s": [1, 1], ...} offset vectors for the integer-map one.
-    """
+    """The shipped generating set, or the --gens file's: {"A": {"k": 1, "v":
+    [0, 0]}, ...} for the affine model, {"s": [1, 1], ...} offset vectors for
+    the integer-map one.  A fault in the file is a usage error naming it."""
+    trivial, at = args.model == "trivial", ""
     if not args.gens:
-        return None
-    with open(args.gens, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if args.model == "trivial":
-        gens = {nm: cs.AffineElement(g["k"], tuple(g["v"]))
-                for nm, g in data.items()}
-        return cs.GeneratingSet(cs.TRIVIAL_AFFINE, gens)
-    gens = {nm: cs.IndexMap(offsets) for nm, offsets in data.items()}
-    return cs.GeneratingSet(cs.SKEW_INTMAP, gens)
+        return cs.trivial_affine_gens() if trivial else cs.skew_intmap_gens()
+    try:
+        with open(args.gens, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("wants an object of named generators")
+        gens = {}
+        for nm, g in data.items():
+            at = f", generator {nm!r}"
+            ints = [g["k"], *g["v"]] if trivial else g
+            if not (isinstance(ints, list) and all(type(i) is int for i in ints)
+                    and (len(ints) == 3 or not trivial)):
+                raise ValueError(f"wants integers, not {json.dumps(g)}")
+            gens[nm] = (cs.AffineElement(ints[0], tuple(ints[1:])) if trivial
+                        else cs.IndexMap(ints))
+        at = ""
+        return cs.GeneratingSet(cs.TRIVIAL_AFFINE if trivial
+                                else cs.SKEW_INTMAP, gens)
+    except (OSError, KeyError, TypeError, ValueError, BifolError) as e:
+        what = f"missing {e}" if isinstance(e, KeyError) else e
+        raise UsageError(f"--gens {args.gens}{at}: {what}") from None
 
 
 def cmd_census(args):
+    S = _load_gens(args)
     if args.model == "trivial":
-        S = _load_gens(args) or cs.trivial_affine_gens()
         rep = cs.growth_report(S, args.nmax)
         results = {"model": S.model, "balls": list(rep.stats.ball),
                    "free": list(rep.stats.free),
                    "checks": rep.checks,
                    "loglog_slope_free": rep.loglog_slope_free,
                    "loglog_slope_intrinsic": rep.loglog_slope_intrinsic}
-        ok = rep.ok
-        tag = "census-trivial"
-        stats = rep.stats
+        ok, tag, stats = rep.ok, "census-trivial", rep.stats
     else:
-        S = _load_gens(args) or cs.skew_intmap_gens()
         try:
             h = cs.IndexMap(args.h.split(",")) if args.h else cs.skew_designated_shift()
         except ValueError:
@@ -294,9 +304,7 @@ def cmd_census(args):
                    "L": gen_rep.L, "dichotomy": gen_rep.dichotomy_ok,
                    "fraction_bound": gen_rep.fraction_bound_ok,
                    "fractions": list(gen_rep.fractions)}
-        ok = gen_rep.ok
-        tag = "census-skew"
-        stats = gen_rep.stats
+        ok, tag, stats = gen_rep.ok, "census-skew", gen_rep.stats
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(bio.census_csv(stats))

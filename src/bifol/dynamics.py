@@ -309,6 +309,7 @@ def _word_ball(pp: PeriodicPattern, gens: dict, radius: int) -> dict:
     sym = [x for nm, g in gens.items()
            for x in ((nm, g), (nm + "^-1", g.inverse()))]
     return word_ball(sym, identity_automorphism(pp), radius,
+                     PatternAutomorphism.compose,
                      key=lambda g: (g.plus.offsets, g.minus.offsets),
                      tag=_word_tag)
 

@@ -211,3 +211,67 @@ def oracle_trivial_ball_sizes(nmax: int):
         frontier = nxt
         sizes.append(len(seen))
     return sizes
+
+
+def _aff_inv(a):
+    k, v = a
+    w = v
+    m = _AINV if k >= 0 else _A
+    for _ in range(abs(k)):
+        w = _apply(m, w)
+    return (-k, (-w[0], -w[1]))
+
+
+def _skew_mul(a, b):
+    """a after b, by applying b and then a to a representative of each
+    residue class."""
+    n = len(a)
+    out = []
+    for r in range(n):
+        i = r + b[r]
+        out.append(i + a[i % n] - r)
+    return tuple(out)
+
+
+def _skew_inv(a):
+    n = len(a)
+    out = [0] * n
+    for r in range(n):
+        out[(r + a[r]) % n] = -a[r]
+    return tuple(out)
+
+
+def _oracle_ball(gens, inv, mul, ident, nmax):
+    sym = list(dict.fromkeys([*gens, *map(inv, gens)]))
+    seen = {ident: 0}
+    frontier = [ident]
+    for radius in range(1, nmax + 1):
+        nxt = []
+        for w in frontier:
+            for g in sym:
+                c = mul(g, w)
+                if c not in seen:
+                    seen[c] = radius
+                    nxt.append(c)
+        frontier = nxt
+    return seen
+
+
+def oracle_affine_ball(gens, nmax):
+    """{(k, (x, y)): word length} over raw affine generators (k, (x, y)) and
+    their inverses, with locally defined arithmetic."""
+    return _oracle_ball(list(gens), _aff_inv, _aff_mul, (0, (0, 0)), nmax)
+
+
+def oracle_translation_ball(nmax):
+    """The nonzero translations of word length <= nmax in the shipped
+    trivial model <A, t1, t2>."""
+    ball = oracle_affine_ball([(1, (0, 0)), (0, (1, 0)), (0, (0, 1))], nmax)
+    return {v for k, v in ball if k == 0 and v != (0, 0)}
+
+
+def oracle_skew_ball(gens, nmax):
+    """{offsets: word length} over raw offset tuples of one period and their
+    inverses, with locally defined composition."""
+    gens = [tuple(g) for g in gens]
+    return _oracle_ball(gens, _skew_inv, _skew_mul, (0,) * len(gens[0]), nmax)

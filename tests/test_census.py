@@ -5,7 +5,8 @@ from bifol.pattern import PreconditionError
 from bifol.periodic import AffineElement, IndexMap
 from bifol import census as cs
 
-from oracles import oracle_trivial_ball_sizes
+from oracles import (oracle_affine_ball, oracle_skew_ball,
+                     oracle_translation_ball, oracle_trivial_ball_sizes)
 
 
 def test_ball_base_cases():
@@ -56,7 +57,7 @@ def test_free_is_exactly_translations():
     translations = {k for k, (el, _r) in ball.items()
                     if el.k == 0 and el.v != (0, 0)}
     assert free == translations
-    assert {v for v in cs.translation_subgroup_ball(7)} == \
+    assert oracle_translation_ball(7) == \
         {el.v for k, (el, _r) in ball.items() if k in free}
 
 
@@ -128,3 +129,71 @@ def test_ball_sizes_n10_match_oracle():
     S = cs.trivial_affine_gens()
     st_ = cs.ball_stats(S, 10)
     assert list(st_.ball) == oracle_trivial_ball_sizes(10)
+
+
+# -- the census on normal forms against the local oracles ---------------------
+
+
+def _census_radii(S, n):
+    """{normal form: word length} from `enumerate_ball`, checking that each
+    element has its key as normal form."""
+    out = {}
+    for t, (el, r) in cs.enumerate_ball(S, n).items():
+        assert ((el.k, *el.v) if S.model == cs.TRIVIAL_AFFINE
+                else el.offsets) == t
+        out[t] = r
+    return out
+
+
+def _affine_radii(gens, n):
+    return {(k, *v): r for (k, v), r in oracle_affine_ball(gens, n).items()}
+
+
+def test_shipped_balls_match_oracles_to_radius_10():
+    assert _census_radii(cs.trivial_affine_gens(), 10) == _affine_radii(
+        [(1, (0, 0)), (0, (1, 0)), (0, (0, 1))], 10)
+    assert _census_radii(cs.skew_intmap_gens(), 10) == oracle_skew_ball(
+        [(1, 1), (0, 2)], 10)
+
+
+def test_custom_affine_generators_match_oracle():
+    gens = {"B": (2, (1, 0)), "C": (-1, (0, 3)), "t": (0, (1, 1))}
+    S = cs.GeneratingSet(cs.TRIVIAL_AFFINE, {
+        nm: AffineElement(k, v) for nm, (k, v) in gens.items()})
+    assert _census_radii(S, 6) == _affine_radii(list(gens.values()), 6)
+
+
+def test_skew_involution_is_one_generator():
+    S = cs.GeneratingSet(cs.SKEW_INTMAP, {"s": IndexMap([1, 1]),
+                                          "t": IndexMap([1, -1])})
+    assert [nm for nm, _ in S.symmetrized()] == ["s", "s^-1", "t"]
+    assert _census_radii(S, 10) == oracle_skew_ball([(1, 1), (1, -1)], 10)
+
+
+def test_mixed_generators_rejected_on_entry():
+    with pytest.raises(PreconditionError, match="generator 't': period mismatch"):
+        cs.GeneratingSet(cs.SKEW_INTMAP, {"s": IndexMap([1, 1]),
+                                          "t": IndexMap([1, 1, 1])})
+    with pytest.raises(PreconditionError, match="model mismatch"):
+        cs.GeneratingSet(cs.TRIVIAL_AFFINE, {"s": IndexMap([1, 1])})
+
+
+@st.composite
+def _skew_generators(draw):
+    N = draw(st.integers(2, 4))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        perm = draw(st.permutations(range(N)))
+        lifts = draw(st.lists(st.integers(-1, 1), min_size=N, max_size=N))
+        g = tuple(perm[r] - r + N * lifts[r] for r in range(N))
+        if any(g):
+            gens.append(g)
+    return gens
+
+
+@given(_skew_generators().filter(bool))
+@settings(max_examples=50, deadline=None)
+def test_random_skew_balls_match_oracle(gens):
+    S = cs.GeneratingSet(cs.SKEW_INTMAP, {
+        f"g{i}": IndexMap(g) for i, g in enumerate(gens)})
+    assert _census_radii(S, 5) == oracle_skew_ball(gens, 5)

@@ -151,8 +151,43 @@ def test_cli_bottleneck_all_kinds(capsys):
     assert rep["checks"]["bottleneck-k3"] is True
 
 
-def test_cli_census_budget(capsys):
+def test_cli_census_budget(capsys, monkeypatch):
+    monkeypatch.delenv("BIFOL_BUDGET_MS", raising=False)
     assert main(["census", "--model", "trivial", "--nmax", "99"]) == 4
+    assert capsys.readouterr().err == ("budget exceeded: radius 15: projected "
+                                       "2446421 elements exceeds budget 2000000\n")
+
+
+def test_cli_census_budget_from_environment(capsys, monkeypatch):
+    monkeypatch.setenv("BIFOL_BUDGET_MS", "1")
+    assert main(["census", "--model", "trivial", "--nmax", "99"]) == 4
+    assert capsys.readouterr().err == ("budget exceeded: radius 4: projected "
+                                       "523 elements exceeds budget 500\n")
+
+
+@pytest.mark.parametrize("model, text, named", [
+    ("trivial", '{"A": {"k": 1}}', "generator 'A'"),
+    ("trivial", '{"A": {"k": 1.5, "v": [0, 0]}}', "generator 'A'"),
+    ("trivial", '{"A": {"k": 1, "v": [0, 0, 1]}}', "generator 'A'"),
+    ("trivial", '{"e": {"k": 0, "v": [0, 0]}}', "generator 'e'"),
+    ("skew", '{"s": [1, 1], "f": "x"}', "generator 'f'"),
+    ("skew", '[[1, 1]]', "named generators"),
+    ("skew", '{"s": [1, 0]}', "generator 's'"),
+    ("skew", '{"s": [1, 1], "t": [1, 1, 1]}', "generator 't': period mismatch"),
+    ("skew", '{}', "empty generating set"),
+    ("skew", '{"e": [0, 0]}', "generator 'e'"),
+    ("skew", '{"s": [1,', "line 1"),
+], ids=["missing-v", "float-k", "long-v", "affine-identity", "string-offsets",
+        "top-level-list", "not-a-permutation", "mixed-period", "empty",
+        "identity", "bad-json"])
+def test_cli_census_malformed_gens_is_a_usage_error(model, text, named,
+                                                    tmp_path, capsys):
+    gens = tmp_path / "gens.json"
+    gens.write_text(text, encoding="utf-8")
+    assert main(["census", "--model", model, "--nmax", "4",
+                 "--gens", str(gens)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(gens) in err and named in err, err
 
 
 def test_cli_gen_and_graph(tmp_path, capsys):
