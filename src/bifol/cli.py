@@ -2,10 +2,11 @@
 bottleneck certification, wall metrics, lozenge detection, isometry
 classification, WPD scans, censuses and exports.
 
-Exit codes: 0 success, 1 usage (a malformed argument or an unknown id),
-2 validation failure, 3 property-check failure, 4 budget exceeded.  Reports
-are JSON, deterministic for fixed inputs and seed (the environment stamp
-carries only the seed and window sizes, never wall-clock data).
+Exit codes: 0 success, 1 usage (a malformed argument, an unknown id or a
+file that cannot be read or written), 2 validation failure, 3 property-check
+failure, 4 budget exceeded.  Reports are JSON, deterministic for fixed inputs
+and seed (the environment stamp carries only the seed and window sizes, never
+wall-clock data).
 """
 
 from __future__ import annotations
@@ -20,7 +21,10 @@ from . import dynamics as dy
 from . import graphs as gr
 from . import io as bio
 from . import walls as wl
-from .pattern import BifolError, InvalidPatternError, UnknownIdError
+from .pattern import (
+    BifolError, InvalidPatternError, PreconditionError, UnknownIdError,
+    UsageError,
+)
 from .periodic import PeriodicPattern, generate
 
 EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_PROPERTY, EXIT_BUDGET = 0, 1, 2, 3, 4
@@ -38,10 +42,6 @@ CHECK_TAGS = (
     "census-skew",
     "determinism",
 )
-
-
-class UsageError(BifolError):
-    """A command-line argument is malformed."""
 
 
 def _digest(text: str) -> str:
@@ -101,11 +101,14 @@ def cmd_validate(args):
 
 
 def cmd_gen(args):
-    params = [int(x) for x in args.params]
+    try:
+        params = [int(x) for x in args.params]
+    except ValueError:
+        raise UsageError(f"--kind {args.kind} takes integer --params, "
+                         f"not {' '.join(args.params)!r}") from None
     p = generate(args.kind, *params)
-    if isinstance(p, PeriodicPattern) and args.materialize:
-        lo, hi = args.window
-        p = p.materialize_window(lo, hi)
+    if args.materialize:
+        p = _finite(p, args)
     bio.write_pattern(p, args.out)
     _emit(args, _report("gen", args.kind, {"out": args.out,
                                            "kind": type(p).__name__}))
@@ -287,6 +290,8 @@ def _load_gens(args):
 def cmd_census(args):
     S = _load_gens(args)
     if args.model == "trivial":
+        if args.h:
+            raise UsageError("--h takes effect only with --model skew")
         rep = cs.growth_report(S, args.nmax)
         results = {"model": S.model, "balls": list(rep.stats.ball),
                    "free": list(rep.stats.free),
@@ -295,10 +300,14 @@ def cmd_census(args):
                    "loglog_slope_intrinsic": rep.loglog_slope_intrinsic}
         ok, tag, stats = rep.ok, "census-trivial", rep.stats
     else:
-        try:
-            h = cs.IndexMap(args.h.split(",")) if args.h else cs.skew_designated_shift()
-        except ValueError:
-            raise UsageError(f"--h wants integer offsets, not {args.h!r}") from None
+        h = cs.skew_designated_shift()
+        if args.h:
+            try:
+                h = cs.IndexMap(args.h.split(","))
+                if h.N != next(iter(S.generators.values())).N:
+                    raise ValueError("its period is not the generators'")
+            except (ValueError, PreconditionError) as e:
+                raise UsageError(f"--h {args.h}: {e}") from None
         gen_rep = cs.genericity_report(S, h, args.nmax)
         results = {"model": S.model, "R": gen_rep.R, "K": gen_rep.K,
                    "L": gen_rep.L, "dichotomy": gen_rep.dichotomy_ok,
@@ -440,6 +449,11 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except (UsageError, UnknownIdError) as e:
         sys.stderr.write(f"usage error: {e.args[0]}\n")
+        return EXIT_USAGE
+    except OSError as e:  # an input or output file named on the command line
+        if e.filename is None:
+            raise
+        sys.stderr.write(f"usage error: {e.filename}: {e.strerror}\n")
         return EXIT_USAGE
     except BifolError as e:
         sys.stderr.write(f"error: {e}\n")

@@ -15,6 +15,7 @@ from . import graphs as gr
 from .census import word_ball
 from .pattern import (
     PLUS, MINUS, BifolError, FinitePattern, Mode, PreconditionError,
+    nonsep_blocks,
 )
 from .periodic import (
     IndexMap, PatternAutomorphism, PeriodicPattern, identity_automorphism,
@@ -35,13 +36,7 @@ class PseudoLine:
     nonsep: frozenset
 
     def blocks(self) -> tuple[tuple[str, ...], ...]:
-        out = [[self.leaves[0]]]
-        for prev, cur in zip(self.leaves, self.leaves[1:]):
-            if frozenset((prev, cur)) in self.nonsep:
-                out.append([cur])
-            else:
-                out[-1].append(cur)
-        return tuple(tuple(b) for b in out)
+        return nonsep_blocks(self.leaves, self.nonsep)
 
 
 @dataclass(frozen=True)
@@ -251,17 +246,15 @@ def classify_isometry(pp: PeriodicPattern, g: PatternAutomorphism,
     if pp.scalloped is not None and k > 1 and \
             scalloped_invariant(pp, g.power(k)):
         return Elliptic("scalloped", f"marked chain preserved by power {k}")
-    p1 = pp.materialize_window(-window, window)
-    G1 = gr.build_graph(p1, gr.XPLUS)
-    if gr.diameter(G1) <= 1:
+    p = pp.materialize_window(-window, window)
+    G = gr.build_graph(p, gr.XPLUS)
+    if gr.diameter(G) <= 1:
         p2 = pp.materialize_window(-2 * window, 2 * window)
         if gr.diameter(gr.build_graph(p2, gr.XPLUS)) <= 1:
             return Elliptic("bounded_orbit", "intersection graph has diameter 1")
     # translation-length bracket from the window; when the orbit alternates
     # between graph components (parallel-band patterns), sample along the
     # smallest power that returns to the base component
-    p = p1
-    G = G1
     base = pp.leaf_of_index(PLUS, 0)
     if base not in p.leaves:
         return Inconclusive("window does not contain the base leaf")

@@ -18,7 +18,7 @@ MANIFEST = {
     "ladder8": ("ladder", (8,)),
     "ladder_periodic": ("ladder_periodic", ()),
     "trivial_periodic": ("trivial_periodic", ()),
-    "scalloped": ("scalloped", (1,)),
+    "scalloped": ("scalloped", ()),
     "loz1": ("lozenge", ()),
     "chain3": ("chain", (3,)),
     "prong3": ("prong", (3,)),

@@ -32,12 +32,6 @@ class LeafGraph:
     vertices: tuple[str, ...]
     adj: dict  # vertex -> frozenset of neighbours
 
-    def neighbours(self, v: str) -> frozenset:
-        try:
-            return self.adj[v]
-        except KeyError:
-            raise UnknownIdError(f"vertex {v!r} not in graph") from None
-
     def edges(self):
         return [(u, v) for u in self.vertices for v in self.adj[u] if u < v]
 
@@ -49,9 +43,13 @@ class LeafGraph:
 
 
 def build_graph(p: FinitePattern, kind: str) -> LeafGraph:
+    """The leaf graph of one kind, built once per pattern and kept in it;
+    every caller shares it, so nobody may change it."""
     kind = kind.lower()
     if kind not in KINDS:
         raise PreconditionError(f"unknown graph kind {kind!r}")
+    if kind in p._graphs:
+        return p._graphs[kind]
     if kind == XFULL:
         verts = sorted(p.leaves)
         linked = p.intersects
@@ -66,7 +64,9 @@ def build_graph(p: FinitePattern, kind: str) -> LeafGraph:
         if linked(a, b):
             adj[a].add(b)
             adj[b].add(a)
-    return LeafGraph(kind, tuple(verts), {v: frozenset(ns) for v, ns in adj.items()})
+    G = p._graphs[kind] = LeafGraph(kind, tuple(verts),
+                                    {v: frozenset(ns) for v, ns in adj.items()})
+    return G
 
 
 def distances_from(G: LeafGraph, src: str) -> dict:
@@ -174,10 +174,9 @@ def bottleneck_certify(G: LeafGraph, K: int) -> BottleneckResult:
     return BottleneckResult(True, K, checked, None)
 
 
-def bottleneck_certify_components(p_or_graph, K: int) -> BottleneckResult:
+def bottleneck_certify_components(G: LeafGraph, K: int) -> BottleneckResult:
     """Certify each connected component separately; disconnected windows are
     legal truncation artifacts."""
-    G = p_or_graph
     checked = 0
     for comp in connected_components(G):
         res = bottleneck_certify(G.subgraph(comp), K)
@@ -243,10 +242,3 @@ def windowed_distance(pp, kind: str, u: str, v: str, window: tuple[int, int]):
     d2 = distance(build_graph(pp.materialize_window(2 * lo, 2 * hi), kind), u, v)
     return d1, d1 == d2
 
-
-def synthetic_cycle(n: int) -> LeafGraph:
-    """Plain n-cycle, handy as a negative control for the bottleneck check."""
-    verts = tuple(f"v{i}" for i in range(n))
-    adj = {f"v{i}": frozenset({f"v{(i - 1) % n}", f"v{(i + 1) % n}"})
-           for i in range(n)}
-    return LeafGraph("x", verts, adj)

@@ -70,20 +70,11 @@ def finite_from_dict(d: dict) -> FinitePattern:
 
 # -- periodic patterns ----------------------------------------------------------
 
-def _frac_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
-
-
-def _parse_frac(s) -> Fraction:
-    if isinstance(s, int):
-        return Fraction(s)
-    return Fraction(s)
-
-
 def periodic_to_dict(pp: PeriodicPattern) -> dict:
     def fams(fl):
         return [{"name": f.name,
-                 "endpoints": [[t, _frac_str(v)] for t, v in f.endpoints]}
+                 "endpoints": [[t, f"{v.numerator}/{v.denominator}"]
+                               for t, v in f.endpoints]}
                 for f in fl]
 
     return {
@@ -107,7 +98,7 @@ def periodic_from_dict(d: dict) -> PeriodicPattern:
     try:
         def fams(key, sign):
             return [Family(x["name"], sign,
-                           tuple((t, _parse_frac(v)) for t, v in x["endpoints"]))
+                           tuple((t, Fraction(v)) for t, v in x["endpoints"]))
                     for x in d[key]]
 
         marker = d.get("scalloped")
@@ -155,11 +146,6 @@ def parse_pattern_text(text: str):
     if not rep.ok:
         raise InvalidPatternError(str(rep))
     return p
-
-
-def parse_pattern(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_pattern_text(fh.read())
 
 
 def write_pattern(p, path):

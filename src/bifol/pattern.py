@@ -60,6 +60,10 @@ class PreconditionError(BifolError):
     """Operation called on inputs outside its stated domain."""
 
 
+class UsageError(PreconditionError):
+    """An argument is malformed, or names nothing the callee knows."""
+
+
 class DegenerateInputError(BifolError):
     """Distinct inputs that the truncation cannot tell apart."""
 
@@ -266,8 +270,9 @@ class FinitePattern:
     """A validated chord diagram: boundary circle, signed leaves, declarations.
 
     Instances are immutable after construction.  The relation table is
-    derived once from the boundary labels on the first query and never
-    changes after; every query is a pure function of it.
+    derived once from the boundary labels on the first query, and each leaf
+    graph once per kind by ``graphs.build_graph``; neither changes after, and
+    every query is a pure function of them.
     """
 
     def __init__(self, boundary, leaves, singularities=(), nonseparated=(),
@@ -290,6 +295,7 @@ class FinitePattern:
                 raise InvalidPatternError(f"duplicate point id {pt.id}")
             self.points[pt.id] = pt
         self._singular_pairs = {frozenset(s.leaves()) for s in self.singularities}
+        self._graphs = {}  # graph kind -> LeafGraph, filled by graphs.build_graph
         self._sing_by_leaf = {}
         for s in self.singularities:
             for lid in s.leaves():
@@ -660,18 +666,11 @@ class FinitePattern:
                 (t.side[P] & t.plus) | (t.side[M] & t.minus))
 
     def separates_point(self, leaf_id: str, x, y) -> bool:
-        """Leaf-separation of two marked points, with the convention that a
-        point lying on the leaf is separated from any point off the leaf."""
-        px, py = self.point(x), self.point(y)
-        self.leaf(leaf_id)
-        if px.key() == py.key():
-            return False
-        on_x, on_y = px.on_leaf(leaf_id), py.on_leaf(leaf_id)
-        if on_x and on_y:
-            return False
-        if on_x or on_y:
-            return True
-        return self._face_of_point(px, leaf_id) != self._face_of_point(py, leaf_id)
+        """Leaf-separation of two marked points, with the convention of
+        ``_point_seps``: a point lying on the leaf is separated from any point
+        off the leaf."""
+        i = self._table.index[self.leaf(leaf_id).id]
+        return bool(self._point_seps(self.point(x), self.point(y)) >> i & 1)
 
     # -- pseudo-intervals --------------------------------------------------
 
@@ -706,25 +705,18 @@ class FinitePattern:
             return PseudoInterval(x, y, (), ((x,),), mode)
         seps = self.separator_chain(x, y)
         chain = [x] + seps + [y]
-        blocks: list[list[str]] = [[chain[0]]]
         if mode is Mode.NONSEP:
-            for prev, cur in zip(chain, chain[1:]):
-                if frozenset((prev, cur)) in self.nonseparated:
-                    blocks.append([cur])
-                else:
-                    blocks[-1].append(cur)
-        else:
-            prev_split = x
-            for cur in chain[1:]:
-                sings = self._sing_by_leaf.get(cur, [])
-                divides = bool(sings) and self.leaf(cur).sign == PLUS and \
-                    self._prong_divides_chain(sings[0], prev_split, y)
-                if divides:
-                    blocks[-1].append(cur)   # prong closes this block ...
-                    blocks.append([cur])     # ... and opens the next one
-                    prev_split = cur
-                else:
-                    blocks[-1].append(cur)
+            return PseudoInterval(x, y, tuple(seps),
+                                  nonsep_blocks(chain, self.nonseparated), mode)
+        blocks: list[list[str]] = [[x]]
+        prev_split = x
+        for cur in chain[1:]:
+            blocks[-1].append(cur)
+            sings = self._sing_by_leaf.get(cur, [])
+            if sings and self.leaf(cur).sign == PLUS and \
+                    self._prong_divides_chain(sings[0], prev_split, y):
+                blocks.append([cur])  # the prong closes a block and opens the next
+                prev_split = cur
         return PseudoInterval(x, y, tuple(seps),
                               tuple(tuple(b) for b in blocks), mode)
 
@@ -780,11 +772,7 @@ class FinitePattern:
         the per-leaf incidence map."""
         if frozenset(sing.leaves()) not in self._singular_pairs:
             raise UnknownIdError("singularity not in pattern")
-        quads = self._quadrants(sing.plus_leaf, sing.minus_leaf)
-        incidence = {lid: self.quadrant_incidence(sing.plus_leaf, sing.minus_leaf, lid)
-                     for lid in self.leaves
-                     if lid not in sing.leaves()}
-        return quads, incidence
+        return self.quadrants_of_crossing(sing.plus_leaf, sing.minus_leaf)
 
     def quadrants_of_crossing(self, plus_id: str, minus_id: str):
         """Quadrant view of a regular crossing (the degenerate two-prong case
@@ -890,6 +878,18 @@ class FinitePattern:
                     flagged = True
             flags.append(flagged)
         return LozengeReport(tuple(lozenges), chains, corners, tuple(flags))
+
+
+def nonsep_blocks(chain, nonseparated) -> tuple[tuple[str, ...], ...]:
+    """Split an ordered chain of same-family leaves into blocks, a new block
+    starting at each consecutive pair declared nonseparated."""
+    blocks = [[chain[0]]]
+    for prev, cur in zip(chain, chain[1:]):
+        if frozenset((prev, cur)) in nonseparated:
+            blocks.append([cur])
+        else:
+            blocks[-1].append(cur)
+    return tuple(tuple(b) for b in blocks)
 
 
 def _is_cyclic_run(indices: set[int], n: int, max_len: int) -> bool:

@@ -22,13 +22,14 @@ periodic patterns.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .pattern import (
     PLUS, MINUS, FinitePattern, InvalidPatternError, Leaf, Point,
-    PreconditionError, Singularity, UnknownIdError,
+    PreconditionError, Singularity, UnknownIdError, UsageError,
 )
 
 
@@ -329,23 +330,18 @@ class PatternAutomorphism:
     The constructor checks the templates where maps enter.  By translation
     invariance and template locality its finite check certifies the infinite
     map, so products and inverses of checked maps are built unchecked.
-
-    Orientation-reversing (translation anti-commuting) maps are not modeled;
-    the orientation field exists for the data format and must be +1.
+    Orientation-reversing (translation anti-commuting) maps are not modeled.
     """
 
-    __slots__ = ("pattern", "plus", "minus", "orientation", "name")
+    __slots__ = ("pattern", "plus", "minus", "name")
 
     def __init__(self, pattern: PeriodicPattern, plus: IndexMap, minus: IndexMap,
-                 orientation: int = 1, name: str = ""):
-        if orientation != 1:
-            raise PreconditionError("only translation-commuting maps are modeled")
+                 name: str = ""):
         if plus.N != pattern.period or minus.N != pattern.period:
             raise PreconditionError("index map period mismatch")
         self.pattern = pattern
         self.plus = plus
         self.minus = minus
-        self.orientation = 1
         self.name = name
         self._check_templates()
 
@@ -353,8 +349,7 @@ class PatternAutomorphism:
     def _trusted(cls, pattern, plus, minus, name) -> "PatternAutomorphism":
         """An automorphism valid by construction, built without the check."""
         g = object.__new__(cls)
-        g.pattern, g.plus, g.minus, g.orientation, g.name = \
-            pattern, plus, minus, 1, name
+        g.pattern, g.plus, g.minus, g.name = pattern, plus, minus, name
         return g
 
     def _reach(self) -> int:
@@ -702,7 +697,7 @@ def partlink_pattern() -> FinitePattern:
     return _chord_pattern(ch, points=pts).require_valid()
 
 
-def scalloped_periodic(period: int = 1) -> PeriodicPattern:
+def scalloped_periodic() -> PeriodicPattern:
     """Two parallel periodic bands, each carrying the double lozenge-chain
     structure; the marker names band one.  The band swap is an automorphism
     moving the marked chain off itself.
@@ -715,8 +710,6 @@ def scalloped_periodic(period: int = 1) -> PeriodicPattern:
     and fits demanded of a lozenge.  Band two lives on its own pair of
     (reversed) tracks so no leaf of one band crosses the other.
     """
-    if period < 1:
-        raise PreconditionError("scalloped(period) needs period >= 1")
     tracks = (Track("bota", 1), Track("botb", -1),
               Track("topb", 1), Track("topa", -1))
 
@@ -744,7 +737,7 @@ _GENERATORS = {
     "skew": lambda W=2: skew_pattern(int(W)),
     "ladder": lambda n=2: ladder_pattern(int(n)),
     "ladder_periodic": lambda: ladder_periodic(),
-    "scalloped": lambda period=1: scalloped_periodic(int(period)),
+    "scalloped": lambda: scalloped_periodic(),
     "prong": lambda k=3: prong_pattern(int(k)),
     "sinestrip": lambda m=4: sinestrip_pattern(int(m)),
     "lozenge": lambda: lozenge_pattern(),
@@ -758,10 +751,12 @@ _GENERATORS = {
 
 def generate(kind: str, *args):
     """Build a named pattern; finite kinds return validated FinitePatterns,
-    periodic kinds return PeriodicPatterns."""
-    try:
-        gen = _GENERATORS[kind]
-    except KeyError:
-        raise PreconditionError(
-            f"unknown kind {kind!r}; known: {sorted(_GENERATORS)}") from None
-    return gen(*args)
+    periodic kinds return PeriodicPatterns.  An unknown kind, or more
+    arguments than the kind takes, raise UsageError before any is built."""
+    if kind not in _GENERATORS:
+        raise UsageError(f"unknown kind {kind!r}; known: {sorted(_GENERATORS)}")
+    takes = inspect.signature(_GENERATORS[kind]).parameters
+    if len(args) > len(takes):
+        raise UsageError(f"kind {kind} takes at most {len(takes)} argument(s), "
+                         f"not {len(args)}")
+    return _GENERATORS[kind](*args)

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from .pattern import (
-    PLUS, MINUS, DegenerateInputError, FinitePattern, PreconditionError,
+    PLUS, MINUS, DegenerateInputError, FinitePattern, Point, PreconditionError,
 )
 
 D_H, D_PLUS, D_MINUS, D_RPLUS, D_RMINUS = "dH", "d+", "d-", "dR+", "dR-"
@@ -101,29 +101,32 @@ def _longest_chain(p: FinitePattern, kind: str, seps: list[str], x) -> tuple[str
     return min(c for c in best.values() if len(c) == top)
 
 
-def longest_chain_witness(p: FinitePattern, x, y, kind: str) -> AlignedFamily:
-    """A maximal admissible separating family realizing the supremum."""
+def _witness(p: FinitePattern, px: Point, py: Point, kind: str):
+    """The longest admissible ``kind`` chain separating two points."""
     if kind not in KINDS:
         raise PreconditionError(f"unknown metric kind {kind!r}")
-    px, py = p.point(x), p.point(y)
     if px.key() == py.key():
-        return AlignedFamily(kind, ())
-    seps = separating_leaves(p, px, py, kind)
-    return AlignedFamily(kind, _longest_chain(p, kind, seps, px))
-
-
-def wall_distance(p: FinitePattern, x, y, kind: str) -> int:
-    if kind not in KINDS:
-        raise PreconditionError(f"unknown metric kind {kind!r}")
-    px, py = p.point(x), p.point(y)
-    if px.key() == py.key():
-        return 0
+        return ()
     seps = p._point_seps(px, py)
     if not seps:
         raise DegenerateInputError(
             f"no leaf of the truncation separates {px.id} from {py.id}")
-    sup = len(_longest_chain(p, kind, _of_kind(p, seps, kind), px))
-    return sup + 1 if kind in _PLUS_ONE else sup
+    return _longest_chain(p, kind, _of_kind(p, seps, kind), px)
+
+
+def longest_chain_witness(p: FinitePattern, x, y, kind: str) -> AlignedFamily:
+    """A maximal admissible separating family realizing the supremum; empty
+    for one point twice.  Distinct points that no leaf separates are
+    degenerate input."""
+    return AlignedFamily(kind, _witness(p, p.point(x), p.point(y), kind))
+
+
+def wall_distance(p: FinitePattern, x, y, kind: str) -> int:
+    """The supremum of ``longest_chain_witness``, plus one for the
+    one-family kinds between distinct points."""
+    px, py = p.point(x), p.point(y)
+    sup = len(_witness(p, px, py, kind))
+    return sup + 1 if kind in _PLUS_ONE and px.key() != py.key() else sup
 
 
 @dataclass(frozen=True)
@@ -142,17 +145,12 @@ def _point_list(p: FinitePattern, points):
     return sorted((p.point(q) for q in raw), key=lambda q: q.id)
 
 
-def metric_axiom_check(p: FinitePattern, kind: str, points=None,
-                       _distance_fn=None) -> MetricAxiomReport:
+def metric_axiom_check(p: FinitePattern, kind: str,
+                       points=None) -> MetricAxiomReport:
     """Identity of indiscernibles, symmetry and the triangle inequality over
-    all marked-point triples.  ``_distance_fn`` is a fault-injection hook for
-    the test harness."""
+    all marked-point triples."""
     pts = _point_list(p, points)
-    dfun = _distance_fn or (lambda a, b: wall_distance(p, a, b, kind))
-    d = {}
-    for a in pts:
-        for b in pts:
-            d[(a.id, b.id)] = dfun(a, b)
+    d = {(a.id, b.id): wall_distance(p, a, b, kind) for a in pts for b in pts}
     violations = []
     for a in pts:
         if d[(a.id, a.id)] != 0:
@@ -192,10 +190,9 @@ def qi_metric_report(p: FinitePattern, points=None) -> MetricQiReport:
     plan = ((D_PLUS, gr.XPLUS, "plus_leaf"), (D_MINUS, gr.XMINUS, "minus_leaf"),
             (D_RPLUS, gr.GAMMAPLUS, "plus_leaf"),
             (D_RMINUS, gr.GAMMAMINUS, "minus_leaf"))
-    graph_cache = {gk: gr.build_graph(p, gk) for _, gk, _ in plan}
     checks, violations, disconnected = [], [], []
     for kind, gk, attr in plan:
-        G = graph_cache[gk]
+        G = gr.build_graph(p, gk)
         for a, b in itertools.combinations(crossings, 2):
             la, lb = getattr(a, attr), getattr(b, attr)
             dw = wall_distance(p, a, b, kind)

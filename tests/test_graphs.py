@@ -19,6 +19,25 @@ def test_grid3_graphs(grid3):
     assert gr.distance(GX, "v0", "v1") == 2
 
 
+def test_graph_built_once_per_kind():
+    from bifol.fixtures import MANIFEST, load_fixture
+    from bifol.periodic import PeriodicPattern
+
+    def fresh(name):
+        p = load_fixture(name)
+        return p.materialize_window(0, 4) if isinstance(p, PeriodicPattern) else p
+
+    for name in sorted(MANIFEST):
+        p, q = fresh(name), fresh(name)
+        for kind in gr.KINDS:
+            G = gr.build_graph(p, kind)
+            assert gr.build_graph(p, kind.upper()) is G, (name, kind)
+        # built on another pattern object, in the other order of kinds
+        for kind in reversed(gr.KINDS):
+            assert gr.build_graph(q, kind) == gr.build_graph(p, kind), (name, kind)
+            assert gr.build_graph(q, kind) is not gr.build_graph(p, kind)
+
+
 def test_distance_identity_and_errors(grid3):
     G = gr.build_graph(grid3, gr.XPLUS)
     assert gr.distance(G, "v0", "v0") == 0
@@ -136,7 +155,10 @@ def test_bottleneck_requires_connected(loz1):
 
 
 def test_cycle_fails_small_K():
-    c12 = gr.synthetic_cycle(12)
+    # a plain 12-cycle, a negative control for the bottleneck check
+    v = tuple(f"v{i}" for i in range(12))
+    c12 = gr.LeafGraph("x", v, {v[i]: frozenset({v[i - 1], v[(i + 1) % 12]})
+                                for i in range(12)})
     res = gr.bottleneck_certify(c12, 1)
     assert not res.passed and res.witness is not None
 

@@ -1,15 +1,21 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bifol import io as bio
 from bifol import graphs as gr
 from bifol.cli import main
 from bifol.fixtures import MANIFEST, fixture_text, load_fixture, regenerate
-from bifol.pattern import FinitePattern, InvalidPatternError
+from bifol import cli
+from bifol.pattern import (
+    FinitePattern, InvalidPatternError, PreconditionError, UsageError,
+)
 from bifol.periodic import generate
 
 FIXDIR = Path(__file__).parent.parent / "src" / "bifol" / "fixtures"
@@ -37,7 +43,7 @@ def test_parse_error_offset(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"boundary": [', encoding="utf-8")
     with pytest.raises(bio.ParseError) as err:
-        bio.parse_pattern(bad)
+        bio.parse_pattern_text(bad.read_text(encoding="utf-8"))
     assert "byte" in str(err.value)
 
 
@@ -272,11 +278,135 @@ def test_cli_wpd_checks_blocks_on_the_axis(capsys, monkeypatch):
     (["dist", "--kind", "xplus", "--in", _fx("ladder8"), "--from", "zz",
       "--to", "r1"], "zz"),
     (["wpd", "--pattern", _fx("skew2"), "--g", "s", "--base", "zz9"], "zz9"),
+    (["gen", "--kind", "lozenge", "--params", "3", "--out", "x.json"],
+     "lozenge"),
+    (["gen", "--kind", "chain", "--params", "x", "--out", "x.json"], "chain"),
+    (["gen", "--kind", "nope", "--out", "x.json"], "nope"),
+    (["gen", "--kind", "scalloped", "--params", "2", "--out", "x.json"],
+     "scalloped"),
+    (["census", "--model", "skew", "--nmax", "4", "--h", "1,0"], "--h"),
+    (["census", "--model", "skew", "--nmax", "4", "--h", "4,4,4"], "--h"),
+    (["census", "--model", "trivial", "--nmax", "4", "--h", "3,3"], "--h"),
 ])
 def test_cli_malformed_input_is_a_usage_error(argv, named, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and named in err, err
+
+
+def test_generate_checks_kind_and_arity_before_building():
+    with pytest.raises(UsageError, match="'nope'"):
+        generate("nope")
+    with pytest.raises(UsageError, match="lozenge takes at most 0 argument"):
+        generate("lozenge", 3)
+    with pytest.raises(UsageError, match="chain takes at most 1 argument"):
+        generate("chain", 2, 3)
+    assert issubclass(UsageError, PreconditionError)
+
+
+def test_cli_os_error_without_a_file_is_not_a_usage_error(monkeypatch):
+    def closed_pipe(args, rep):
+        raise BrokenPipeError(32, "Broken pipe")
+    monkeypatch.setattr(cli, "_emit", closed_pipe)
+    with pytest.raises(BrokenPipeError):
+        main(["validate", "--in", _fx("grid3")])
+
+
+def test_cli_census_shift_outside_the_ball_fails_the_check(capsys):
+    assert main(["census", "--model", "skew", "--nmax", "4", "--h", "9,9"]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--in", "{missing}"],
+    ["graph", "--kind", "x", "--in", "{dir}"],
+    ["classify", "--pattern", "{missing}", "--element", "s"],
+    ["gen", "--kind", "chain", "--out", "{missing}/x.json"],
+    ["--report", "{missing}/r.json", "validate", "--in", _fx("grid3")],
+    ["graph", "--kind", "x", "--in", _fx("grid3"), "--csv", "{dir}"],
+    ["export", "--in", _fx("grid3"), "--dot", "{missing}/g.dot"],
+    ["metric", "--in", _fx("grid3"), "--kind", "d+", "--all-pairs", "{dir}"],
+], ids=["in-missing", "in-directory", "pattern-missing", "out", "report",
+        "csv", "dot", "all-pairs"])
+def test_cli_file_error_is_a_usage_error(argv, tmp_path, capsys):
+    paths = {"missing": str(tmp_path / "nope"), "dir": str(tmp_path)}
+    argv = [a.format(**paths) for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    named = next(a for a in argv if a.startswith(str(tmp_path)))
+    assert err.startswith("usage error: ") and err.count("\n") == 1, err
+    assert named in err, err
+
+
+def _req(flag, values):
+    return st.sampled_from(values).map(lambda v: (flag, v))
+
+
+def _opt(flag, values):
+    return st.one_of(st.just(()), _req(flag, values))
+
+
+def _argv(verb, *parts):
+    return st.tuples(*parts).map(lambda ps: [verb] + [a for p in ps for a in p])
+
+
+_FILES = ("grid3.json", "skew2.json", "ladder_periodic.json", "{missing}",
+          "{dir}")
+_OUTS = ("{tmp}/out", "{missing}/out", "{dir}")
+_IDS = ("v0", "x00", "x22", "p0", "m1", "s", "zz", "-1")
+_INTS = ("-2", "-1", "0", "1", "2", "3", "x", "1.5")
+_WINDOW = st.one_of(st.just(()), st.tuples(st.just("--window"),
+                                           st.sampled_from(_INTS),
+                                           st.sampled_from(_INTS)))
+_GRAPH_KINDS = ("xplus", "gammaminus", "nope")
+
+_MALFORMED = st.one_of(
+    _argv("gen", _req("--kind", ("chain", "lozenge", "skew", "scalloped",
+                                 "nope")),
+          st.lists(st.sampled_from(_INTS), max_size=2).map(
+              lambda ps: ("--params", *ps)),
+          _req("--out", _OUTS), st.sampled_from(((), ("--materialize",))),
+          _WINDOW),
+    _argv("validate", _req("--in", _FILES)),
+    _argv("graph", _req("--kind", _GRAPH_KINDS), _req("--in", _FILES),
+          _opt("--dot", _OUTS), _opt("--csv", _OUTS), _WINDOW),
+    _argv("dist", _req("--kind", _GRAPH_KINDS), _req("--in", _FILES),
+          _req("--from", _IDS), _req("--to", _IDS), _WINDOW),
+    _argv("metric", _req("--in", _FILES), _req("--kind", ("d+", "dR-", "x")),
+          _opt("--points", ("x00,x22", "x00", "zz,x00")),
+          _opt("--all-pairs", _OUTS), _WINDOW),
+    _argv("census", _req("--model", ("trivial", "skew", "nope")),
+          _req("--nmax", ("-1", "0", "2", "x")),
+          _opt("--h", ("3,3", "1,0", "4,4,4", "9,9", "x")),
+          _opt("--gens", _FILES), _opt("--csv", _OUTS)),
+    _argv("classify", _req("--pattern", _FILES), _req("--element", _IDS),
+          _req("--window", _INTS), _opt("--nmax", _INTS)),
+    _argv("wpd", _req("--pattern", _FILES), _req("--g", _IDS),
+          _req("--window", _INTS), _opt("--ball", _INTS),
+          _opt("--eps", ("-1", "0.5", "x")), _opt("--n", _INTS),
+          _opt("--base", _IDS)),
+    _argv("bottleneck", _req("--in", _FILES), _opt("--K", _INTS),
+          _opt("--kind", _GRAPH_KINDS), _WINDOW),
+)
+
+
+def test_cli_malformed_vectors_exit_cleanly(tmp_path):
+    """Unknown ids, non-integers, negative sizes, missing files and
+    directories: every vector ends in an exit code, never a traceback."""
+    paths = {"missing": str(tmp_path / "nope"), "dir": str(tmp_path),
+             "tmp": str(tmp_path)}
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_MALFORMED)
+    def run(argv):
+        argv = [a.format(**paths) if "{" in a else
+                _fx(a[:-5]) if a.endswith(".json") else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in range(5), (argv, code)
+        assert "Traceback" not in err.getvalue(), argv
+
+    run()
 
 
 def test_cli_census_skew_csv(tmp_path, capsys):

@@ -168,6 +168,8 @@ def test_point_separation_matches_geometry():
             for leaf in sorted(p.leaves):
                 assert p.separates_point(leaf, a, b) == \
                     geometric_separates_point(p, leaf, a, b), (seed, leaf, a.id, b.id)
+    with pytest.raises(UnknownIdError):
+        p.separates_point("nope", a, b)
 
 
 def test_region_point_faces(grid3):
@@ -251,6 +253,18 @@ def _brute_seps(p, x, y):
             if m not in (x, y) and p._separates(m, x, y)]
 
 
+def _brute_point_seps(p, px, py):
+    """Leaves separating two points, one face-by-face lookup per leaf."""
+    out = []
+    for m in p.leaf_ids():
+        on_x, on_y = px.on_leaf(m), py.on_leaf(m)
+        if px.key() == py.key() or (on_x and on_y):
+            continue
+        if on_x or on_y or p._face_of_point(px, m) != p._face_of_point(py, m):
+            out.append(m)
+    return out
+
+
 def _brute_chain(p, x, y):
     seps = _brute_seps(p, x, y)
     depth = {m: sum(1 for m2 in seps if m2 != m and p._separates(m2, x, m))
@@ -312,8 +326,10 @@ def test_separator_bitsets_match_brute_force():
                                 geometric_separates_leaves(p, m, x, y), (name, m)
         pts = _probe_points(p, rng)
         for a, b in itertools.product(pts, pts):
-            want = [l for l in p.leaf_ids() if p.separates_point(l, a, b)]
+            want = _brute_point_seps(p, a, b)
             assert p._ids_of(p._point_seps(a, b)) == want, (name, a.id, b.id)
+            assert [l for l in p.leaf_ids() if p.separates_point(l, a, b)] \
+                == want, (name, a.id, b.id)
 
 
 def _loose_diagram(seed):

@@ -221,11 +221,6 @@ def test_template_violating_map_rejected(skew2, ladder_periodic):
                             IndexMap([3, 3, 3]))
 
 
-def test_orientation_reversing_rejected(skew2):
-    with pytest.raises(PreconditionError):
-        PatternAutomorphism(skew2, IndexMap([1]), IndexMap([1]), orientation=-1)
-
-
 def _cycle_map(N, cycles, lifts):
     """Offsets moving each residue to the next one of its cycle, plus N times
     the cycle's lift for that residue."""

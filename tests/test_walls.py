@@ -113,17 +113,17 @@ def test_metric_axioms_fixtures(grid3, ladder3, chain3):
             assert rep.ok, (kind, rep.violations)
 
 
-def test_fault_injection_reports_triangle(grid3):
+def test_fault_injection_reports_triangle(grid3, monkeypatch):
     # a corrupted distance oracle must surface as a reported violation
-    bad = {}
+    honest = wl.wall_distance
 
-    def corrupted(a, b):
-        ia, ib = a.id, b.id
-        if {ia, ib} == {"x00", "x22"}:
+    def corrupted(p, a, b, kind):
+        if {a.id, b.id} == {"x00", "x22"}:
             return 99
-        return wl.wall_distance(grid3, a, b, wl.D_PLUS)
+        return honest(p, a, b, kind)
 
-    rep = wl.metric_axiom_check(grid3, wl.D_PLUS, _distance_fn=corrupted)
+    monkeypatch.setattr(wl, "wall_distance", corrupted)
+    rep = wl.metric_axiom_check(grid3, wl.D_PLUS)
     assert not rep.ok
     assert any(v[0] == "triangle" for v in rep.violations)
 
