@@ -67,9 +67,19 @@ def _emit(args, report) -> None:
         sys.stdout.write(text)
 
 
-def _load(path):
+def _read(path) -> str:
+    """The text of an input file; bytes that are not UTF-8 are a parse error
+    naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise bio.ParseError(f"{path}: not UTF-8 text ({e.reason})",
+                                 offset=e.start) from None
+
+
+def _load(path):
+    text = _read(path)
     return bio.parse_pattern_text(text), _digest(text)
 
 
@@ -88,8 +98,7 @@ def _finite(p, args):
 
 
 def cmd_validate(args):
-    with open(args.input, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read(args.input)
     try:
         bio.parse_pattern_text(text)
     except InvalidPatternError as e:

@@ -9,10 +9,11 @@ point) reduce to exact cyclic-order arithmetic on boundary labels.
 Each pattern derives one relation table from its boundary labels, once, on
 first use: the sorted endpoint positions of every leaf, the face of every
 boundary position per leaf, a crossing bitset per leaf, a side bitset per
-leaf (which nonsingular leaves hold its first endpoint on their face 0) and
-masks of the nonsingular, plus and minus leaves.  Crossing is then one bit
-test, separation a comparison of two faces, and a common transversal of two
-leaves the AND of their crossing bitsets.  The separators of two same-family
+leaf (which nonsingular leaves hold its first endpoint on their face 0), the
+nonsingular leaves ending at each boundary position and masks of the
+nonsingular, plus and minus leaves.  Crossing is then one bit test,
+separation a comparison of two faces, and a common transversal of two leaves
+the AND of their crossing bitsets.  The separators of two same-family
 leaves are the XOR of their side bitsets (singular leaves compared face by
 face), so a separator chain, a broken pseudo-interval and the leaves
 separating two points each cost O(k) integer operations.
@@ -252,6 +253,7 @@ class _Relations(NamedTuple):
     face: _ById       # leaf id -> face of every circle position, None on its endpoints
     cross: _ById      # leaf id -> bitset of the leaves crossing it
     side: _ById       # leaf id -> bitset of the nonsingular leaves with it on face 0
+    ends: list        # circle position -> bitset of the nonsingular leaves ending there
     nonsingular: int  # bitset of the leaves with two endpoints
     plus: int         # bitset of the plus leaves
     minus: int        # bitset of the minus leaves
@@ -355,7 +357,7 @@ class FinitePattern:
         index, ep, face, side = _ById(), _ById(), _ById(), _ById()
         nonsingular = plus = 0
         starts = [[] for _ in range(n)]  # leaves by first endpoint
-        toggle = [0] * n  # nonsingular leaves by endpoint
+        ends = [0] * n  # nonsingular leaves by endpoint
         for i, lf in enumerate(self.leaves.values()):
             index[lf.id] = i
             plus |= (lf.sign == PLUS) << i
@@ -368,14 +370,14 @@ class FinitePattern:
             if not lf.is_singular:
                 nonsingular |= 1 << i
                 for x in e:
-                    toggle[x] |= 1 << i
+                    ends[x] |= 1 << i
         # one sweep round the circle: ``inside`` holds the nonsingular leaves
         # whose face 0 contains the current position
         inside = 0
         for x in range(n):
             for lid in starts[x]:
-                side[lid] = inside & ~toggle[x]
-            inside ^= toggle[x]
+                side[lid] = inside & ~ends[x]
+            inside ^= ends[x]
         cross = _ById.fromkeys(index, 0)
         by_sign = {sign: self.leaf_ids(sign) for sign in SIGNS}
         for sign, other in ((PLUS, MINUS), (MINUS, PLUS)):
@@ -390,7 +392,7 @@ class FinitePattern:
                        for pair in self.nonseparated
                        if len(pair) == 2 and all(l in index for l in pair))
         everything = (1 << len(index)) - 1
-        return _Relations(tuple(index), index, ep, face, cross, side,
+        return _Relations(tuple(index), index, ep, face, cross, side, ends,
                           nonsingular, plus, everything & ~plus, nonsep)
 
     # -- relations --------------------------------------------------------

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .pattern import (
     PLUS, MINUS, DegenerateInputError, FinitePattern, Point, PreconditionError,
+    UnknownIdError, _bits,
 )
 
 D_H, D_PLUS, D_MINUS, D_RPLUS, D_RMINUS = "dH", "d+", "d-", "dR+", "dR-"
@@ -52,12 +53,6 @@ def reeb_separated(p: FinitePattern, l1: str, l2: str) -> bool:
     return p._breaks(l1, l2)
 
 
-def _pair_admissible(p: FinitePattern, kind: str, l1: str, l2: str) -> bool:
-    if kind in _REEB:
-        return reeb_separated(p, l1, l2)
-    return aligned(p, l1, l2)
-
-
 def separating_leaves(p: FinitePattern, x, y, kind: str) -> list[str]:
     return _of_kind(p, p._point_seps(p.point(x), p.point(y)), kind)
 
@@ -69,34 +64,63 @@ def _of_kind(p: FinitePattern, seps: int, kind: str) -> list[str]:
 
 def _separation_depth(p: FinitePattern, x, leaves: list[str]) -> dict:
     """Partial order position of each separator: how many other separators
-    (disjoint from it) lie between the point x and it."""
+    (disjoint from it) lie between the point x and it.
+
+    m lies between x and a leaf l disjoint from it when l's first endpoint
+    is off x's face of m, an endpoint of m included.  For a nonsingular m
+    not through the crossing point x that is a bit of ``side[l] ^ side_x``
+    or of the endpoint bitset at that position; singular leaves, leaves
+    through x and every leaf for a region point are compared face by face."""
+    t = p._table
     px = p.point(x)
-    face_x = {m: p._face_of_point(px, m) for m in leaves}
-    # m lies between x and a leaf l disjoint from it when l is off x's face of m
-    return {l: sum(1 for m in leaves if m != l and not p.intersects(m, l)
-                   and p.arc_index_of_position(m, p.endpoint_positions(l)[0])
-                   != face_x[m])
-            for l in leaves}
+    on_x, side_x = p._point_bits(px)
+    mask = 0
+    for l in leaves:
+        mask |= 1 << t.index[l]
+    if side_x is None:  # a region point
+        side_x = fast = 0
+    else:
+        fast = mask & t.nonsingular & ~on_x
+    slow = [(i, t.face[t.ids[i]], p._face_of_point(px, t.ids[i]))
+            for i in _bits(mask & ~fast)]
+    depth = {}
+    for l in leaves:
+        e = t.ep[l][0]
+        others = mask & ~t.cross[l] & ~(1 << t.index[l])
+        d = (others & fast & ((t.side[l] ^ side_x) | t.ends[e])).bit_count()
+        for i, face, face_x in slow:
+            if others >> i & 1 and face[e] != face_x:
+                d += 1
+        depth[l] = d
+    return depth
 
 
 def _longest_chain(p: FinitePattern, kind: str, seps: list[str], x) -> tuple[str, ...]:
     """Longest admissible family inside the separator set, computed as a
     longest path in the nestedness order; consecutive admissibility implies
-    pairwise admissibility for nested families, which is property-tested."""
+    pairwise admissibility for nested families, which is property-tested.
+    Ties go to the lexicographically least chain."""
     if not seps:
         return ()
+    t = p._table
+    reeb = kind in _REEB
     depth = _separation_depth(p, x, seps)
     order = sorted(seps, key=lambda l: (depth[l], l))
-    best: dict[str, tuple[str, ...]] = {}
+    best: dict[str, tuple[str, ...]] = {}  # least longest chain ending at l
     for l in order:
-        # longest admissible chain ending at l; ties broken by leaf ids
-        options = [(l,)]
+        cross_l, top = t.cross[l], ()
         for m in order:
-            if depth[m] < depth[l] and not p.intersects(m, l) \
-                    and _pair_admissible(p, kind, best[m][-1], l):
-                options.append(best[m] + (l,))
-        top = max(len(c) for c in options)
-        best[l] = min(c for c in options if len(c) == top)
+            if depth[m] >= depth[l]:
+                break
+            if cross_l >> t.index[m] & 1:
+                continue
+            # Reeb walls need a broken pseudo-interval, aligned walls no
+            # common transversal
+            if p._breaks(m, l) if reeb else not t.cross[m] & cross_l:
+                c = best[m]
+                if len(c) > len(top) or len(c) == len(top) and c < top:
+                    top = c
+        best[l] = top + (l,)
     top = max(len(c) for c in best.values())
     return min(c for c in best.values() if len(c) == top)
 
@@ -193,10 +217,18 @@ def qi_metric_report(p: FinitePattern, points=None) -> MetricQiReport:
     checks, violations, disconnected = [], [], []
     for kind, gk, attr in plan:
         G = gr.build_graph(p, gk)
+        rows = {}  # source leaf -> its BFS distances, one BFS per source
         for a, b in itertools.combinations(crossings, 2):
             la, lb = getattr(a, attr), getattr(b, attr)
             dw = wall_distance(p, a, b, kind)
-            dg = 0 if la == lb else gr.distance(G, la, lb)
+            if la == lb:
+                dg = 0
+            else:
+                if lb not in G.adj:
+                    raise UnknownIdError(f"vertex {lb!r} not in graph")
+                if la not in rows:
+                    rows[la] = gr.distances_from(G, la)
+                dg = rows[la].get(lb, gr.INF)
             checks.append((kind, a.id, b.id, dw, dg))
             if dg == gr.INF:
                 # a truncation artifact: the window's graph is disconnected

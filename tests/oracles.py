@@ -3,8 +3,9 @@
 Each oracle deliberately avoids the code path it checks: geometry uses
 floating-point chords on an honest circle, pseudo-intervals come from
 exhaustive path enumeration, wall distances from full subset enumeration,
-graph distances from a second BFS, and census balls from a separate
-normal-form implementation with its own matrix arithmetic.
+wall witnesses from face-by-face depths and per-pair predicates, graph
+distances from a second BFS, and census balls from a separate normal-form
+implementation with its own matrix arithmetic.
 """
 
 from __future__ import annotations
@@ -153,6 +154,43 @@ def oracle_wall_sup(p, x, y, kind: str) -> int:
                 best = r
                 break
     return best
+
+
+def oracle_separation_depth(p, x, leaves) -> dict:
+    """Depth of each separator by a face-by-face loop: how many other
+    separators, disjoint from it, have it off the face that holds x."""
+    px = p.point(x)
+    face_x = {m: p._face_of_point(px, m) for m in leaves}
+    return {l: sum(1 for m in leaves if m != l and not p.intersects(m, l)
+                   and p.arc_index_of_position(m, p.endpoint_positions(l)[0])
+                   != face_x[m])
+            for l in leaves}
+
+
+def oracle_longest_chain(p, kind: str, seps, x) -> tuple:
+    """Longest admissible chain in the depth order with the per-pair
+    predicates, every option listed; ties go to the least tuple."""
+    from bifol import walls as wl
+
+    if not seps:
+        return ()
+    depth = oracle_separation_depth(p, x, seps)
+    order = sorted(seps, key=lambda l: (depth[l], l))
+    best = {}
+    for l in order:
+        options = [(l,)]
+        for m in order:
+            if depth[m] < depth[l] and not p.intersects(m, l):
+                if kind in (wl.D_RPLUS, wl.D_RMINUS):
+                    ok = wl.reeb_separated(p, m, l)
+                else:
+                    ok = wl.aligned(p, m, l)
+                if ok:
+                    options.append(best[m] + (l,))
+        top = max(len(c) for c in options)
+        best[l] = min(c for c in options if len(c) == top)
+    top = max(len(c) for c in best.values())
+    return min(c for c in best.values() if len(c) == top)
 
 
 # -- second BFS ---------------------------------------------------------------------

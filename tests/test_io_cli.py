@@ -337,6 +337,19 @@ def test_cli_file_error_is_a_usage_error(argv, tmp_path, capsys):
     assert named in err, err
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "--in", "{bad}"],
+    ["graph", "--kind", "xplus", "--in", "{bad}"],
+], ids=["validate", "graph"])
+def test_cli_non_utf8_input_is_a_parse_error(argv, tmp_path, capsys):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe{\x00}\x00")
+    assert main([a.format(bad=bad) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err == f"parse error: {bad}: not UTF-8 text (invalid start byte) " \
+                  "(byte 0)\n", err
+
+
 def _req(flag, values):
     return st.sampled_from(values).map(lambda v: (flag, v))
 

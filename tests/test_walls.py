@@ -1,14 +1,19 @@
 import itertools
+import random
 
 import pytest
 
 from bifol.pattern import (
-    PLUS, DegenerateInputError, Point, PreconditionError,
+    PLUS, DegenerateInputError, Point, PreconditionError, UnknownIdError,
 )
+from bifol import graphs as gr
 from bifol import walls as wl
 from bifol.randgen import random_pattern
 
-from oracles import oracle_wall_sup
+from oracles import (
+    oracle_longest_chain, oracle_separation_depth, oracle_wall_sup,
+)
+from test_pattern import _differential_patterns, _probe_points
 
 
 def test_grid3_no_aligned_plus_pair(grid3):
@@ -216,3 +221,65 @@ def test_degenerate_points_rejected():
     x, y = Point.region("x", "u"), Point.region("y", "v")
     with pytest.raises(DegenerateInputError):
         wl.wall_distance(p, x, y, wl.D_H)
+
+
+def _witness_patterns():
+    yield from _differential_patterns()
+    from bifol.periodic import generate as gen
+
+    for W in (2, 3, 4):
+        yield f"skew{W}[-4,4]", gen("skew", W).materialize_window(-4, 4)
+
+
+def test_witness_tuples_match_face_by_face_oracle():
+    # separation depths and exact witness tuples, not only their length,
+    # against the face-by-face depth and the per-pair predicates, for every
+    # kind and ordered pair
+    rng = random.Random(5)
+    for name, p in _witness_patterns():
+        pts = _probe_points(p, rng)
+        for a, b, kind in itertools.product(pts, pts, wl.KINDS):
+            if a.key() == b.key():
+                want = ()
+            else:
+                seps = p._point_seps(a, b)
+                if not seps:
+                    with pytest.raises(DegenerateInputError):
+                        wl.longest_chain_witness(p, a, b, kind)
+                    continue
+                seps = wl._of_kind(p, seps, kind)
+                assert wl._separation_depth(p, a, seps) == \
+                    oracle_separation_depth(p, a, seps), (name, a.id, b.id, kind)
+                want = oracle_longest_chain(p, kind, seps, a)
+            got = wl.longest_chain_witness(p, a, b, kind).leaves
+            assert got == want, (name, a.id, b.id, kind)
+
+
+def test_qi_metric_checks_match_per_pair_distances():
+    graph_of = {wl.D_PLUS: (gr.XPLUS, "plus_leaf"),
+                wl.D_MINUS: (gr.XMINUS, "minus_leaf"),
+                wl.D_RPLUS: (gr.GAMMAPLUS, "plus_leaf"),
+                wl.D_RMINUS: (gr.GAMMAMINUS, "minus_leaf")}
+    rng = random.Random(7)
+    for name, p in _witness_patterns():
+        pts = sorted((q for q in _probe_points(p, rng) if q.kind == "crossing"),
+                     key=lambda q: q.id)
+        rep = wl.qi_metric_report(p, points=pts)
+        want = []
+        for kind, (gk, attr) in graph_of.items():
+            G = gr.build_graph(p, gk)
+            for a, b in itertools.combinations(pts, 2):
+                la, lb = getattr(a, attr), getattr(b, attr)
+                want.append((kind, a.id, b.id, wl.wall_distance(p, a, b, kind),
+                             0 if la == lb else gr.distance(G, la, lb)))
+        assert list(rep.checks) == want, name
+
+
+def test_qi_metric_unknown_graph_vertex(grid3):
+    # a crossing point named with its leaves swapped has no image in the
+    # one-family graphs, whichever end of the pair it is
+    good, swapped = ("v0", "h0"), ("h1", "v1")
+    for first, second in ((good, swapped), (swapped, good)):
+        pts = [Point.crossing("a", *first), Point.crossing("b", *second)]
+        with pytest.raises(UnknownIdError, match="'h1' not in graph"):
+            wl.qi_metric_report(grid3, points=pts)
