@@ -16,8 +16,8 @@ import os
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .pattern import BifolError, PreconditionError
-from .periodic import AffineElement, IndexMap, _mat_pow_vec
+from .pattern import BifolError, PreconditionError, UsageError
+from .periodic import AffineElement, IndexMap, _intmap_mul, _mat_pow_vec
 
 TRIVIAL_AFFINE = "trivial_affine"
 SKEW_INTMAP = "skew_intmap"
@@ -49,12 +49,6 @@ def _affine_mul(row, w):
     k1, x, y, a, c, b, d = row
     k, p, q = w
     return (k1 + k, x + a * p + b * q, y + c * p + d * q)
-
-
-def _intmap_mul(g, w):
-    """g after w on offset tuples, as `IndexMap.compose`."""
-    n = len(w)
-    return tuple([o + g[(r + o) % n] for r, o in enumerate(w)])
 
 
 @dataclass(frozen=True)
@@ -135,7 +129,7 @@ def _ball(S: GeneratingSet, n: int, budget: int | None) -> dict:
     """{normal form t: (t, word length)}, from one operation table: a row
     per symmetrized generator, read by the model's product."""
     if n < 0:
-        raise PreconditionError("radius must be >= 0")
+        raise UsageError(f"radius must be >= 0, not {n}")
     gens = S.symmetrized()
     if S.model == SKEW_INTMAP:
         return word_ball([(nm, g.offsets) for nm, g in gens],

@@ -342,6 +342,12 @@ def cmd_export(args):
     return EXIT_OK
 
 
+def nonnegative(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {text}")
+    return int(text)
+
+
 def _add_window(sp):
     sp.add_argument("--window", nargs=2, type=int, default=(0, 6),
                     metavar=("LO", "HI"),
@@ -386,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bottleneck")
     sp.add_argument("--in", dest="input", required=True)
-    sp.add_argument("--K", type=int, default=3)
+    sp.add_argument("--K", type=nonnegative, default=3)
     sp.add_argument("--kind", choices=gr.KINDS)
     _add_window(sp)
     sp.set_defaults(fn=cmd_bottleneck)
@@ -415,9 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("wpd")
     sp.add_argument("--pattern", required=True)
     sp.add_argument("--g", required=True)
-    sp.add_argument("--ball", type=int, default=4)
+    sp.add_argument("--ball", type=nonnegative, default=4)
     sp.add_argument("--eps", type=float, default=1.0)
-    sp.add_argument("--n", type=int, default=8)
+    sp.add_argument("--n", type=nonnegative, default=8)
     sp.add_argument("--base")
     sp.add_argument("--window", dest="window_size", type=int, default=8)
     sp.set_defaults(fn=cmd_wpd)

@@ -226,10 +226,9 @@ def classify_isometry(pp: PeriodicPattern, g: PatternAutomorphism,
     fp = _fixed_residues(g.plus)
     fm = _fixed_residues(g.minus)
     if fp and fm:
-        reach = 3 * pp.period * (window + 2)
         for r in fp:
             for q in fm:
-                for k in range(-reach, reach + 1):
+                for k in range(-pp.reach(), pp.reach() + 1):
                     if pp.template_cross(PLUS, r, MINUS, q + k * pp.period):
                         return Elliptic("fixed_point",
                                         f"plus residue {r} x minus residue {q}")

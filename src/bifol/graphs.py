@@ -168,7 +168,7 @@ def bottleneck_certify(G: LeafGraph, K: int) -> BottleneckResult:
             if x in ball or y in ball:
                 continue
             H = G.subgraph(set(G.vertices) - ball)
-            if dist[x][y] is not None and y in distances_from(H, x):
+            if y in distances_from(H, x):
                 return BottleneckResult(False, K, checked,
                                         BottleneckWitness(x, y, v))
     return BottleneckResult(True, K, checked, None)

@@ -13,7 +13,9 @@ window (0, reach): every violation involves at most three leaves, leaves
 farther apart than the template span relate as at the span plus one, so by
 translation invariance each violation of the infinite pattern has a copy in
 that window.  Windows are faithful truncations of a certified pattern and
-are not validated again.
+are not validated again.  The certificate window is also the pattern's one
+crossing table: two leaves cross as their families do at the same block
+distance in the window, clamped to the reach.
 
 The module also owns every shipped fixture generator: finite patterns are
 built by the same track walk (``_chord_pattern``) that builds the windows of
@@ -117,6 +119,12 @@ def _chord_pattern(chords, tracks=_CORRIDOR, nonseparated=(), singularities=(),
                          singularities, nonseparated, points)
 
 
+def _intmap_mul(g, w):
+    """g after w on offset tuples: `IndexMap.compose` without the checks."""
+    n = len(w)
+    return tuple([o + g[(r + o) % n] for r, o in enumerate(w)])
+
+
 class IndexMap:
     """A bijection of the integers commuting with translation by N.
 
@@ -143,8 +151,7 @@ class IndexMap:
         """self after other."""
         if self.N != other.N:
             raise PreconditionError("period mismatch")
-        return IndexMap([other.offsets[r] + self.offsets[(r + other.offsets[r]) % self.N]
-                         for r in range(self.N)])
+        return IndexMap(_intmap_mul(self.offsets, other.offsets))
 
     def inverse(self) -> "IndexMap":
         inv = [None] * self.N
@@ -208,25 +215,28 @@ class PeriodicPattern:
         self.automorphisms: dict[str, "PatternAutomorphism"] = {}
         self.band = band  # optional per-residue crossing-offset sets
         self.name = name
-        self._track_order = {t.name: i for i, t in enumerate(self.tracks)}
-        if len(self._track_order) != len(self.tracks):
+        track_names = {t.name for t in self.tracks}
+        if len(track_names) != len(self.tracks):
             raise PreconditionError("track names must be unique")
         self._fam_index = {PLUS: {f.name: i for i, f in enumerate(self.plus_families)},
                            MINUS: {f.name: i for i, f in enumerate(self.minus_families)}}
-        names = [f.name for f in self.plus_families + self.minus_families]
+        fams = self.plus_families + self.minus_families
+        names = [f.name for f in fams]
         if len(set(names)) != len(names):
             raise PreconditionError("family names must be unique")
-        for sign in (PLUS, MINUS):
-            for f in self.families(sign):
-                for tname, _ in f.endpoints:
-                    if tname not in self._track_order:
-                        raise PreconditionError(f"unknown track {tname!r}")
+        for f in fams:
+            for tname, _ in f.endpoints:
+                if tname not in track_names:
+                    raise PreconditionError(f"unknown track {tname!r}")
+        vals = [off for f in fams for _, off in f.endpoints]
+        self._reach = (math.ceil(max(vals) - min(vals)) + 1
+                       + max((abs(t.offset) for t in self.nonsep), default=0))
         # positional arguments: the benchmark tracer unpacks (self, lo, hi)
         try:
-            certificate = self.materialize_window(0, self.reach())
+            self._certificate = self.materialize_window(0, self._reach)
         except PreconditionError as e:  # translates share a boundary position
             raise InvalidPatternError(f"invalid periodic pattern: {e}") from None
-        certificate.require_valid()
+        self._certificate.require_valid()
         if automorphisms:
             for nm, (po, mo) in automorphisms.items():
                 self.automorphisms[nm] = PatternAutomorphism(
@@ -264,43 +274,25 @@ class PeriodicPattern:
         r, k = self.split_index(i)
         return leaf_name(self.families(sign)[r].name, k)
 
-    # -- exact template geometry -------------------------------------------
-
-    def _angles(self, sign: str, i: int):
-        """Endpoint angles of leaf (sign, global index i): tuples that sort in
-        circle order.  Equal tuples are shared (perfect-fit) endpoints."""
-        r, k = self.split_index(i)
-        fam = self.families(sign)[r]
-        out = []
-        for tname, off in fam.endpoints:
-            t = self._track_order[tname]
-            val = off + k
-            d = self.tracks[t].direction
-            out.append((t, val if d == 1 else -val))
-        return sorted(out)
+    # -- template crossings -------------------------------------------------
 
     def template_cross(self, sign_a: str, ia: int, sign_b: str, ib: int) -> bool:
-        """Do leaves (sign_a, ia) and (sign_b, ib) cross?  Exact for chords."""
-        if sign_a == sign_b:
-            return False
-        aa, bb = self._angles(sign_a, ia), self._angles(sign_b, ib)
-        if len(aa) != 2 or len(bb) != 2:
-            raise PreconditionError("template crossing needs regular leaves")
-        if set(aa) & set(bb):
-            return False  # shared endpoint: perfect fit, not a crossing
-        lo, hi = aa
-        inside = sum(1 for x in bb if lo < x < hi)
-        return inside == 1
+        """Do leaves (sign_a, ia) and (sign_b, ib) cross?  Read from the
+        certificate window: by translation invariance only the two families
+        and the block distance d matter, and d is clamped to the reach."""
+        (ra, ka), (rb, kb) = self.split_index(ia), self.split_index(ib)
+        d = max(-self._reach, min(self._reach, kb - ka))
+        lo = max(0, -d)
+        return self._certificate.intersects(
+            leaf_name(self.families(sign_a)[ra].name, lo),
+            leaf_name(self.families(sign_b)[rb].name, lo + d))
 
     def reach(self) -> int:
         """Width in blocks of a window holding a copy of every configuration
         of at most three leaves: ceil(template span) + 1, since leaves farther
         apart than the span relate as at the span plus one, and the widest
         nonseparation offset on top."""
-        vals = [off for sign in (PLUS, MINUS) for f in self.families(sign)
-                for _, off in f.endpoints]
-        return (math.ceil(max(vals) - min(vals)) + 1
-                + max((abs(t.offset) for t in self.nonsep), default=0))
+        return self._reach
 
     def nonsep_pairs_in(self, lo: int, hi: int) -> list[frozenset]:
         return [frozenset((leaf_name(t.fam_a, k), leaf_name(t.fam_b, k + t.offset)))
@@ -315,7 +307,7 @@ class PeriodicPattern:
         circle is the track walk over their endpoints.  The constructor has
         certified the pattern, so the window is valid and is not checked."""
         if lo >= hi:
-            raise PreconditionError("window needs lo < hi")
+            raise UsageError(f"window ({lo}, {hi}) needs lo < hi")
         chords = [(leaf_name(f.name, k), sign,
                    [(tname, off + k) for tname, off in f.endpoints])
                   for sign in (PLUS, MINUS) for f in self.families(sign)
@@ -500,7 +492,7 @@ def trivial_pattern(n: int) -> FinitePattern:
     """Complete-bipartite grid: n 'vertical' plus and n 'horizontal' minus
     chords, every opposite pair crossing, all crossings marked."""
     if n < 1:
-        raise PreconditionError("trivial(n) needs n >= 1")
+        raise UsageError("trivial(n) needs n >= 1")
     # circle: v tops (0..n-1), h rights (n..2n-1), v bottoms reversed,
     # h lefts reversed
     labels = [f"c{i}" for i in range(4 * n)]
@@ -526,7 +518,7 @@ def trivial_periodic() -> PeriodicPattern:
 def skew_pattern(W: int) -> PeriodicPattern:
     """Band pattern: plus_i crosses minus_j iff i <= j < i + W."""
     if W < 2:
-        raise PreconditionError("skew(W) needs W >= 2")
+        raise UsageError("skew(W) needs W >= 2")
     plus = [Family("p", PLUS, ((BOT, Fraction(0)), (TOP, Fraction(2 * W - 1, 2))))]
     minus = [Family("m", MINUS, ((BOT, Fraction(1, 2)), (TOP, Fraction(0))))]
     return PeriodicPattern(_CORRIDOR, plus, minus,
@@ -539,7 +531,7 @@ def ladder_chords(n: int):
     pairs (u_k, w_k); bottom hooks r_k in each junction gap; minus leaves
     g_k (block transversals), a_k and b_k (hook transversals)."""
     if n < 1:
-        raise PreconditionError("ladder(n) needs n >= 1")
+        raise UsageError("ladder(n) needs n >= 1")
     S = 60
     ch = [("x", PLUS, [(BOT, 0), (TOP, 0)]),
           ("y", PLUS, [(BOT, S * n), (TOP, S * n)])]
@@ -594,7 +586,7 @@ def sinestrip_pattern(m: int) -> FinitePattern:
     """Window where the plus graph of true intervals has diameter 1 while the
     minus one has diameter >= m: a sign-swapped ladder."""
     if m < 1:
-        raise PreconditionError("sinestrip(m) needs m >= 1")
+        raise UsageError("sinestrip(m) needs m >= 1")
     ch, nonsep = ladder_chords(m)
     flipped = [(cid, MINUS if sign == PLUS else PLUS, eps)
                for cid, sign, eps in ch]
@@ -606,7 +598,7 @@ def prong_pattern(k: int) -> FinitePattern:
     """One k-prong singularity with one plus and one minus satellite per
     sector, wired so both leaf graphs are connected."""
     if k < 3:
-        raise PreconditionError("prong(k) needs k >= 3")
+        raise UsageError("prong(k) needs k >= 3")
     n = 16 * k
     leaves = [("sp", PLUS, [16 * j for j in range(k)]),
               ("sm", MINUS, [16 * j + 8 for j in range(k)])]
@@ -633,7 +625,7 @@ def chain_pattern(n: int) -> FinitePattern:
     """A chain of n lozenges sharing corners: crossings p_i x m_i, perfect
     fits (p_i, m_{i+1}) and (p_{i+1}, m_i)."""
     if n < 1:
-        raise PreconditionError("chain(n) needs n >= 1")
+        raise UsageError("chain(n) needs n >= 1")
     ch = []
     for i in range(n + 1):
         ch.append((f"p{i}", PLUS, [(BOT, i), (TOP, i - 1)]))

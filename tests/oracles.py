@@ -1,7 +1,8 @@
 """Independent brute-force oracles the tests compare the library against.
 
 Each oracle deliberately avoids the code path it checks: geometry uses
-floating-point chords on an honest circle, pseudo-intervals come from
+floating-point chords on an honest circle, periodic template crossings
+exact endpoint angles without any window, pseudo-intervals come from
 exhaustive path enumeration, wall distances from full subset enumeration,
 wall witnesses from face-by-face depths and per-pair predicates, graph
 distances from a second BFS, and census balls from a separate normal-form
@@ -77,6 +78,31 @@ def geometric_separates_point(p, leaf: str, pt_a, pt_b) -> bool:
     ca = _crossing_coords(p, pt_a.plus_leaf, pt_a.minus_leaf)
     cb = _crossing_coords(p, pt_b.plus_leaf, pt_b.minus_leaf)
     return _side(xy, chord, ca) != _side(xy, chord, cb)
+
+
+# -- periodic template oracle (exact endpoint angles, no window) -------------------
+
+def _template_angles(pp, sign: str, i: int):
+    """Endpoint angles of leaf (sign, global index i): (track position, signed
+    value) tuples that sort in circle order; equal tuples are shared
+    (perfect-fit) endpoints."""
+    r, k = i % pp.period, i // pp.period
+    order = {t.name: j for j, t in enumerate(pp.tracks)}
+    return sorted((order[t], (off + k) * pp.tracks[order[t]].direction)
+                  for t, off in pp.families(sign)[r].endpoints)
+
+
+def oracle_template_cross(pp, sign_a: str, ia: int, sign_b: str, ib: int) -> bool:
+    """Do leaves (sign_a, ia) and (sign_b, ib) of a periodic pattern with
+    regular leaves cross: exactly one endpoint of b strictly between a's."""
+    if sign_a == sign_b:
+        return False
+    aa, bb = _template_angles(pp, sign_a, ia), _template_angles(pp, sign_b, ib)
+    assert len(aa) == len(bb) == 2, "template crossing needs regular leaves"
+    if set(aa) & set(bb):
+        return False  # shared endpoint: perfect fit, not a crossing
+    lo, hi = aa
+    return sum(lo < x < hi for x in bb) == 1
 
 
 # -- pseudo-interval oracle --------------------------------------------------------

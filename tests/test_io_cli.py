@@ -287,11 +287,31 @@ def test_cli_wpd_checks_blocks_on_the_axis(capsys, monkeypatch):
     (["census", "--model", "skew", "--nmax", "4", "--h", "1,0"], "--h"),
     (["census", "--model", "skew", "--nmax", "4", "--h", "4,4,4"], "--h"),
     (["census", "--model", "trivial", "--nmax", "4", "--h", "3,3"], "--h"),
+    (["classify", "--pattern", _fx("skew2"), "--element", "s", "--window", "0"],
+     "window (0, 0)"),
+    (["wpd", "--pattern", _fx("skew2"), "--g", "s", "--window", "0"],
+     "window (0, 0)"),
+    (["graph", "--kind", "xplus", "--in", _fx("skew2"), "--window", "3", "1"],
+     "window (3, 1)"),
+    (["lozenges", "--in", _fx("skew2"), "--window", "5", "5"], "window (5, 5)"),
+    (["census", "--model", "skew", "--nmax", "-1"], "radius"),
+    (["gen", "--kind", "ladder", "--params", "0", "--out", "x.json"], "ladder"),
 ])
 def test_cli_malformed_input_is_a_usage_error(argv, named, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and named in err, err
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--ball", ["wpd", "--pattern", _fx("skew2"), "--g", "s"]),
+    ("--n", ["wpd", "--pattern", _fx("skew2"), "--g", "s"]),
+    ("--K", ["bottleneck", "--in", _fx("grid3")]),
+])
+def test_cli_negative_count_is_a_usage_error(flag, argv, capsys):
+    assert main(argv + [flag, "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.endswith(f": error: argument {flag}: must be >= 0, not -1\n"), err
 
 
 def test_generate_checks_kind_and_arity_before_building():

@@ -15,7 +15,7 @@ from bifol.periodic import (
 )
 from bifol import graphs as gr
 
-from oracles import oracle_bfs_distance
+from oracles import oracle_bfs_distance, oracle_template_cross
 
 
 # -- generators and windows --------------------------------------------------------
@@ -148,6 +148,36 @@ def test_certificate_matches_every_nearby_window():
     # both verdicts are well represented, and some templates fail only on
     # windows wider than (0, 2)
     assert 60 <= rejected <= 180 and past_sample >= 3, (rejected, past_sample)
+
+
+def _template_disagreements(pp):
+    """Leaf pairs, plus indices over two periods and minus indices out to 30
+    blocks either way, where the certificate's answer differs from the
+    angle oracle's (asked in both argument orders)."""
+    P = pp.period
+    return [(i, j) for i in range(-P, P) for j in range(-30 * P, 30 * P)
+            if len({pp.template_cross(PLUS, i, MINUS, j),
+                    pp.template_cross(MINUS, j, PLUS, i),
+                    oracle_template_cross(pp, PLUS, i, MINUS, j)}) > 1]
+
+
+@pytest.mark.parametrize("name", ["skew2", "skew3", "skew4", "ladder_periodic",
+                                  "scalloped", "trivial_periodic"])
+def test_template_cross_matches_the_angle_oracle(name):
+    assert _template_disagreements(load_fixture(name)) == []
+
+
+def test_template_cross_matches_the_angle_oracle_on_random_templates():
+    rng, checked = random.Random(20261018), 0
+    for _ in range(200):
+        plus, minus, nonsep = _corridor_template(rng)
+        try:
+            pp = PeriodicPattern(_CORRIDOR, plus, minus, nonsep=nonsep)
+        except (InvalidPatternError, PreconditionError):
+            continue
+        checked += 1
+        assert _template_disagreements(pp) == [], (plus, minus, nonsep)
+    assert checked >= 100, checked
 
 
 def test_ladder_periodic_window_blocks(ladder_periodic):
