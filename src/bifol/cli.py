@@ -78,9 +78,17 @@ def _read(path) -> str:
                                  offset=e.start) from None
 
 
+def _parse(path, text):
+    """The pattern in a file's text; a parse error names the file."""
+    try:
+        return bio.parse_pattern_text(text)
+    except bio.ParseError as e:
+        raise bio.ParseError(f"{path}: {e}") from None
+
+
 def _load(path):
     text = _read(path)
-    return bio.parse_pattern_text(text), _digest(text)
+    return _parse(path, text), _digest(text)
 
 
 def _element(p, name):
@@ -100,7 +108,7 @@ def _finite(p, args):
 def cmd_validate(args):
     text = _read(args.input)
     try:
-        bio.parse_pattern_text(text)
+        _parse(args.input, text)
     except InvalidPatternError as e:
         _emit(args, _report("validate", _digest(text), {"valid": False,
                                                         "violations": str(e)}))

@@ -7,8 +7,8 @@ import json
 from fractions import Fraction
 
 from .pattern import (
-    FinitePattern, InvalidPatternError, Leaf, Point, PreconditionError,
-    Singularity,
+    MINUS, PLUS, FinitePattern, InvalidPatternError, Leaf, Point,
+    PreconditionError, Singularity,
 )
 from .periodic import (
     Family, NonsepTemplate, PeriodicPattern, ScallopedMarker, Track,
@@ -50,22 +50,24 @@ def finite_to_dict(p: FinitePattern) -> dict:
 
 
 def finite_from_dict(d: dict) -> FinitePattern:
-    try:
-        leaves = [Leaf(x["id"], x["sign"], tuple(x["endpoints"]))
-                  for x in d["leaves"]]
-        sigs = [Singularity(x["plus"], x["minus"])
-                for x in d.get("singularities", [])]
-        pts = []
-        for x in d.get("points", []):
-            if "crossing" in x:
-                pts.append(Point.crossing(x["id"], *x["crossing"]))
-            else:
-                pts.append(Point.region(x["id"], x["region"]["after_label"]))
-        p = FinitePattern(d["boundary"], leaves, sigs,
-                          d.get("nonseparated", []), pts)
-    except (KeyError, TypeError) as e:
-        raise ParseError(f"bad pattern structure: {e}") from e
-    return p
+    leaves = [Leaf(_field(x, "id", str, at), _field(x, "sign", str, at),
+                   _strings(x, "endpoints", at))
+              for at, x in _items(d, "leaves", dict)]
+    sigs = [Singularity(_field(x, "plus", str, at), _field(x, "minus", str, at))
+            for at, x in _items(d, "singularities", dict, default=[])]
+    pts = []
+    for at, x in _items(d, "points", dict, default=[]):
+        pid = _field(x, "id", str, at)
+        if "crossing" in x:
+            pts.append(Point.crossing(
+                pid, *_tuple(x["crossing"], f"{at}.crossing", str, str)))
+        else:
+            region = _field(x, "region", dict, at)
+            pts.append(Point.region(
+                pid, _field(region, "after_label", str, f"{at}.region")))
+    nonsep = [_tuple(x, at, *[str] * len(x))
+              for at, x in _items(d, "nonseparated", list, default=[])]
+    return FinitePattern(_strings(d, "boundary"), leaves, sigs, nonsep, pts)
 
 
 # -- periodic patterns ----------------------------------------------------------
@@ -95,29 +97,116 @@ def periodic_to_dict(pp: PeriodicPattern) -> dict:
 
 
 def periodic_from_dict(d: dict) -> PeriodicPattern:
-    try:
-        def fams(key, sign):
-            return [Family(x["name"], sign,
-                           tuple((t, Fraction(v)) for t, v in x["endpoints"]))
-                    for x in d[key]]
+    tracks = []
+    for at, x in _items(d, "tracks", list):
+        name, direction = _tuple(x, at, str, int)
+        if direction not in (1, -1):
+            raise ParseError(f"{at}[1]: expected 1 or -1, got {direction}")
+        tracks.append(Track(name, direction))
+    track_names = {t.name for t in tracks}
 
-        marker = d.get("scalloped")
-        pp = PeriodicPattern(
-            tracks=[Track(nm, dr) for nm, dr in d["tracks"]],
-            plus_families=fams("plus_families", "plus"),
-            minus_families=fams("minus_families", "minus"),
-            nonsep=[NonsepTemplate(a, b, o) for a, b, o in d.get("nonsep", [])],
-            scalloped=(None if marker is None else
-                       ScallopedMarker(tuple(marker["plus"]),
-                                       tuple(marker["minus"]))),
-            automorphisms={nm: (x["plus"], x["minus"])
-                           for nm, x in d.get("automorphisms", {}).items()},
-            band=d.get("band"),
-            name=d.get("name", ""),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"bad periodic pattern structure: {e}") from e
-    return pp
+    def families(key):
+        out = []
+        for at, x in _items(d, key, dict):
+            name, endpoints = _field(x, "name", str, at), []
+            for where, ep in _items(x, "endpoints", list, at):
+                track, offset = _tuple(ep, where, str, (str, int))
+                if track not in track_names:
+                    raise ParseError(f"{where}[0]: unknown track {track!r}")
+                try:
+                    endpoints.append((track, Fraction(offset)))
+                except (ValueError, ZeroDivisionError):
+                    raise ParseError(
+                        f"{where}[1]: not a fraction: {offset!r}") from None
+            if not endpoints:
+                raise ParseError(f"{at}.endpoints: expected an endpoint")
+            out.append((name, tuple(endpoints)))
+        return out
+
+    plus, minus = families("plus_families"), families("minus_families")
+    if len(plus) != len(minus):
+        raise ParseError(f"minus_families: expected {len(plus)} families, one "
+                         f"per plus family, got {len(minus)}")
+    nonsep = [NonsepTemplate(*_tuple(x, at, str, str, int))
+              for at, x in _items(d, "nonsep", list, default=[])]
+    marker = _field(d, "scalloped", (dict, type(None)), default=None)
+    if marker is not None:
+        marker = ScallopedMarker(*(
+            _strings(marker, key, "scalloped", {name for name, _ in fl})
+            for key, fl in (("plus", plus), ("minus", minus))))
+    automorphisms = {}
+    for name, x in _field(d, "automorphisms", dict, default={}).items():
+        at, maps = f"automorphisms.{name}", []
+        for key in ("plus", "minus"):
+            offsets = [y for _, y in _items(_typed(x, dict, at), key, int, at)]
+            if len(offsets) != len(plus):
+                raise ParseError(f"{at}.{key}: expected {len(plus)} offsets, "
+                                 f"got {len(offsets)}")
+            maps.append(offsets)
+        automorphisms[name] = maps
+    try:
+        return PeriodicPattern(
+            tracks, [Family(name, PLUS, eps) for name, eps in plus],
+            [Family(name, MINUS, eps) for name, eps in minus], nonsep=nonsep,
+            scalloped=marker, automorphisms=automorphisms, band=d.get("band"),
+            name=_field(d, "name", str, default=""))
+    except PreconditionError as e:  # family names, index maps that do not fit
+        raise InvalidPatternError(f"invalid periodic pattern: {e}") from None
+
+
+# -- shape checks: every value of a file is of the expected JSON type, and a
+# -- fault names its JSON path ---------------------------------------------------
+
+_REQUIRED = object()
+_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string",
+               int: "an integer", float: "a number", bool: "a boolean",
+               type(None): "null"}
+
+
+def _typed(x, types, at: str):
+    """``x``, checked to be of one of the JSON types ``types``; exactly, so
+    a boolean is not an integer."""
+    types = types if isinstance(types, tuple) else (types,)
+    if type(x) not in types:
+        want = " or ".join(_TYPE_NAMES[t] for t in types)
+        got = _TYPE_NAMES.get(type(x), type(x).__name__)
+        raise ParseError(f"{at}: expected {want}, got {got}")
+    return x
+
+
+def _field(d: dict, key: str, types, at: str = "", default=_REQUIRED):
+    """``d[key]`` of the given types; a missing key is a fault unless a
+    default is given."""
+    where = f"{at}.{key}" if at else key
+    if key not in d:
+        if default is _REQUIRED:
+            raise ParseError(f"{where}: missing")
+        return default
+    return _typed(d[key], types, where)
+
+
+def _items(d: dict, key: str, types, at: str = "", default=_REQUIRED) -> list:
+    """(JSON path, item) for every item of the list ``d[key]``, each of the
+    given types."""
+    where = f"{at}.{key}" if at else key
+    return [(f"{where}[{i}]", _typed(x, types, f"{where}[{i}]"))
+            for i, x in enumerate(_field(d, key, list, at, default))]
+
+
+def _strings(d: dict, key: str, at: str = "", known=None) -> tuple:
+    """The list of strings ``d[key]``, each one of ``known`` when given."""
+    for where, x in _items(d, key, str, at):
+        if known is not None and x not in known:
+            raise ParseError(f"{where}: unknown family {x!r}")
+    return tuple(d[key])
+
+
+def _tuple(x, at: str, *types) -> tuple:
+    """A list of len(types) values, the i-th of types[i]."""
+    if type(x) is not list or len(x) != len(types):
+        raise ParseError(f"{at}: expected a list of {len(types)} values")
+    return tuple(_typed(y, t, f"{at}[{i}]")
+                 for i, (y, t) in enumerate(zip(x, types)))
 
 
 # -- top level -----------------------------------------------------------------

@@ -7,16 +7,21 @@ does a leaf separate two others, which complementary region holds a marked
 point) reduce to exact cyclic-order arithmetic on boundary labels.
 
 Each pattern derives one relation table from its boundary labels, once, on
-first use: the sorted endpoint positions of every leaf, the face of every
-boundary position per leaf, a crossing bitset per leaf, a side bitset per
-leaf (which nonsingular leaves hold its first endpoint on their face 0), the
-nonsingular leaves ending at each boundary position and masks of the
-nonsingular, plus and minus leaves.  Crossing is then one bit test,
-separation a comparison of two faces, and a common transversal of two leaves
-the AND of their crossing bitsets.  The separators of two same-family
-leaves are the XOR of their side bitsets (singular leaves compared face by
-face), so a separator chain, a broken pseudo-interval and the leaves
-separating two points each cost O(k) integer operations.
+first use: the sorted endpoint positions of every leaf, a crossing bitset per
+leaf, a side bitset per leaf (which nonsingular leaves hold its first
+endpoint on their face 0), the nonsingular leaves ending at each boundary
+position and masks of the nonsingular, plus and minus leaves.  One sweep
+round the circle records which nonsingular leaves hold each position
+strictly on their face 0 and on their face 1; a leaf crosses a nonsingular
+leaf of the other sign iff its endpoints meet both, so the crossings cost
+O(n + k) bitset operations for n positions and k leaves, plus O(n) per
+singular leaf.  The face of every boundary position of a leaf is built only
+when something reads it.  Crossing is then one bit test, separation a
+comparison of two faces, and a common transversal of two leaves the AND of
+their crossing bitsets.  The separators of two same-family leaves are the
+XOR of their side bitsets (singular leaves compared face by face), so a
+separator chain, a broken pseudo-interval and the leaves separating two
+points each cost O(k) integer operations.
 
 Conventions baked into the model:
 
@@ -234,6 +239,23 @@ class _ById(dict):
         raise UnknownIdError(f"unknown leaf {leaf_id!r}")
 
 
+class _Faces(_ById):
+    """Leaf id -> face of every circle position, None on its endpoints.  A
+    row costs O(n), so it is built on the first read of its leaf."""
+
+    def __init__(self, ep: _ById, n: int):
+        super().__init__()
+        self.ep, self.n = ep, n
+
+    def __missing__(self, leaf_id):
+        e = self.ep[leaf_id]
+        row = [len(e) - 1] * e[0]
+        for j, (a, b) in enumerate(zip(e, e[1:] + (self.n,))):
+            row += [None] + [j] * (b - a - 1)
+        self[leaf_id] = row
+        return row
+
+
 class _Relations(NamedTuple):
     """Every leaf relation of a pattern, derived once from its boundary
     labels.  Face i of a leaf is the open boundary arc from its i-th to its
@@ -250,7 +272,7 @@ class _Relations(NamedTuple):
     ids: tuple        # bit position -> leaf id
     index: _ById      # leaf id -> bit position
     ep: _ById         # leaf id -> sorted endpoint positions
-    face: _ById       # leaf id -> face of every circle position, None on its endpoints
+    face: _Faces      # leaf id -> face of every circle position, row built on demand
     cross: _ById      # leaf id -> bitset of the leaves crossing it
     side: _ById       # leaf id -> bitset of the nonsingular leaves with it on face 0
     ends: list        # circle position -> bitset of the nonsingular leaves ending there
@@ -329,11 +351,6 @@ class FinitePattern:
     def endpoint_positions(self, leaf_id: str) -> tuple[int, ...]:
         return self._table.ep[leaf_id]
 
-    def arc_index_of_position(self, leaf_id: str, x: int) -> int | None:
-        """Index of the open arc of ``leaf_id`` containing circle position x,
-        or None when x is an endpoint of the leaf."""
-        return self._table.face[leaf_id][x]
-
     def arc_index_of_gap(self, leaf_id: str, anchor_pos: int) -> int:
         """Arc of ``leaf_id`` containing the gap just ccw of ``anchor_pos``."""
         t = self._table
@@ -354,46 +371,55 @@ class FinitePattern:
         """The relation table, derived from the boundary labels on first use
         (not in ``__init__``, so ``validate`` can report bad labels)."""
         n = self.n
-        index, ep, face, side = _ById(), _ById(), _ById(), _ById()
+        index, ep = _ById(), _ById()
         nonsingular = plus = 0
-        starts = [[] for _ in range(n)]  # leaves by first endpoint
-        ends = [0] * n  # nonsingular leaves by endpoint
+        at = [0] * n  # leaves by endpoint
         for i, lf in enumerate(self.leaves.values()):
             index[lf.id] = i
             plus |= (lf.sign == PLUS) << i
+            nonsingular |= (not lf.is_singular) << i
             e = ep[lf.id] = tuple(sorted(self.pos(x) for x in lf.endpoints))
-            row = [len(e) - 1] * e[0]
-            for j, (a, b) in enumerate(zip(e, e[1:] + (n,))):
-                row += [None] + [j] * (b - a - 1)
-            face[lf.id] = row
-            starts[e[0]].append(lf.id)
-            if not lf.is_singular:
-                nonsingular |= 1 << i
-                for x in e:
-                    ends[x] |= 1 << i
+            for x in e:
+                at[x] |= 1 << i
+        everything = (1 << len(index)) - 1
+        minus = everything & ~plus
+        ends = [b & nonsingular for b in at]
         # one sweep round the circle: ``inside`` holds the nonsingular leaves
-        # whose face 0 contains the current position
-        inside = 0
-        for x in range(n):
-            for lid in starts[x]:
-                side[lid] = inside & ~ends[x]
-            inside ^= ends[x]
-        cross = _ById.fromkeys(index, 0)
-        by_sign = {sign: self.leaf_ids(sign) for sign in SIGNS}
-        for sign, other in ((PLUS, MINUS), (MINUS, PLUS)):
-            for t in by_sign[sign]:
-                ft, bit = face[t], 1 << index[t]
-                for a in by_sign[other]:
-                    hit = {ft[x] for x in ep[a]}
-                    hit.discard(None)
-                    if len(hit) >= 2:
-                        cross[a] |= bit
+        # whose face 0 contains the current position; x lies strictly on face
+        # 0 of the leaves in on0[x] and strictly on face 1 of those in on1[x]
+        on0, on1, inside = [0] * n, [0] * n, 0
+        for x, out in enumerate(ends):
+            on0[x] = inside & ~out
+            on1[x] = nonsingular & ~inside & ~out
+            inside ^= out
+        side = _ById((lid, on0[e[0]]) for lid, e in ep.items())
+        # a leaf crosses a nonsingular leaf of the other sign iff its
+        # endpoints lie on both faces of it
+        cross = _ById()
+        for lid, e in ep.items():
+            f0 = f1 = 0
+            for x in e:
+                f0 |= on0[x]
+                f1 |= on1[x]
+            cross[lid] = f0 & f1 & (minus if plus >> index[lid] & 1 else plus)
+        # and a singular leaf iff its endpoints lie on two of its faces
+        ids = tuple(index)
+        for i in _bits(everything & ~nonsingular):
+            e, bit = ep[ids[i]], 1 << i
+            once = twice = 0
+            for a, b in zip(e, e[1:] + (e[0] + n,)):
+                hit = 0
+                for x in range(a + 1, b):
+                    hit |= at[x % n]
+                twice |= once & hit
+                once |= hit
+            for j in _bits(twice & (minus if plus & bit else plus)):
+                cross[ids[j]] |= bit
         nonsep = tuple(sum(1 << index[l] for l in pair)
                        for pair in self.nonseparated
                        if len(pair) == 2 and all(l in index for l in pair))
-        everything = (1 << len(index)) - 1
-        return _Relations(tuple(index), index, ep, face, cross, side, ends,
-                          nonsingular, plus, everything & ~plus, nonsep)
+        return _Relations(ids, index, ep, _Faces(ep, n), cross, side, ends,
+                          nonsingular, plus, minus, nonsep)
 
     # -- relations --------------------------------------------------------
 

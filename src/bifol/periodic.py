@@ -6,7 +6,9 @@ circle is the concatenation of the tracks, each read in its own direction,
 and an endpoint's position on its track is an affine function (template
 offset + block index) of the leaf's index.  Crossings, windows and
 automorphism checks are all evaluated exactly from this data, so no floating
-point or sampling enters anywhere.
+point or sampling enters anywhere.  Windows place every endpoint on an
+integer: the constructor scales the offsets once by the lcm of their
+denominators, so building a window sorts and hashes ints.
 
 A periodic pattern is certified once, in its constructor, by validating the
 window (0, reach): every violation involves at most three leaves, leaves
@@ -94,12 +96,13 @@ _CORRIDOR = (Track(BOT, 1), Track(TOP, -1))
 
 
 def _chord_pattern(chords, tracks=_CORRIDOR, nonseparated=(), singularities=(),
-                   points=()):
+                   points=(), scale=1):
     """Finite pattern from chords (id, sign, [(track, value), ...]) on the
     given tracks.  Walking the circle (the tracks in order, each in its own
     direction) labels every occupied position c0, c1, ..., so each leaf's
     endpoints come out sorted.  A position holds one leaf, or two leaves of
-    opposite signs (a perfect fit)."""
+    opposite signs (a perfect fit).  Values are in units of 1/scale; only
+    an error message reads the scale."""
     at = {t.name: {} for t in tracks}
     for cid, sign, eps in chords:
         for tr, val in eps:
@@ -110,8 +113,8 @@ def _chord_pattern(chords, tracks=_CORRIDOR, nonseparated=(), singularities=(),
             signs = at[t.name][v]
             if len(signs) > 2 or (len(signs) == 2 and signs[0] == signs[1]):
                 raise PreconditionError(
-                    f"track {t.name}, position {v}: more than two leaves or "
-                    f"two of one sign share the position")
+                    f"track {t.name}, position {Fraction(v, scale)}: more "
+                    f"than two leaves or two of one sign share the position")
             rank[(t.name, v)] = len(rank)
     leaves = [Leaf(cid, sign, tuple(f"c{i}" for i in sorted(rank[e] for e in eps)))
               for cid, sign, eps in chords]
@@ -228,9 +231,16 @@ class PeriodicPattern:
             for tname, _ in f.endpoints:
                 if tname not in track_names:
                     raise PreconditionError(f"unknown track {tname!r}")
-        vals = [off for f in fams for _, off in f.endpoints]
+        vals = [Fraction(off) for f in fams for _, off in f.endpoints]
         self._reach = (math.ceil(max(vals) - min(vals)) + 1
                        + max((abs(t.offset) for t in self.nonsep), default=0))
+        # windows place endpoints on integers: every offset in units of
+        # 1 / scale, the lcm of their denominators
+        self._scale = math.lcm(*(v.denominator for v in vals))
+        self._templates = [
+            (sign, f.name, [(t, int(off * self._scale))
+                            for t, off in f.endpoints])
+            for sign in (PLUS, MINUS) for f in self.families(sign)]
         # positional arguments: the benchmark tracer unpacks (self, lo, hi)
         try:
             self._certificate = self.materialize_window(0, self._reach)
@@ -304,16 +314,19 @@ class PeriodicPattern:
     def materialize_window(self, lo: int, hi: int) -> FinitePattern:
         """Finite pattern holding every family copy with block index in
         [lo, hi] and the declared nonseparated pairs among them; the boundary
-        circle is the track walk over their endpoints.  The constructor has
-        certified the pattern, so the window is valid and is not checked."""
+        circle is the track walk over their endpoints.  Endpoints sit on
+        integer positions, offset * scale + k * scale, which keeps the order
+        of offset + k.  The constructor has certified the pattern, so the
+        window is valid and is not checked."""
         if lo >= hi:
             raise UsageError(f"window ({lo}, {hi}) needs lo < hi")
-        chords = [(leaf_name(f.name, k), sign,
-                   [(tname, off + k) for tname, off in f.endpoints])
-                  for sign in (PLUS, MINUS) for f in self.families(sign)
+        s = self._scale
+        chords = [(leaf_name(name, k), sign, [(t, v + k * s) for t, v in eps])
+                  for sign, name, eps in self._templates
                   for k in range(lo, hi + 1)]
         return _chord_pattern(chords, self.tracks,
-                              nonseparated=self.nonsep_pairs_in(lo, hi))
+                              nonseparated=self.nonsep_pairs_in(lo, hi),
+                              scale=s)
 
 
 class PatternAutomorphism:

@@ -1,9 +1,10 @@
 """Independent brute-force oracles the tests compare the library against.
 
 Each oracle deliberately avoids the code path it checks: geometry uses
-floating-point chords on an honest circle, periodic template crossings
-exact endpoint angles without any window, pseudo-intervals come from
-exhaustive path enumeration, wall distances from full subset enumeration,
+floating-point chords on an honest circle, the relation table a face row per
+leaf and a face test per pair of opposite-sign leaves, periodic template
+crossings exact endpoint angles without any window, pseudo-intervals come
+from exhaustive path enumeration, wall distances from full subset enumeration,
 wall witnesses from face-by-face depths and per-pair predicates, graph
 distances from a second BFS, and census balls from a separate normal-form
 implementation with its own matrix arithmetic.
@@ -105,6 +106,48 @@ def oracle_template_cross(pp, sign_a: str, ia: int, sign_b: str, ib: int) -> boo
     return sum(lo < x < hi for x in bb) == 1
 
 
+# -- relation-table oracle ----------------------------------------------------------
+
+def oracle_relations(p) -> dict:
+    """The relation table built the slow way: a face row for every leaf,
+    every crossing by a face test per pair of opposite-sign leaves, the
+    side bitsets from a sweep round the circle.  Returns the columns
+    ``ep``, ``face``, ``cross`` and ``side`` keyed by leaf id, and ``ends``
+    keyed by circle position."""
+    n = p.n
+    ids = list(p.leaves)
+    index = {lid: i for i, lid in enumerate(ids)}
+    ep, face, side = {}, {}, {}
+    starts = [[] for _ in range(n)]  # leaves by first endpoint
+    ends = [0] * n  # nonsingular leaves by endpoint
+    for i, lf in enumerate(p.leaves.values()):
+        e = ep[lf.id] = tuple(sorted(p.pos(x) for x in lf.endpoints))
+        row = [len(e) - 1] * e[0]
+        for j, (a, b) in enumerate(zip(e, e[1:] + (n,))):
+            row += [None] + [j] * (b - a - 1)
+        face[lf.id] = row
+        starts[e[0]].append(lf.id)
+        if not lf.is_singular:
+            for x in e:
+                ends[x] |= 1 << i
+    inside = 0
+    for x in range(n):
+        for lid in starts[x]:
+            side[lid] = inside & ~ends[x]
+        inside ^= ends[x]
+    cross = dict.fromkeys(ids, 0)
+    for t in ids:
+        for a in ids:
+            if p.leaves[a].sign == p.leaves[t].sign:
+                continue
+            hit = {face[t][x] for x in ep[a]}
+            hit.discard(None)
+            if len(hit) >= 2:
+                cross[a] |= 1 << index[t]
+    return {"ep": ep, "face": face, "cross": cross, "side": side,
+            "ends": ends}
+
+
 # -- pseudo-interval oracle --------------------------------------------------------
 
 def _step_ok(p, a: str, b: str) -> bool:
@@ -182,13 +225,19 @@ def oracle_wall_sup(p, x, y, kind: str) -> int:
     return best
 
 
+def arc_index_of_position(p, leaf_id: str, x: int):
+    """Index of the open arc of ``leaf_id`` containing circle position x,
+    or None when x is an endpoint of the leaf, read from its face row."""
+    return p._table.face[leaf_id][x]
+
+
 def oracle_separation_depth(p, x, leaves) -> dict:
     """Depth of each separator by a face-by-face loop: how many other
     separators, disjoint from it, have it off the face that holds x."""
     px = p.point(x)
     face_x = {m: p._face_of_point(px, m) for m in leaves}
     return {l: sum(1 for m in leaves if m != l and not p.intersects(m, l)
-                   and p.arc_index_of_position(m, p.endpoint_positions(l)[0])
+                   and arc_index_of_position(p, m, p.endpoint_positions(l)[0])
                    != face_x[m])
             for l in leaves}
 

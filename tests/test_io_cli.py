@@ -1,6 +1,8 @@
 import contextlib
+import functools
 import io
 import json
+import operator
 import subprocess
 import sys
 from pathlib import Path
@@ -93,6 +95,85 @@ def test_periodic_shared_position_is_invalid_data(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["results"]["valid"] is False
     assert "track bot, position 1" in rep["results"]["violations"]
+
+
+def _validate_file(path):
+    """(exit code, stdout, stderr) of ``validate --in path``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["validate", "--in", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _set(value):
+    return lambda parent, key: parent.__setitem__(key, value)
+
+
+def _delete(parent, key):
+    del parent[key]
+
+
+@pytest.mark.parametrize("name, at, edit, message", [
+    ("prong3", ("leaves", 0, "endpoints", 0), _set({"a": 1}),
+     "leaves[0].endpoints[0]: expected a string, got an object"),
+    ("skew2", ("plus_families", 0, "name"), _set(["p"]),
+     "plus_families[0].name: expected a string, got a list"),
+    ("skew2", ("plus_families", 0, "endpoints", 0, 1), _set("1/0"),
+     "plus_families[0].endpoints[0][1]: not a fraction: '1/0'"),
+    ("skew2", ("minus_families", 0, "endpoints", 1, 0), _set("nope"),
+     "minus_families[0].endpoints[1][0]: unknown track 'nope'"),
+    ("scalloped", ("automorphisms", "swap", "minus", 3), _delete,
+     "automorphisms.swap.minus: expected 4 offsets, got 3"),
+    ("ladder_periodic", ("tracks", 1, 1), _set(True),
+     "tracks[1][1]: expected an integer, got a boolean"),
+], ids=["endpoint-object", "name-list", "offset-1/0", "unknown-track",
+        "short-map", "direction-bool"])
+def test_cli_malformed_file_is_a_parse_error(name, at, edit, message, tmp_path):
+    d = json.loads(fixture_text(name))
+    edit(functools.reduce(operator.getitem, at[:-1], d), at[-1])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d), encoding="utf-8")
+    assert _validate_file(path) == (2, "", f"parse error: {path}: {message}\n")
+
+
+def _json_paths(x, at=()):
+    """The path of every value inside a JSON document."""
+    items = (x.items() if isinstance(x, dict) else
+             enumerate(x) if isinstance(x, list) else ())
+    for key, value in items:
+        yield at + (key,)
+        yield from _json_paths(value, at + (key,))
+
+
+_WRONG_TYPED = (None, True, 7, 0.5, "x", ["x"], {"a": 1})
+
+
+def test_cli_mutated_fixtures_exit_cleanly(tmp_path):
+    """One edit to a shipped fixture (a key or list entry deleted, or a value
+    swapped for one of another JSON type): validate exits 0, 1 or 2, with
+    one line on stderr or an invalid report, and nothing escapes main."""
+    path = tmp_path / "mutated.json"
+    texts = {name: fixture_text(name) for name in MANIFEST}
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.data())
+    def run(data):
+        d = json.loads(texts[data.draw(st.sampled_from(sorted(texts)))])
+        at = data.draw(st.sampled_from(list(_json_paths(d))))
+        parent = functools.reduce(operator.getitem, at[:-1], d)
+        old = parent[at[-1]]
+        edit = data.draw(st.sampled_from(
+            [_delete] + [_set(v) for v in _WRONG_TYPED if type(v) is not type(old)]))
+        edit(parent, at[-1])
+        path.write_text(json.dumps(d), encoding="utf-8")
+        code, out, err = _validate_file(path)
+        assert code in (0, 1, 2), (at, code, err)
+        if code == 0 or err:
+            assert err.count("\n") == (code != 0), (at, err)
+        else:
+            assert code == 2 and json.loads(out)["results"]["valid"] is False
+
+    run()
 
 
 @pytest.mark.parametrize("fam_a, fam_b", [("zz", "w"), ("u", "zz")])

@@ -8,13 +8,61 @@ from bifol.pattern import (
     PLUS, MINUS, FinitePattern, InvalidPatternError, Leaf, Mode, Point,
     PreconditionError, Singularity, UnknownIdError,
 )
+from bifol.fixtures import MANIFEST, load_fixture
 from bifol.periodic import generate, ladder_chords, _chord_pattern
 from bifol.randgen import random_pattern
 
 from oracles import (
     geometric_intersects, geometric_separates_leaves, geometric_separates_point,
-    oracle_pseudo_interval_set, all_monotone_paths,
+    oracle_pseudo_interval_set, oracle_relations, all_monotone_paths,
 )
+
+
+# -- the relation table -----------------------------------------------------------
+
+def _table_patterns():
+    """Every finite fixture, windows (-3, 3), (-6, 6) and (-12, 12) of every
+    periodic one, a three-prong with perfect fits at two prong endpoints,
+    and 300 random patterns.  The fixtures hold the perfect fits (shared
+    endpoints) that random draws almost never make."""
+    prong = generate("prong", 3)
+    yield "prong3 with fits", FinitePattern(
+        prong.boundary, [*prong.leaves.values(), Leaf("f", MINUS, ("c0", "c46")),
+                         Leaf("g", PLUS, ("c5", "c8"))],
+        prong.singularities).require_valid()
+    for name in sorted(MANIFEST):
+        p = load_fixture(name)
+        if isinstance(p, FinitePattern):
+            yield name, p
+        else:
+            for w in (3, 6, 12):
+                yield f"{name}[-{w},{w}]", p.materialize_window(-w, w)
+    for seed in range(300):
+        yield f"random {seed}", random_pattern(seed, max_leaves=24)
+
+
+def test_relation_table_matches_the_oracle():
+    for name, p in _table_patterns():
+        want, t = oracle_relations(p), p._table
+        assert dict(t.ep) == want["ep"], name
+        assert dict(t.cross) == want["cross"], name
+        assert dict(t.side) == want["side"], name
+        assert t.ends == want["ends"], name
+        for lid in p.leaves:
+            assert t.face[lid] == want["face"][lid], (name, lid)
+
+
+def test_face_rows_are_built_on_read_only():
+    # a window is not validated, so nothing has read a face yet
+    w = load_fixture("ladder_periodic").materialize_window(-3, 3)
+    t = w._table
+    assert w.intersects("u0", "ga-1") and not w.intersects("u0", "ga0")
+    assert w.separator_chain("u-3", "w3")
+    assert len(t.face) == 0
+    assert t.face["u0"][t.ep["u0"][0]] is None
+    assert list(t.face) == ["u0"]
+    with pytest.raises(UnknownIdError):
+        t.face["nope"]
 
 
 # -- validation ------------------------------------------------------------------

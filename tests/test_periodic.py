@@ -75,6 +75,23 @@ def test_every_window_validates():
             assert pp.materialize_window(lo, hi).validate().ok, (name, lo, hi)
 
 
+def test_integer_windows_match_the_fraction_walk():
+    # windows place endpoints at offset * scale + k * scale; the walk over
+    # offset + k as fractions must give the same circle, leaves and order
+    for name in PERIODIC_FIXTURES:
+        pp = load_fixture(name)
+        for lo, hi in ((0, 2), (-3, 3), (-8, 8)):
+            chords = [(f"{f.name}{k}", sign, [(t, off + k) for t, off in f.endpoints])
+                      for sign in (PLUS, MINUS) for f in pp.families(sign)
+                      for k in range(lo, hi + 1)]
+            want = _chord_pattern(chords, pp.tracks,
+                                  nonseparated=pp.nonsep_pairs_in(lo, hi))
+            got = pp.materialize_window(lo, hi)
+            assert list(got.leaves.items()) == list(want.leaves.items())
+            assert (got.boundary, got.nonseparated) == \
+                (want.boundary, want.nonseparated), (name, lo, hi)
+
+
 def _corridor_template(rng):
     """1-2 families per sign on the corridor, offsets in quarters, and an
     optional nonseparation template.  A second family of a sign is the first
