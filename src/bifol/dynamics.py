@@ -223,6 +223,13 @@ def classify_isometry(pp: PeriodicPattern, g: PatternAutomorphism,
     residue permutation, an intersection graph of diameter one stable under
     doubling, then a loxodromic translation-length bracket.  A degenerate
     bracket yields Inconclusive, never a parabolic verdict."""
+    return _algebraic_verdict(pp, g) or _window_verdict(
+        pp, g, pp.materialize_window(-window, window), window, nmax)
+
+
+def _algebraic_verdict(pp: PeriodicPattern, g: PatternAutomorphism):
+    """The certificates of ``classify_isometry`` that need no window: an
+    Elliptic verdict, or None."""
     fp = _fixed_residues(g.plus)
     fm = _fixed_residues(g.minus)
     if fp and fm:
@@ -245,7 +252,13 @@ def classify_isometry(pp: PeriodicPattern, g: PatternAutomorphism,
     if pp.scalloped is not None and k > 1 and \
             scalloped_invariant(pp, g.power(k)):
         return Elliptic("scalloped", f"marked chain preserved by power {k}")
-    p = pp.materialize_window(-window, window)
+    return None
+
+
+def _window_verdict(pp: PeriodicPattern, g: PatternAutomorphism,
+                    p: FinitePattern, window: int, nmax: int):
+    """The stages of ``classify_isometry`` read off its window p =
+    (-window, window): diameter one, then the translation-length bracket."""
     G = gr.build_graph(p, gr.XPLUS)
     if gr.diameter(G) <= 1:
         p2 = pp.materialize_window(-2 * window, 2 * window)
@@ -322,8 +335,9 @@ class WpdScan:
     block_constraint_ok: bool
 
 
-def _wpd_witnesses(pp, g, base, eps, n, candidates, window):
-    p = pp.materialize_window(-window, window)
+def _wpd_witnesses(p, g, base, eps, n, candidates):
+    """The candidates moving both ends of the axis segment from ``base`` by
+    less than eps in the xplus graph of the window p."""
     G = gr.build_graph(p, gr.XPLUS)
     if base not in p.leaves:
         raise PreconditionError("base vertex outside window")
@@ -350,7 +364,12 @@ def wpd_scan(pp: PeriodicPattern, g: PatternAutomorphism, base: str,
     segment by less than eps; the stability flag reports invariance of the
     witness set under growing the candidate ball by two and doubling the
     window."""
-    verdict = classify_isometry(pp, g, window=window)
+    # classify_isometry, with its window kept for the witness scan, so the
+    # window and its xplus graph are built once
+    verdict = _algebraic_verdict(pp, g)
+    if verdict is None:
+        p = pp.materialize_window(-window, window)
+        verdict = _window_verdict(pp, g, p, window, nmax=8)
     if not isinstance(verdict, Loxodromic):
         raise PreconditionError("scanned element must be loxodromic")
     # one ball at radius + 2; its words of length <= radius are the ball
@@ -359,8 +378,10 @@ def wpd_scan(pp: PeriodicPattern, g: PatternAutomorphism, base: str,
                    _word_ball(pp, gens, radius + 2).values())
     cands = [(nm, h) for nm, r, h in words if r <= radius]
     cands2 = [(nm, h) for nm, _, h in words]
-    wit = _wpd_witnesses(pp, g, base, eps, n, cands, window)
-    wit2 = _wpd_witnesses(pp, g, base, eps, n, cands2, 2 * window)
+    wit = _wpd_witnesses(p, g, base, eps, n, cands)
+    del p  # drop the window before its double is built
+    wit2 = _wpd_witnesses(pp.materialize_window(-2 * window, 2 * window), g,
+                          base, eps, n, cands2)
     ok = True
     if axis_data is not None and axis_data.period_blocks > 0:
         blocks = axis_data.blocks

@@ -150,10 +150,13 @@ def bottleneck_certify(G: LeafGraph, K: int) -> BottleneckResult:
     """Quasi-tree certificate: for every even geodesic pair and every geodesic
     midpoint v, removing the closed K-ball around v must disconnect the
     endpoints.  Exact equivalence with "every path meets the ball" holds on
-    finite graphs."""
+    finite graphs.  The components of G minus the ball of a midpoint are
+    labelled once, when a pair first asks about it, so each (pair, midpoint)
+    check compares two labels."""
     if len(connected_components(G)) > 1:
         raise PreconditionError("bottleneck certification requires a connected graph")
     dist = {v: distances_from(G, v) for v in G.vertices}
+    labels = {}  # midpoint -> component label of each vertex, None in its ball
     checked = 0
     for x, y in itertools.combinations(G.vertices, 2):
         dxy = dist[x][y]
@@ -164,14 +167,31 @@ def bottleneck_certify(G: LeafGraph, K: int) -> BottleneckResult:
                 if dist[x].get(v) == r and dist[y].get(v) == r]
         for v in mids:
             checked += 1
-            ball = {w for w in G.vertices if dist[v][w] <= K}
-            if x in ball or y in ball:
-                continue
-            H = G.subgraph(set(G.vertices) - ball)
-            if y in distances_from(H, x):
+            lab = labels.get(v)
+            if lab is None:
+                lab = labels[v] = _components_off(
+                    G, [w for w, d in dist[v].items() if d <= K])
+            if lab[x] is not None and lab[x] == lab[y]:
                 return BottleneckResult(False, K, checked,
                                         BottleneckWitness(x, y, v))
     return BottleneckResult(True, K, checked, None)
+
+
+def _components_off(G: LeafGraph, removed) -> dict:
+    """Vertex -> a vertex naming its component of G minus ``removed``, and
+    None for the removed vertices."""
+    lab = dict.fromkeys(removed)
+    for s in G.vertices:
+        if s in lab:
+            continue
+        lab[s] = s
+        stack = [s]
+        while stack:
+            for w in G.adj[stack.pop()]:
+                if w not in lab:
+                    lab[w] = s
+                    stack.append(w)
+    return lab
 
 
 def bottleneck_certify_components(G: LeafGraph, K: int) -> BottleneckResult:

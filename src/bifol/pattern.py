@@ -15,13 +15,17 @@ round the circle records which nonsingular leaves hold each position
 strictly on their face 0 and on their face 1; a leaf crosses a nonsingular
 leaf of the other sign iff its endpoints meet both, so the crossings cost
 O(n + k) bitset operations for n positions and k leaves, plus O(n) per
-singular leaf.  The face of every boundary position of a leaf is built only
-when something reads it.  Crossing is then one bit test, separation a
-comparison of two faces, and a common transversal of two leaves the AND of
-their crossing bitsets.  The separators of two same-family leaves are the
-XOR of their side bitsets (singular leaves compared face by face), so a
-separator chain, a broken pseudo-interval and the leaves separating two
-points each cost O(k) integer operations.
+singular leaf.  Meeting both faces of a leaf of the same sign is a
+same-sign crossing; the table keeps those few, so validation examines only
+the pairs of leaves that can break a rule.  The face of every boundary
+position of a leaf is built only when something reads it.  Crossing is then
+one bit test, separation by a nonsingular leaf one bit of an XOR of side
+bitsets (by a singular one a comparison of two faces), and a common
+transversal of two leaves the AND of their crossing bitsets.  The
+separators of two same-family leaves are the XOR of their side bitsets
+(singular leaves compared face by face), so a separator chain, a broken
+pseudo-interval and the leaves separating two points each cost O(k) integer
+operations.
 
 Conventions baked into the model:
 
@@ -280,6 +284,9 @@ class _Relations(NamedTuple):
     plus: int         # bitset of the plus leaves
     minus: int        # bitset of the minus leaves
     nonsep: tuple     # two-bit mask of every declared nonseparated pair
+    tangled: tuple    # (leaf id, bitset of the nonsingular leaves of its own
+                      # family holding its endpoints on both faces), only the
+                      # nonzero ones: empty on a valid pattern
 
 
 def _bits(mask: int):
@@ -394,14 +401,18 @@ class FinitePattern:
             inside ^= out
         side = _ById((lid, on0[e[0]]) for lid, e in ep.items())
         # a leaf crosses a nonsingular leaf of the other sign iff its
-        # endpoints lie on both faces of it
-        cross = _ById()
+        # endpoints lie on both faces of it; of its own sign, that is a
+        # same-sign crossing for validate to report
+        cross, tangled = _ById(), []
         for lid, e in ep.items():
             f0 = f1 = 0
             for x in e:
                 f0 |= on0[x]
                 f1 |= on1[x]
-            cross[lid] = f0 & f1 & (minus if plus >> index[lid] & 1 else plus)
+            both, own = f0 & f1, plus if plus >> index[lid] & 1 else minus
+            cross[lid] = both & ~own
+            if both & own:
+                tangled.append((lid, both & own))
         # and a singular leaf iff its endpoints lie on two of its faces
         ids = tuple(index)
         for i in _bits(everything & ~nonsingular):
@@ -419,7 +430,7 @@ class FinitePattern:
                        for pair in self.nonseparated
                        if len(pair) == 2 and all(l in index for l in pair))
         return _Relations(ids, index, ep, _Faces(ep, n), cross, side, ends,
-                          nonsingular, plus, minus, nonsep)
+                          nonsingular, plus, minus, nonsep, tuple(tangled))
 
     # -- relations --------------------------------------------------------
 
@@ -437,14 +448,18 @@ class FinitePattern:
         both = t.cross[a] & t.cross[b]
         return both & t.nonsingular if nonsingular else both
 
-    def perfect_fits(self) -> list[tuple[tuple[str, str], tuple[str, str]]]:
-        """Shared-endpoint ray pairs, as ((plus_id,label),(minus_id,label))."""
+    def _leaves_by_label(self) -> dict[str, list[str]]:
+        """Boundary label -> the leaves ending there."""
         by_label: dict[str, list[str]] = {}
         for lf in self.leaves.values():
             for e in lf.endpoints:
                 by_label.setdefault(e, []).append(lf.id)
+        return by_label
+
+    def perfect_fits(self) -> list[tuple[tuple[str, str], tuple[str, str]]]:
+        """Shared-endpoint ray pairs, as ((plus_id,label),(minus_id,label))."""
         fits = []
-        for label, ids in sorted(by_label.items()):
+        for label, ids in sorted(self._leaves_by_label().items()):
             if len(ids) < 2:
                 continue
             plus = sorted(i for i in ids if self.leaves[i].sign == PLUS)
@@ -509,36 +524,9 @@ class FinitePattern:
             if c > 1:
                 v.append(Violation("leaf in several singularity records", (lid,)))
 
-        # pairwise endpoint / crossing structure
-        ids = sorted(self.leaves)
-        for l1, l2 in itertools.combinations(ids, 2):
-            a, b = self.leaves[l1], self.leaves[l2]
-            shared = set(a.endpoints) & set(b.endpoints)
-            s12, s21 = self._spread(l2, l1), self._spread(l1, l2)
-            if a.sign == b.sign:
-                if shared:
-                    v.append(Violation("same-sign leaves share an endpoint", (l1, l2)))
-                elif len(s12) >= 2 or len(s21) >= 2:
-                    v.append(Violation("same-sign crossing", (l1, l2)))
-                continue
-            if len(shared) > 1:
-                v.append(Violation("leaves share several endpoints", (l1, l2)))
-                continue
-            if shared and (len(s12) >= 2 or len(s21) >= 2):
-                v.append(Violation("perfect-fit pair also crosses", (l1, l2)))
-                continue
-            if frozenset((l1, l2)) in self._singular_pairs:
-                continue  # alternation already checked above
-            for spread, host in ((s12, l1), (s21, l2)):
-                if len(spread) >= 3:
-                    v.append(Violation("forced multiple crossing", (l1, l2)))
-                    break
-                if len(spread) == 2:
-                    k = self.leaves[host].k
-                    i, j = sorted(spread)
-                    if k > 2 and not (j - i == 1 or (i == 0 and j == k - 1)):
-                        v.append(Violation("forced double crossing", (l1, l2)))
-                        break
+        # pairwise endpoint / crossing structure, on the pairs that can break
+        # a rule: the relation table names the same-sign crossings
+        v += self._pair_violations()
 
         # declared nonseparated pairs
         for pair in sorted(self.nonseparated, key=sorted):
@@ -586,6 +574,55 @@ class FinitePattern:
         # raises on non-planar data it is handed unchecked.
         return ValidationReport(tuple(v))
 
+    def _pair_violations(self) -> list[Violation]:
+        """The pairwise endpoint and crossing rules, at most one violation per
+        pair, in sorted pair order.  Only three kinds of pair can break a
+        rule, so only those are examined: pairs sharing an endpoint, pairs
+        with a singular leaf, and same-sign pairs where one leaf has
+        endpoints on both faces of the other (``_Relations.tangled``).  Two
+        nonsingular leaves of opposite signs with no shared endpoint have
+        endpoints on at most the two faces of each other, which no rule
+        forbids."""
+        pairs = set()
+        for ids in self._leaves_by_label().values():
+            pairs.update(itertools.combinations(sorted(ids), 2))
+        for lid, bits in self._table.tangled:
+            pairs.update(tuple(sorted((lid, m))) for m in self._ids_of(bits))
+        for lf in self.leaves.values():
+            if lf.is_singular:
+                pairs.update(tuple(sorted((lf.id, other)))
+                             for other in self.leaves if other != lf.id)
+        v: list[Violation] = []
+        for l1, l2 in sorted(pairs):
+            a, b = self.leaves[l1], self.leaves[l2]
+            shared = set(a.endpoints) & set(b.endpoints)
+            s12, s21 = self._spread(l2, l1), self._spread(l1, l2)
+            if a.sign == b.sign:
+                if shared:
+                    v.append(Violation("same-sign leaves share an endpoint", (l1, l2)))
+                elif len(s12) >= 2 or len(s21) >= 2:
+                    v.append(Violation("same-sign crossing", (l1, l2)))
+                continue
+            if len(shared) > 1:
+                v.append(Violation("leaves share several endpoints", (l1, l2)))
+                continue
+            if shared and (len(s12) >= 2 or len(s21) >= 2):
+                v.append(Violation("perfect-fit pair also crosses", (l1, l2)))
+                continue
+            if frozenset((l1, l2)) in self._singular_pairs:
+                continue  # alternation is checked with the singularity records
+            for spread, host in ((s12, l1), (s21, l2)):
+                if len(spread) >= 3:
+                    v.append(Violation("forced multiple crossing", (l1, l2)))
+                    break
+                if len(spread) == 2:
+                    k = self.leaves[host].k
+                    i, j = sorted(spread)
+                    if k > 2 and not (j - i == 1 or (i == 0 and j == k - 1)):
+                        v.append(Violation("forced double crossing", (l1, l2)))
+                        break
+        return v
+
     def require_valid(self):
         rep = self.validate()
         if not rep.ok:
@@ -595,8 +632,13 @@ class FinitePattern:
     # -- separation -------------------------------------------------------
 
     def _separates(self, m: str, l1: str, l2: str) -> bool:
-        # unchecked core: all same sign, pairwise distinct and disjoint
+        # unchecked core: all same sign, pairwise distinct and disjoint; a
+        # nonsingular m is read off the side bitsets, a singular one face by
+        # face
         t = self._table
+        i = t.index[m]
+        if t.nonsingular >> i & 1:
+            return bool((t.side[l1] ^ t.side[l2]) >> i & 1)
         face = t.face[m]
         return face[t.ep[l1][0]] != face[t.ep[l2][0]]
 

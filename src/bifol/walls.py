@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from . import graphs as gr
 from .pattern import (
     PLUS, MINUS, DegenerateInputError, FinitePattern, Point, PreconditionError,
     UnknownIdError, _bits,
@@ -24,7 +25,7 @@ KINDS = (D_H, D_PLUS, D_MINUS, D_RPLUS, D_RMINUS)
 
 _SIGN_OF = {D_PLUS: PLUS, D_MINUS: MINUS, D_RPLUS: PLUS, D_RMINUS: MINUS,
             D_H: None}
-_REEB = {D_RPLUS, D_RMINUS}
+_GAMMA = {D_RPLUS: gr.GAMMAPLUS, D_RMINUS: gr.GAMMAMINUS}
 _PLUS_ONE = {D_PLUS, D_MINUS, D_RPLUS, D_RMINUS}
 
 
@@ -103,7 +104,9 @@ def _longest_chain(p: FinitePattern, kind: str, seps: list[str], x) -> tuple[str
     if not seps:
         return ()
     t = p._table
-    reeb = kind in _REEB
+    # Reeb walls need a broken pseudo-interval, that is no edge of the gamma
+    # graph (built once per pattern); aligned walls no common transversal
+    gamma = gr.build_graph(p, _GAMMA[kind]).adj if kind in _GAMMA else None
     depth = _separation_depth(p, x, seps)
     order = sorted(seps, key=lambda l: (depth[l], l))
     best: dict[str, tuple[str, ...]] = {}  # least longest chain ending at l
@@ -114,9 +117,8 @@ def _longest_chain(p: FinitePattern, kind: str, seps: list[str], x) -> tuple[str
                 break
             if cross_l >> t.index[m] & 1:
                 continue
-            # Reeb walls need a broken pseudo-interval, aligned walls no
-            # common transversal
-            if p._breaks(m, l) if reeb else not t.cross[m] & cross_l:
+            if (m not in gamma[l]) if gamma is not None else \
+                    not t.cross[m] & cross_l:
                 c = best[m]
                 if len(c) > len(top) or len(c) == len(top) and c < top:
                     top = c
@@ -206,8 +208,6 @@ def qi_metric_report(p: FinitePattern, points=None) -> MetricQiReport:
     """For every pair of marked crossing points verify
     d_wall - 2 <= d_graph(leaf images) <= 5 d_wall for the four one-family
     metrics against their graphs."""
-    from . import graphs as gr
-
     pts = _point_list(p, points)
     crossings = [q for q in pts if q.kind == "crossing"]
     skipped = tuple(q.id for q in pts if q.kind != "crossing")

@@ -2,11 +2,13 @@
 
 Each oracle deliberately avoids the code path it checks: geometry uses
 floating-point chords on an honest circle, the relation table a face row per
-leaf and a face test per pair of opposite-sign leaves, periodic template
-crossings exact endpoint angles without any window, pseudo-intervals come
-from exhaustive path enumeration, wall distances from full subset enumeration,
-wall witnesses from face-by-face depths and per-pair predicates, graph
-distances from a second BFS, and census balls from a separate normal-form
+leaf and a face test per pair of opposite-sign leaves, validation's pairwise
+rules a scan of every pair of leaves, periodic template crossings exact
+endpoint angles without any window, pseudo-intervals come from exhaustive
+path enumeration, wall distances from full subset enumeration, wall
+witnesses from face-by-face depths and per-pair predicates, graph distances
+from a second BFS, the bottleneck certificate a subgraph and a BFS per
+(pair, midpoint), and census balls from a separate normal-form
 implementation with its own matrix arithmetic.
 """
 
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from unittest import mock
 
 
 # -- geometric chord oracle (regular leaves only) --------------------------------
@@ -146,6 +149,52 @@ def oracle_relations(p) -> dict:
                 cross[a] |= 1 << index[t]
     return {"ep": ep, "face": face, "cross": cross, "side": side,
             "ends": ends}
+
+
+# -- validation oracle --------------------------------------------------------------
+
+def oracle_pair_violations(p) -> list:
+    """Validation's pairwise endpoint and crossing rules, run on every pair
+    of leaves in sorted order."""
+    from bifol.pattern import Violation
+
+    v = []
+    for l1, l2 in itertools.combinations(sorted(p.leaves), 2):
+        a, b = p.leaves[l1], p.leaves[l2]
+        shared = set(a.endpoints) & set(b.endpoints)
+        s12, s21 = p._spread(l2, l1), p._spread(l1, l2)
+        if a.sign == b.sign:
+            if shared:
+                v.append(Violation("same-sign leaves share an endpoint", (l1, l2)))
+            elif len(s12) >= 2 or len(s21) >= 2:
+                v.append(Violation("same-sign crossing", (l1, l2)))
+            continue
+        if len(shared) > 1:
+            v.append(Violation("leaves share several endpoints", (l1, l2)))
+            continue
+        if shared and (len(s12) >= 2 or len(s21) >= 2):
+            v.append(Violation("perfect-fit pair also crosses", (l1, l2)))
+            continue
+        if frozenset((l1, l2)) in p._singular_pairs:
+            continue  # alternation is checked with the singularity records
+        for spread, host in ((s12, l1), (s21, l2)):
+            if len(spread) >= 3:
+                v.append(Violation("forced multiple crossing", (l1, l2)))
+                break
+            if len(spread) == 2:
+                k = p.leaves[host].k
+                i, j = sorted(spread)
+                if k > 2 and not (j - i == 1 or (i == 0 and j == k - 1)):
+                    v.append(Violation("forced double crossing", (l1, l2)))
+                    break
+    return v
+
+
+def oracle_validate(p):
+    """``p.validate()`` with its pairwise section replaced by the scan of
+    every pair."""
+    with mock.patch.object(type(p), "_pair_violations", oracle_pair_violations):
+        return p.validate()
 
 
 # -- pseudo-interval oracle --------------------------------------------------------
@@ -284,6 +333,31 @@ def oracle_bfs_distance(adj: dict, src: str, dst: str):
         frontier = nxt
         dist += 1
     return None
+
+
+def oracle_bottleneck_certify(G, K: int):
+    """The bottleneck certificate with a fresh subgraph and BFS for every
+    (pair, midpoint): (passed, pairs checked, witness or None)."""
+    from bifol import graphs as gr
+
+    dist = {v: gr.distances_from(G, v) for v in G.vertices}
+    checked = 0
+    for x, y in itertools.combinations(G.vertices, 2):
+        dxy = dist[x][y]
+        if dxy % 2 or dxy == 0:
+            continue
+        r = dxy // 2
+        mids = [v for v in G.vertices
+                if dist[x].get(v) == r and dist[y].get(v) == r]
+        for v in mids:
+            checked += 1
+            ball = {w for w in G.vertices if dist[v][w] <= K}
+            if x in ball or y in ball:
+                continue
+            H = G.subgraph(set(G.vertices) - ball)
+            if oracle_bfs_distance(H.adj, x, y) is not None:
+                return False, checked, gr.BottleneckWitness(x, y, v)
+    return True, checked, None
 
 
 # -- census oracle --------------------------------------------------------------------

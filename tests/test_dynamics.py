@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from bifol.pattern import Mode, PreconditionError
-from bifol.periodic import IndexMap, PatternAutomorphism
+from bifol.periodic import IndexMap, PatternAutomorphism, PeriodicPattern
 from bifol import dynamics as dy
 from bifol import graphs as gr
 from bifol.census import BudgetExceededError, word_ball
@@ -246,11 +246,30 @@ def test_wpd_scan_enumerates_one_ball(name, monkeypatch):
     scan = dy.wpd_scan(pp, s, base, 1.0, 4, gens, radius=2, window=8)
     assert radii == [4]
     # the witnesses of the two balls enumerated apart
-    wit = [dy._wpd_witnesses(pp, s, base, 1.0, 4,
-                             sorted(dy.automorphism_ball(pp, gens, r).values()), w)
+    wit = [dy._wpd_witnesses(pp.materialize_window(-w, w), s, base, 1.0, 4,
+                             sorted(dy.automorphism_ball(pp, gens, r).values()))
            for r, w in ((2, 8), (4, 16))]
     assert scan.witnesses == wit[0]
     assert scan.stable == (wit[0] == wit[1])
+
+
+@pytest.mark.parametrize("name", ["ladder_periodic", "skew2"])
+def test_wpd_scan_builds_each_window_once(name, monkeypatch):
+    # classification and the witness scan share the window (-8, 8), and so
+    # its memoized xplus graph
+    pp = load_fixture(name)
+    s = pp.automorphisms["s"]
+    windows = []
+    materialize = PeriodicPattern.materialize_window
+
+    def spy(self, lo, hi):
+        windows.append((lo, hi))
+        return materialize(self, lo, hi)
+
+    monkeypatch.setattr(PeriodicPattern, "materialize_window", spy)
+    dy.wpd_scan(pp, s, pp.leaf_of_index("plus", 0), 1.0, 4, {"s": s},
+                radius=2, window=8)
+    assert windows == [(-8, 8), (-16, 16)]
 
 
 def test_wpd_eps_zero(ladder_periodic):

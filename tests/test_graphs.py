@@ -7,7 +7,7 @@ from bifol.periodic import generate
 from bifol import graphs as gr
 from bifol.randgen import random_pattern
 
-from oracles import oracle_bfs_distance
+from oracles import oracle_bfs_distance, oracle_bottleneck_certify
 
 
 def test_grid3_graphs(grid3):
@@ -161,6 +161,43 @@ def test_cycle_fails_small_K():
                                 for i in range(12)})
     res = gr.bottleneck_certify(c12, 1)
     assert not res.passed and res.witness is not None
+
+
+def _bottleneck_graphs():
+    """Every connected component of every graph kind of the fixtures, of
+    small windows of the periodic ones and of 60 random patterns, and a
+    12-cycle."""
+    from bifol.fixtures import MANIFEST, load_fixture
+    from bifol.periodic import PeriodicPattern
+
+    patterns = []
+    for name in sorted(MANIFEST):
+        p = load_fixture(name)
+        patterns.append((name, p.materialize_window(-3, 3)
+                         if isinstance(p, PeriodicPattern) else p))
+    patterns += [(f"random {seed}", random_pattern(seed, max_leaves=16))
+                 for seed in range(60)]
+    for name, p in patterns:
+        for kind in gr.KINDS:
+            G = gr.build_graph(p, kind)
+            for comp in gr.connected_components(G):
+                yield (name, kind, comp[0]), G.subgraph(comp)
+    v = tuple(f"v{i}" for i in range(12))
+    yield "c12", gr.LeafGraph("x", v, {v[i]: frozenset({v[i - 1], v[(i + 1) % 12]})
+                                       for i in range(12)})
+
+
+def test_bottleneck_matches_the_subgraph_oracle():
+    # one component labelling per midpoint against a subgraph and a BFS per
+    # (pair, midpoint): same verdict, count and witness
+    failed = 0
+    for name, G in _bottleneck_graphs():
+        for K in range(4):
+            res = gr.bottleneck_certify(G, K)
+            want = oracle_bottleneck_certify(G, K)
+            assert (res.passed, res.pairs_checked, res.witness) == want, (name, K)
+            failed += not res.passed
+    assert failed >= 40
 
 
 def test_qi_inclusion(grid3, prong3, ladder3):

@@ -14,7 +14,8 @@ from bifol.randgen import random_pattern
 
 from oracles import (
     geometric_intersects, geometric_separates_leaves, geometric_separates_point,
-    oracle_pseudo_interval_set, oracle_relations, all_monotone_paths,
+    oracle_pseudo_interval_set, oracle_relations, oracle_validate,
+    all_monotone_paths,
 )
 
 
@@ -58,6 +59,7 @@ def test_face_rows_are_built_on_read_only():
     t = w._table
     assert w.intersects("u0", "ga-1") and not w.intersects("u0", "ga0")
     assert w.separator_chain("u-3", "w3")
+    assert w._separates("u0", "u-3", "w3")
     assert len(t.face) == 0
     assert t.face["u0"][t.ep["u0"][0]] is None
     assert list(t.face) == ["u0"]
@@ -65,7 +67,96 @@ def test_face_rows_are_built_on_read_only():
         t.face["nope"]
 
 
+def test_separates_reads_the_side_bitsets():
+    # the bitset rule for a nonsingular separator, and the face rows for a
+    # singular one, against a comparison of face rows kept here
+    rng = random.Random(13)
+    for name, p in _table_patterns():
+        t = p._table
+        for sign in (PLUS, MINUS):
+            ids = p.leaf_ids(sign)
+            if len(ids) < 3:
+                continue
+            triples = (itertools.permutations(ids, 3) if len(ids) <= 12
+                       else (rng.sample(ids, 3) for _ in range(1500)))
+            for m, a, b in triples:
+                face = t.face[m]
+                want = face[t.ep[a][0]] != face[t.ep[b][0]]
+                assert p._separates(m, a, b) == want, (name, m, a, b)
+
+
 # -- validation ------------------------------------------------------------------
+
+PAIR_RULES = {"same-sign leaves share an endpoint", "same-sign crossing",
+              "leaves share several endpoints", "perfect-fit pair also crosses",
+              "forced multiple crossing", "forced double crossing"}
+_SINGULAR_FIXTURES = ("prong3", "prongchain2", "prongdiv", "prongnondiv")
+
+
+def _broken_pattern(seed: int) -> FinitePattern:
+    """One seeded edit of a valid pattern, a random one or (every third
+    seed) a fixture with a singularity: two boundary labels swapped; a chord
+    between two new labels; a chord from a new label to an endpoint (of a
+    singular leaf where there is one), sometimes with a chord of the other
+    sign on both endpoints of a leaf; or a second singularity of three or
+    four prongs with a chord between two more new labels.  Most are
+    invalid."""
+    rng = random.Random(seed)
+    base = (load_fixture(_SINGULAR_FIXTURES[seed % 4]) if seed % 3 == 0
+            else random_pattern(seed, max_leaves=16))
+    boundary, leaves = list(base.boundary), list(base.leaves.values())
+    singularities = list(base.singularities)
+    how = seed % 4
+    if how == 0:
+        i, j = rng.sample(range(len(boundary)), 2)
+        boundary[i], boundary[j] = boundary[j], boundary[i]
+        return FinitePattern(boundary, leaves, singularities, base.nonseparated,
+                             base.points.values())
+    k = rng.choice((3, 4))
+    new = [f"z{i}" for i in range(2 * k + 2 if how == 3 else 2)]
+    for lab in new:
+        boundary.insert(rng.randrange(len(boundary) + 1), lab)
+    pos = {lab: i for i, lab in enumerate(boundary)}
+
+    def chord(lid, sign, labels):
+        return Leaf(lid, sign, tuple(sorted(labels, key=pos.get)))
+
+    sign = rng.choice((PLUS, MINUS))
+    if how == 1:
+        leaves.append(chord("zz", sign, new))
+    elif how == 2:
+        host = rng.choice([lf for lf in leaves if lf.is_singular] or leaves)
+        leaves.append(chord("zz", sign, (new[0], rng.choice(host.endpoints))))
+        other = rng.choice(leaves[:-1])
+        if rng.random() < 0.5:
+            leaves.append(chord("zy", MINUS if other.sign == PLUS else PLUS,
+                                other.endpoints[:2]))
+    else:
+        prongs = sorted(new[:2 * k], key=pos.get)
+        leaves += [chord("zp", PLUS, prongs[0::2]), chord("zm", MINUS, prongs[1::2]),
+                   chord("zz", sign, new[2 * k:])]
+        singularities.append(Singularity("zp", "zm"))
+    return FinitePattern(boundary, leaves, singularities, base.nonseparated,
+                         base.points.values())
+
+
+def test_validate_matches_the_all_pairs_oracle():
+    # the pairwise rules run only on the pairs that can break one; the
+    # oracle runs them on every pair.  Same reports, violations in the same
+    # order, on valid patterns and on broken ones that break every rule
+    patterns = itertools.chain(
+        _table_patterns(),
+        ((f"broken {seed}", _broken_pattern(seed)) for seed in range(400)))
+    invalid, rules = 0, set()
+    for name, p in patterns:
+        rep = p.validate()
+        assert rep == oracle_validate(p), name
+        invalid += not rep.ok
+        rules.update(v.rule for v in rep.violations)
+    assert invalid >= 300
+    assert PAIR_RULES <= rules
+
+
 
 def test_grid3_valid(grid3):
     assert grid3.validate().ok

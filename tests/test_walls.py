@@ -4,7 +4,8 @@ import random
 import pytest
 
 from bifol.pattern import (
-    PLUS, DegenerateInputError, Point, PreconditionError, UnknownIdError,
+    PLUS, MINUS, DegenerateInputError, FinitePattern, Point, PreconditionError,
+    UnknownIdError,
 )
 from bifol import graphs as gr
 from bifol import walls as wl
@@ -253,6 +254,45 @@ def test_witness_tuples_match_face_by_face_oracle():
                 want = oracle_longest_chain(p, kind, seps, a)
             got = wl.longest_chain_witness(p, a, b, kind).leaves
             assert got == want, (name, a.id, b.id, kind)
+
+
+def test_reeb_chains_read_the_gamma_graph(monkeypatch):
+    # Reeb chains against the per-pair _breaks oracle, on every pair of the
+    # declared points and of up to ten crossing points of every fixture;
+    # once the gamma graphs exist, no chain calls _breaks
+    from bifol.fixtures import MANIFEST, load_fixture
+    from bifol.periodic import PeriodicPattern
+
+    rng = random.Random(3)
+    cases = []
+    for name in sorted(MANIFEST):
+        p = load_fixture(name)
+        if isinstance(p, PeriodicPattern):
+            p = p.materialize_window(-4, 4)
+        crossings = [(a, b) for a, b in itertools.product(p.leaf_ids(PLUS),
+                                                            p.leaf_ids(MINUS))
+                     if p.intersects(a, b)]
+        pts = list(p.points.values()) + [
+            Point.crossing(f"qx{i}", a, b)
+            for i, (a, b) in enumerate(rng.sample(crossings, min(10, len(crossings))))]
+        for a, b in itertools.permutations(pts, 2):
+            for kind in (wl.D_RPLUS, wl.D_RMINUS):
+                seps = p._point_seps(a, b)
+                if a.key() != b.key() and seps:
+                    seps = wl._of_kind(p, seps, kind)
+                    cases.append((name, p, a, b, kind,
+                                  oracle_longest_chain(p, kind, seps, a)))
+        gr.build_graph(p, gr.GAMMAPLUS), gr.build_graph(p, gr.GAMMAMINUS)
+
+    def no_breaks(*args):
+        raise AssertionError("a Reeb chain called _breaks")
+
+    monkeypatch.setattr(FinitePattern, "_breaks", no_breaks)
+    assert {kind for *_, kind, _ in cases} == {wl.D_RPLUS, wl.D_RMINUS}
+    assert any(len(want) >= 2 for *_, want in cases)
+    for name, p, a, b, kind, want in cases:
+        got = wl.longest_chain_witness(p, a, b, kind).leaves
+        assert got == want, (name, a.id, b.id, kind)
 
 
 def test_qi_metric_checks_match_per_pair_distances():
