@@ -3,10 +3,17 @@
 Two concrete models: the affine model for the trivial plane (A^k followed by
 the translation v, for a fixed hyperbolic matrix A) and the integer-map model
 for the skew plane (bijections of Z commuting with translation by the
-period).  The census runs on integer normal forms, each its own dedup key:
-the tuple (k, v0, v1), or the tuple of offsets.  Ball enumeration, the
-fixed/free classification and the growth/genericity reports are exact and
-deterministic; element objects are built only by `enumerate_ball`.
+period).  Each model's census runs on integer normal forms:
+
+- the affine model by a sphere recurrence (`_affine_spheres`): a sphere is
+  {k: set of v packed into one int}, and a step is one C-level set operation
+  per class and generator;
+- the integer-map model by `word_ball`, the breadth-first search also used by
+  `dynamics`, keyed by the tuple of offsets.
+
+Ball enumeration, the fixed/free classification and the growth/genericity
+reports are exact and deterministic; element objects are built only by
+`enumerate_ball`.
 """
 
 from __future__ import annotations
@@ -17,7 +24,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .pattern import BifolError, PreconditionError, UsageError
-from .periodic import AffineElement, IndexMap, _intmap_mul, _mat_pow_vec
+from .periodic import (HYPERBOLIC_MATRIX, AffineElement, IndexMap,
+                       _INV_MATRIX, _intmap_mul)
 
 TRIVIAL_AFFINE = "trivial_affine"
 SKEW_INTMAP = "skew_intmap"
@@ -25,6 +33,10 @@ MODELS = (TRIVIAL_AFFINE, SKEW_INTMAP)
 _ELEMENT = {TRIVIAL_AFFINE: AffineElement, SKEW_INTMAP: IndexMap}
 
 FIXED, FREE = "fixed", "free"
+
+# largest |k| of an affine generator: A^k has entries of about 1.4|k| bits,
+# and the census needs powers up to |k| times the radius
+MAX_EXPONENT = 100
 
 # free on normal forms, by the rules of classify_fixed_free
 _FREE = {TRIVIAL_AFFINE: lambda t: t[0] == 0 and t != (0, 0, 0),
@@ -44,13 +56,6 @@ def _budget_elements(default: int = 2_000_000) -> int:
     return max(1, int(ms)) * 500
 
 
-def _affine_mul(row, w):
-    """(k1, v1)(k, v) = (k1 + k, v1 + A^k1 v); row: k1, v1, A^k1 by columns."""
-    k1, x, y, a, c, b, d = row
-    k, p, q = w
-    return (k1 + k, x + a * p + b * q, y + c * p + d * q)
-
-
 @dataclass(frozen=True)
 class GeneratingSet:
     model: str
@@ -68,6 +73,10 @@ class GeneratingSet:
                 raise PreconditionError(f"generator {nm!r}: model mismatch")
             if g.is_identity():
                 raise PreconditionError(f"identity generator {nm!r}")
+            if isinstance(g, AffineElement) and abs(g.k) > MAX_EXPONENT:
+                raise PreconditionError(
+                    f"generator {nm!r}: matrix exponent {g.k} exceeds "
+                    f"{MAX_EXPONENT} in absolute value")
             if isinstance(g, IndexMap) and g.N != first.N:
                 raise PreconditionError(f"generator {nm!r}: period mismatch "
                                         f"({g.N}, not {first.N})")
@@ -102,7 +111,9 @@ def word_ball(gens: list, ident, n: int, mul, budget: int | None = None,
     """Breadth-first search to word length n over the (name, g) pairs `gens`
     with the product mul(g, w) = g*w: {normal form: (element, label)}, keyed
     by key(element), or the element itself.  The identity is labelled
-    tag(0, None, None) and each new g*w tag(radius, name of g, label of w)."""
+    tag(0, None, None) and each new g*w tag(radius, name of g, label of w).
+    The integer-map census and `dynamics` enumerate their balls here; the
+    affine census has its own sphere recurrence, `_affine_spheres`."""
     budget = budget if budget is not None else _budget_elements()
     start = (ident, tag(0, None, None))
     ball = {ident if key is None else key(ident): start}
@@ -126,24 +137,144 @@ def word_ball(gens: list, ident, n: int, mul, budget: int | None = None,
 
 
 def _ball(S: GeneratingSet, n: int, budget: int | None) -> dict:
-    """{normal form t: (t, word length)}, from one operation table: a row
-    per symmetrized generator, read by the model's product."""
+    """Integer-map model: {offsets: (offsets, word length)}, from one
+    operation table, a row per symmetrized generator."""
+    _check_radius(n)
+    gens = S.symmetrized()
+    return word_ball([(nm, g.offsets) for nm, g in gens],
+                     (0,) * gens[0][1].N, n, _intmap_mul, budget)
+
+
+def _check_radius(n: int) -> None:
     if n < 0:
         raise UsageError(f"radius must be >= 0, not {n}")
-    gens = S.symmetrized()
-    if S.model == SKEW_INTMAP:
-        return word_ball([(nm, g.offsets) for nm, g in gens],
-                         (0,) * gens[0][1].N, n, _intmap_mul, budget)
-    return word_ball([(nm, (g.k, *g.v, *_mat_pow_vec(g.k, (1, 0)),
-                            *_mat_pow_vec(g.k, (0, 1)))) for nm, g in gens],
-                     (0, 0, 0), n, _affine_mul, budget)
+
+
+def _times(p, q):
+    """The 2x2 product p q, each as (a, b, c, d) by rows."""
+    a, b, c, d = p
+    e, f, g, h = q
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _power(m: int):
+    """A^m as (a, b, c, d), by repeated squaring."""
+    (a, b), (c, d) = HYPERBOLIC_MATRIX if m >= 0 else _INV_MATRIX
+    p, base, m = (1, 0, 0, 1), (a, b, c, d), abs(m)
+    while m:
+        if m & 1:
+            p = _times(p, base)
+        base, m = _times(base, base), m >> 1
+    return p
+
+
+def _columns(k: int, W: int) -> tuple[int, int]:
+    """The packs of the columns of A^k, A^k e1 and A^k e2, at width W."""
+    a, b, c, d = _power(k)
+    return a * W + c, b * W + d
+
+
+def _affine_spheres(S: GeneratingSet, n: int, budget: int | None):
+    """Affine model: yield (W, sphere) for the word lengths 0..n, where a
+    sphere is {k: set of v0 * W + v1} over its elements (k, v).
+
+    Words grow on the right, (k, v)(k1, v1) = (k + k1, v + A^k v1), and
+    packing is linear, so each product shifts a whole class k by the one
+    constant pack(A^k v1) into class k + k1.  The generating set is
+    symmetric, so the neighbours of S(r) lie in S(r-1), S(r) and S(r+1):
+    S(r+1) is S(r) times the generators minus S(r) and S(r-1), class by
+    class.  Each class carries the packed columns of A^k, so the constant
+    is x col1 + y col2 for v1 = (x, y), and the class k + k1 it reaches
+    takes the columns of A^k A^k1: sums with the entries of the generator's
+    A^k1 as coefficients, never a product of two wide ints.
+
+    Width.  A word of length <= R is a product of at most R letters (k_i, v_i)
+    of the symmetrized set, with translation part the sum of A^K_i v_i over
+    K_i = k_1 + ... + k_(i-1), so |K_i| <= R kmax.  The max-row-sum norm of
+    A^m and of A^-m is F(2|m| + 2) (Fibonacci; A^-m has the entries of A^m
+    up to sign and order), nondecreasing in |m|, so |v|_inf <= M = R vmax
+    ||A^(R kmax)||.  With W = 2M + 1, packing is injective on the ball:
+    equal packs give v1 = v1' mod W with |v1 - v1'| <= 2M < W, then v0 = v0'.
+    When the recurrence reaches a radius r past the R of the current W, W
+    is set for R = min(n, 2r) and the two live spheres are repacked; so W
+    stays the size the reached radius needs, whatever n is."""
+    _check_radius(n)
+    budget = budget if budget is not None else _budget_elements()
+    gens = [(g.k, g.v, _power(g.k)) for _, g in S.symmetrized()]
+    kmax = max(abs(k) for k, _, _ in gens)
+    vmax = max(abs(x) for _, v, _ in gens for x in v)
+    W, R = 1, 0
+    prev, cur, size = {}, {0: {0}}, 1
+    yield W, cur
+    for radius in range(1, n + 1):
+        projected = size + sum(map(len, cur.values())) * len(gens)
+        if projected > budget:
+            raise BudgetExceededError(
+                f"radius {radius}: projected {projected} elements "
+                f"exceeds budget {budget}")
+        if radius > R:
+            R = min(n, 2 * radius)
+            a, b, c, d = _power(R * kmax)
+            half = R * vmax * max(abs(a) + abs(b), abs(c) + abs(d))
+            W, old = 2 * half + 1, W
+            prev, cur = ({k: {p + _unpack(p, old)[0] * (W - old) for p in s}
+                          for k, s in sp.items()} for sp in (prev, cur))
+            cols = {k: _columns(k, W) for k in cur}
+        nxt, nxt_cols = {}, {}
+        for k, vs in cur.items():
+            p1, p2 = cols[k]
+            for k1, (x, y), (e, f, g, h) in gens:
+                shift = map((x * p1 + y * p2).__add__, vs)
+                if k + k1 in nxt:
+                    nxt[k + k1].update(shift)
+                else:
+                    nxt[k + k1] = set(shift)
+                    # A^(k + k1) = A^k A^k1, column by column
+                    nxt_cols[k + k1] = (e * p1 + g * p2, f * p1 + h * p2)
+        for k, s in nxt.items():
+            s.difference_update(cur.get(k, ()))
+            s.difference_update(prev.get(k, ()))
+        prev, cur = cur, {k: s for k, s in nxt.items() if s}
+        cols = nxt_cols
+        size += sum(map(len, cur.values()))
+        yield W, cur
+
+
+def _unpack(p: int, W: int) -> tuple[int, int]:
+    """(v0, v1) from p = v0 * W + v1, |v1| <= W // 2, for odd W."""
+    v1 = (p + W // 2) % W - W // 2
+    return (p - v1) // W, v1
 
 
 def enumerate_ball(S: GeneratingSet, n: int, budget: int | None = None) -> dict:
     """{normal form: (element, word length)} for word lengths <= n."""
-    el = IndexMap if S.model == SKEW_INTMAP else \
-        (lambda t: AffineElement(t[0], t[1:]))
-    return {t: (el(t), r) for t, (_, r) in _ball(S, n, budget).items()}
+    if S.model == SKEW_INTMAP:
+        return {t: (IndexMap(t), r) for t, (_, r) in _ball(S, n, budget).items()}
+    out = {}
+    for r, (W, sphere) in enumerate(_affine_spheres(S, n, budget)):
+        for k, s in sphere.items():
+            for p in s:
+                v = _unpack(p, W)
+                out[(k, *v)] = (AffineElement(k, v), r)
+    return out
+
+
+def _counts(S: GeneratingSet, n: int, budget: int | None,
+            ball: dict | None = None) -> tuple[list, list]:
+    """Per word length: the number of elements and of free ones, from the
+    affine spheres or the integer-map ball (built here unless given)."""
+    per_radius, free_r = [0] * (n + 1), [0] * (n + 1)
+    if S.model == TRIVIAL_AFFINE:
+        for r, (_, sphere) in enumerate(_affine_spheres(S, n, budget)):
+            per_radius[r] = sum(map(len, sphere.values()))
+            # class 0 past the identity: the nonzero translations
+            free_r[r] = len(sphere.get(0, ())) if r else 0
+        return per_radius, free_r
+    free = _FREE[SKEW_INTMAP]
+    for t, r in (ball or _ball(S, n, budget)).values():
+        per_radius[r] += 1
+        free_r[r] += free(t)
+    return per_radius, free_r
 
 
 @dataclass(frozen=True)
@@ -164,16 +295,11 @@ class BallStats:
 
 
 def ball_stats(S: GeneratingSet, nmax: int, budget: int | None = None) -> BallStats:
-    return _stats(S, _ball(S, nmax, budget), nmax)
+    return _stats(S, *_counts(S, nmax, budget))
 
 
-def _stats(S: GeneratingSet, ball: dict, nmax: int) -> BallStats:
-    per_radius, free_r = [0] * (nmax + 1), [0] * (nmax + 1)
-    free = _FREE[S.model]
-    for t, r in ball.values():
-        per_radius[r] += 1
-        if free(t):
-            free_r[r] += 1
+def _stats(S: GeneratingSet, per_radius: list, free_r: list) -> BallStats:
+    nmax = len(per_radius) - 1
     cum_b, cum_f = list(accumulate(per_radius)), list(accumulate(free_r))
     # sphere-step form of the doubling estimate: every word of length n+1 is
     # a generator times a word of length n, so the new elements number at
@@ -266,7 +392,7 @@ def genericity_report(S: GeneratingSet, h: IndexMap, nmax: int,
     if h.offsets not in ball:
         raise PreconditionError("designated shift outside the enumerated ball")
     R = ball[h.offsets][1]  # word length of h
-    st = _stats(S, ball, nmax)
+    st = _stats(S, *_counts(S, nmax, budget, ball))
     K = st.ball[R]
     L = (2 * S.size) ** R
     free = _FREE[SKEW_INTMAP]

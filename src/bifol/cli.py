@@ -25,7 +25,7 @@ from .pattern import (
     BifolError, InvalidPatternError, PreconditionError, UnknownIdError,
     UsageError,
 )
-from .periodic import PeriodicPattern, generate
+from .periodic import CertificateTooWideError, PeriodicPattern, generate
 
 EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_PROPERTY, EXIT_BUDGET = 0, 1, 2, 3, 4
 
@@ -79,11 +79,14 @@ def _read(path) -> str:
 
 
 def _parse(path, text):
-    """The pattern in a file's text; a parse error names the file."""
+    """The pattern in a file's text; a parse error or an oversized
+    certificate window names the file."""
     try:
         return bio.parse_pattern_text(text)
     except bio.ParseError as e:
         raise bio.ParseError(f"{path}: {e}") from None
+    except CertificateTooWideError as e:
+        raise InvalidPatternError(f"{path}: {e}") from None
 
 
 def _load(path):

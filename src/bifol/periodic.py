@@ -36,6 +36,15 @@ from .pattern import (
     PreconditionError, Singularity, UnknownIdError, UsageError,
 )
 
+# most leaves a certificate window (0, reach()) may hold; the shipped
+# patterns need at most 48
+MAX_CERTIFICATE_LEAVES = 4096
+
+
+class CertificateTooWideError(InvalidPatternError):
+    """A periodic pattern whose certificate window would exceed
+    MAX_CERTIFICATE_LEAVES leaves."""
+
 
 @dataclass(frozen=True)
 class Track:
@@ -234,6 +243,11 @@ class PeriodicPattern:
         vals = [Fraction(off) for f in fams for _, off in f.endpoints]
         self._reach = (math.ceil(max(vals) - min(vals)) + 1
                        + max((abs(t.offset) for t in self.nonsep), default=0))
+        leaves = (self._reach + 1) * 2 * self.period
+        if leaves > MAX_CERTIFICATE_LEAVES:
+            raise CertificateTooWideError(
+                f"certificate window (0, {self._reach}) would hold {leaves} "
+                f"leaves, more than {MAX_CERTIFICATE_LEAVES}")
         # windows place endpoints on integers: every offset in units of
         # 1 / scale, the lcm of their denominators
         self._scale = math.lcm(*(v.denominator for v in vals))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -197,3 +199,116 @@ def test_random_skew_balls_match_oracle(gens):
     S = cs.GeneratingSet(cs.SKEW_INTMAP, {
         f"g{i}": IndexMap(g) for i, g in enumerate(gens)})
     assert _census_radii(S, 5) == oracle_skew_ball(gens, 5)
+
+
+# -- the affine sphere recurrence against the left-multiplication oracle ------
+
+_SHIPPED_AFFINE = [(1, (0, 0)), (0, (1, 0)), (0, (0, 1))]
+
+
+def _affine_set(gens):
+    return cs.GeneratingSet(cs.TRIVIAL_AFFINE, {
+        f"g{i}": AffineElement(k, v) for i, (k, v) in enumerate(gens)})
+
+
+def _cumulative_counts(radii, n):
+    """Cumulative ball sizes and free counts of {(k, v0, v1): radius}."""
+    per, free = [0] * (n + 1), [0] * (n + 1)
+    for (k, *v), r in radii.items():
+        per[r] += 1
+        free[r] += k == 0 and v != [0, 0]
+    return ([sum(per[:r + 1]) for r in range(n + 1)],
+            [sum(free[:r + 1]) for r in range(n + 1)])
+
+
+def _sphere_radii(S, n):
+    """{(k, v0, v1): word length} read off the packed spheres."""
+    return {(k, *cs._unpack(p, W)): r
+            for r, (W, sphere) in enumerate(cs._affine_spheres(S, n, None))
+            for k, s in sphere.items() for p in s}
+
+
+def _check_against_oracle(gens, n, elements=True):
+    """Spheres, counts and (if `elements`) `enumerate_ball` against the
+    oracle's ball."""
+    S = _affine_set(gens)
+    want = _affine_radii(gens, n)
+    assert _sphere_radii(S, n) == want
+    if elements:
+        assert _census_radii(S, n) == want
+    balls, frees = _cumulative_counts(want, n)
+    st_ = cs.ball_stats(S, n)
+    assert list(st_.ball) == balls and list(st_.free) == frees
+
+
+def test_shipped_affine_spheres_match_oracle_to_radius_12():
+    _check_against_oracle(_SHIPPED_AFFINE, 12)
+
+
+def _random_affine_gens(rng, kind, count):
+    """`count` distinct generators, k in -3..3 and v entries in -5..5; kind
+    0 has no k != 0 generator, kind 1 at least one with k != 0 and v != 0."""
+    gens = []
+    while len(gens) < count:
+        k = 0 if kind == 0 else rng.randint(-3, 3)
+        v = (rng.randint(-5, 5), rng.randint(-5, 5))
+        if (k, v) != (0, (0, 0)) and (k, v) not in gens:
+            gens.append((k, v))
+    if kind == 1 and not any(k and v != (0, 0) for k, v in gens):
+        gens[0] = (rng.choice((-3, -2, -1, 1, 2, 3)), (rng.randint(1, 5), 0))
+    return gens
+
+
+def test_random_affine_spheres_match_oracle():
+    # element objects are checked on the shipped and the widening sets.
+    # Four generators with a matrix letter make balls of about 140,000
+    # elements at radius 6, so one set in 25 has four.
+    rng = random.Random(20261018)
+    for i in range(210):
+        count = 4 if i % 25 == 24 else rng.randint(1, 3)
+        _check_against_oracle(_random_affine_gens(rng, i % 3, count), 6,
+                              elements=False)
+
+
+@pytest.mark.parametrize("gens, n", [
+    ([(1, (1, 0))], 40),                  # cyclic: widths for radius 2..40
+    ([(0, (3, -1)), (0, (1, 2))], 40),    # no matrix letter: W = 2M + 1
+    ([(-2, (0, 0)), (3, (0, 0))], 40),    # no translation: W = 1
+    ([(3, (5, -5))], 33),
+], ids=["cyclic", "translations", "matrices", "wide-cyclic"])
+def test_affine_spheres_widen_past_the_first_width(gens, n):
+    _check_against_oracle(gens, n)
+
+
+@pytest.mark.parametrize("gens", [_SHIPPED_AFFINE, [(2, (1, 0)), (-1, (0, 3))]],
+                         ids=["shipped", "custom"])
+def test_affine_budget_stops_where_the_oracle_projects(gens):
+    # at radius r the projection is |B(r-1)| + |S(r-1)| |sym|, from the
+    # oracle's cumulative counts
+    n = 9
+    S = _affine_set(gens)
+    sym = len(S.symmetrized())
+    counts, _ = _cumulative_counts(_affine_radii(gens, n), n)
+    projected = [(r, counts[r - 1] + sym * (counts[r - 1] - (
+        counts[r - 2] if r > 1 else 0))) for r in range(1, n + 1)]
+    for budget in sorted({1, 2, 10_000_000} | {p + d for _, p in projected
+                                               for d in (-1, 0, 1)}):
+        want = next((f"radius {r}: projected {p} elements exceeds budget "
+                     f"{budget}" for r, p in projected if p > budget), None)
+        for run in (cs.ball_stats, cs.enumerate_ball):
+            if want is None:
+                run(S, n, budget)
+            else:
+                with pytest.raises(cs.BudgetExceededError) as e:
+                    run(S, n, budget)
+                assert str(e.value) == want
+
+
+def test_affine_exponent_limit():
+    big = cs.MAX_EXPONENT + 1
+    S = _affine_set([(cs.MAX_EXPONENT, (1, 0)), (-cs.MAX_EXPONENT, (0, 1))])
+    assert cs.ball_stats(S, 2).ball[2] == 1 + 4 + 12
+    for k in (big, -big, 200_000):
+        with pytest.raises(PreconditionError,
+                           match=f"generator 'g0': matrix exponent {k} "):
+            _affine_set([(k, (1, 0))])

@@ -97,6 +97,27 @@ def test_periodic_shared_position_is_invalid_data(tmp_path, capsys):
     assert "track bot, position 1" in rep["results"]["violations"]
 
 
+def test_periodic_certificate_past_the_leaf_limit(tmp_path, capsys):
+    # skew2 has period 1: a top offset of 1e6 asks for a certificate window
+    # of about two million leaves; it is refused before any window is built
+    d = json.loads(fixture_text("skew2"))
+    d["plus_families"][0]["endpoints"][1][1] = "1e6"
+    with pytest.raises(InvalidPatternError, match="certificate window"):
+        bio.parse_pattern_text(json.dumps(d))
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(d), encoding="utf-8")
+    assert main(["validate", "--in", str(path)]) == 2
+    violations = json.loads(capsys.readouterr().out)["results"]["violations"]
+    assert violations.startswith(f"{path}: certificate window (0, 1000001) "
+                                 f"would hold 2000004 leaves, more than 4096")
+    assert main(["classify", "--pattern", str(path), "--element", "s"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(path) in err, err
+    # the widest window under the limit is accepted: reach 2047, 4096 leaves
+    d["plus_families"][0]["endpoints"][1][1] = "2046"
+    assert bio.parse_pattern_text(json.dumps(d)).reach() == 2047
+
+
 def _validate_file(path):
     """(exit code, stdout, stderr) of ``validate --in path``."""
     out, err = io.StringIO(), io.StringIO()
@@ -264,9 +285,12 @@ def test_cli_census_budget_from_environment(capsys, monkeypatch):
     ("skew", '{}', "empty generating set"),
     ("skew", '{"e": [0, 0]}', "generator 'e'"),
     ("skew", '{"s": [1,', "line 1"),
+    ("trivial", '{"t": {"k": 0, "v": [1, 0]}, "B": {"k": 200000, "v": [1, 0]}}',
+     "generator 'B': matrix exponent 200000 exceeds 100"),
+    ("trivial", '{"B": {"k": -101, "v": [0, 0]}}', "generator 'B'"),
 ], ids=["missing-v", "float-k", "long-v", "affine-identity", "string-offsets",
         "top-level-list", "not-a-permutation", "mixed-period", "empty",
-        "identity", "bad-json"])
+        "identity", "bad-json", "large-exponent", "exponent-past-limit"])
 def test_cli_census_malformed_gens_is_a_usage_error(model, text, named,
                                                     tmp_path, capsys):
     gens = tmp_path / "gens.json"
