@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .pattern import BifolError, PreconditionError, UsageError
-from .periodic import (HYPERBOLIC_MATRIX, AffineElement, IndexMap,
-                       _INV_MATRIX, _intmap_mul)
+from .periodic import AffineElement, IndexMap, _intmap_mul, _power
 
 TRIVIAL_AFFINE = "trivial_affine"
 SKEW_INTMAP = "skew_intmap"
@@ -148,24 +147,6 @@ def _ball(S: GeneratingSet, n: int, budget: int | None) -> dict:
 def _check_radius(n: int) -> None:
     if n < 0:
         raise UsageError(f"radius must be >= 0, not {n}")
-
-
-def _times(p, q):
-    """The 2x2 product p q, each as (a, b, c, d) by rows."""
-    a, b, c, d = p
-    e, f, g, h = q
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
-def _power(m: int):
-    """A^m as (a, b, c, d), by repeated squaring."""
-    (a, b), (c, d) = HYPERBOLIC_MATRIX if m >= 0 else _INV_MATRIX
-    p, base, m = (1, 0, 0, 1), (a, b, c, d), abs(m)
-    while m:
-        if m & 1:
-            p = _times(p, base)
-        base, m = _times(base, base), m >> 1
-    return p
 
 
 def _columns(k: int, W: int) -> tuple[int, int]:

@@ -29,20 +29,6 @@ from .periodic import CertificateTooWideError, PeriodicPattern, generate
 
 EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_PROPERTY, EXIT_BUDGET = 0, 1, 2, 3, 4
 
-CHECK_TAGS = (
-    "bottleneck-k3",
-    "graph-inclusion-qi",
-    "wall-metric-qi",
-    "metric-axioms",
-    "interval-decomposition",
-    "block-distance-bounds",
-    "projection-overlap-bounds",
-    "isometry-classification",
-    "census-trivial",
-    "census-skew",
-    "determinism",
-)
-
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]

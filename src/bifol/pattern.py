@@ -7,23 +7,23 @@ does a leaf separate two others, which complementary region holds a marked
 point) reduce to exact cyclic-order arithmetic on boundary labels.
 
 Each pattern derives one relation table from its boundary labels, once, on
-first use: the sorted endpoint positions of every leaf, a crossing bitset per
-leaf, a side bitset per leaf (which nonsingular leaves hold its first
-endpoint on their face 0), the nonsingular leaves ending at each boundary
-position and masks of the nonsingular, plus and minus leaves.  One sweep
-round the circle records which nonsingular leaves hold each position
-strictly on their face 0 and on their face 1; a leaf crosses a nonsingular
-leaf of the other sign iff its endpoints meet both, so the crossings cost
-O(n + k) bitset operations for n positions and k leaves, plus O(n) per
-singular leaf.  Meeting both faces of a leaf of the same sign is a
-same-sign crossing; the table keeps those few, so validation examines only
-the pairs of leaves that can break a rule.  The face of every boundary
-position of a leaf is built only when something reads it.  Crossing is then
-one bit test, separation by a nonsingular leaf one bit of an XOR of side
-bitsets (by a singular one a comparison of two faces), and a common
-transversal of two leaves the AND of their crossing bitsets.  The
-separators of two same-family leaves are the XOR of their side bitsets
-(singular leaves compared face by face), so a separator chain, a broken
+first use: the sorted endpoint positions of every leaf, the face planes of
+every boundary gap, a crossing bitset per leaf, the leaves ending at each
+boundary position and masks of the nonsingular, plus and minus leaves.  The
+face planes say, for every leaf at once, which of its faces holds a gap: the
+face index is written in binary across as many planes as the largest index
+needs (one when no leaf is singular), each plane a bitset over the leaves.
+One sweep round the circle writes them, every leaf starting on its last face
+and stepping to the next at each of its endpoints, so they cost O(n + k)
+bitset operations for n positions and k leaves.  Two spots off a leaf lie on
+different faces of it iff its bit differs in some plane, one rule for
+singular and nonsingular leaves alike: the leaves separating two leaves or
+two points are the planes of an XOR folded into one bitset, and a leaf
+crosses a leaf of the other sign iff two of its endpoints differ there.
+Meeting two faces of a leaf of the same sign is a same-sign crossing; the
+table keeps those few, so validation examines only the pairs of leaves that
+can break a rule.  Crossing is then one bit test and a common transversal of
+two leaves the AND of their crossing bitsets, so a separator chain, a broken
 pseudo-interval and the leaves separating two points each cost O(k) integer
 operations.
 
@@ -45,6 +45,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -243,50 +244,56 @@ class _ById(dict):
         raise UnknownIdError(f"unknown leaf {leaf_id!r}")
 
 
-class _Faces(_ById):
-    """Leaf id -> face of every circle position, None on its endpoints.  A
-    row costs O(n), so it is built on the first read of its leaf."""
-
-    def __init__(self, ep: _ById, n: int):
-        super().__init__()
-        self.ep, self.n = ep, n
-
-    def __missing__(self, leaf_id):
-        e = self.ep[leaf_id]
-        row = [len(e) - 1] * e[0]
-        for j, (a, b) in enumerate(zip(e, e[1:] + (self.n,))):
-            row += [None] + [j] * (b - a - 1)
-        self[leaf_id] = row
-        return row
-
-
 class _Relations(NamedTuple):
     """Every leaf relation of a pattern, derived once from its boundary
     labels.  Face i of a leaf is the open boundary arc from its i-th to its
     (i+1)-th endpoint, counterclockwise (the last face wraps round); bit i of
     a bitset stands for ``leaf_ids()[i]``.
 
-    ``side[l]`` has bit m set when the first endpoint of l lies on face 0 of
-    the nonsingular leaf m (never when it is an endpoint of m).  Two leaves
-    disjoint from m lie on opposite sides of it iff their side bits for m
-    differ, so ``side[x] ^ side[y]`` holds every nonsingular separator of x
-    and y, and a crossing point of P and M lies on face 0 of a plus leaf
-    iff P does, of a minus leaf iff M does."""
+    ``gap[x]`` writes, for every leaf, the index of its face that holds the
+    gap just counterclockwise of position x, in binary across width
+    planes, width the bit length of the largest face index (at least one):
+    with k leaves, bit b of leaf i's index is bit b k + i of the word.  A
+    position off a leaf lies on the face of the gap after it, so two spots
+    off m lie on different faces of m iff m's bit differs in some plane, and
+    ``fold(gap[x] ^ gap[y])`` holds every leaf off both that separates them.
+    A leaf disjoint from m is read at its first endpoint, a region point at
+    its anchor, and a crossing point of P and M at P's first endpoint for
+    the plus leaves and at M's for the minus leaves."""
 
     ids: tuple        # bit position -> leaf id
     index: _ById      # leaf id -> bit position
     ep: _ById         # leaf id -> sorted endpoint positions
-    face: _Faces      # leaf id -> face of every circle position, row built on demand
+    gap: list         # circle position -> face planes of the gap after it
+    planes: int       # bit 0 of every plane: mask * planes copies a bitset
+                      # into each
     cross: _ById      # leaf id -> bitset of the leaves crossing it
-    side: _ById       # leaf id -> bitset of the nonsingular leaves with it on face 0
-    ends: list        # circle position -> bitset of the nonsingular leaves ending there
+    ends: list        # circle position -> bitset of the leaves ending there
     nonsingular: int  # bitset of the leaves with two endpoints
     plus: int         # bitset of the plus leaves
     minus: int        # bitset of the minus leaves
     nonsep: tuple     # two-bit mask of every declared nonseparated pair
-    tangled: tuple    # (leaf id, bitset of the nonsingular leaves of its own
-                      # family holding its endpoints on both faces), only the
-                      # nonzero ones: empty on a valid pattern
+    tangled: list     # (leaf id, bitset of the leaves of its own family
+                      # holding its endpoints on two faces), only the nonzero
+                      # ones: empty on a valid pattern
+
+    def fold(self, word: int) -> int:
+        """The leaves with a set bit in some plane of ``word``."""
+        k = len(self.ids)
+        while word >> k:
+            word = word & (self.plus | self.minus) | word >> k
+        return word
+
+    def face(self, leaf_id: str, x: int) -> int:
+        """The face of ``leaf_id`` holding the gap just counterclockwise of
+        position x."""
+        k, word = len(self.ids), self.gap[x] >> self.index[leaf_id]
+        out = b = 0
+        while word:
+            out |= (word & 1) << b
+            word >>= k
+            b += 1
+        return out
 
 
 def _bits(mask: int):
@@ -358,79 +365,63 @@ class FinitePattern:
     def endpoint_positions(self, leaf_id: str) -> tuple[int, ...]:
         return self._table.ep[leaf_id]
 
-    def arc_index_of_gap(self, leaf_id: str, anchor_pos: int) -> int:
-        """Arc of ``leaf_id`` containing the gap just ccw of ``anchor_pos``."""
-        t = self._table
-        face = t.face[leaf_id][anchor_pos]
-        return t.ep[leaf_id].index(anchor_pos) if face is None else face
-
     def _spread(self, over: str, target: str) -> set[int]:
         """Arc indices of ``target`` that contain endpoints of ``over``
         (shared endpoints excluded)."""
         t = self._table
-        face = t.face[target]
-        out = {face[x] for x in t.ep[over]}
-        out.discard(None)
-        return out
+        e = t.ep[target]
+        return {t.face(target, x) for x in t.ep[over] if x not in e}
 
     @functools.cached_property
     def _table(self) -> _Relations:
         """The relation table, derived from the boundary labels on first use
         (not in ``__init__``, so ``validate`` can report bad labels)."""
-        n = self.n
+        n, k = self.n, len(self.leaves)
+        everything = (1 << k) - 1
+        kmax = max((len(lf.endpoints) for lf in self.leaves.values()), default=2)
+        width = max(1, (kmax - 1).bit_length())
+
+        def lift(c):  # a face index, written across the planes
+            return sum((c >> b & 1) << b * k for b in range(width))
+
+        # a leaf with d endpoints starts on face d - 1 and steps from face
+        # j - 1 to face j at its j-th endpoint: steps[d] holds the first face
+        # and the plane bits each endpoint flips, lifted
+        planes, steps = lift((1 << width) - 1), {}
         index, ep = _ById(), _ById()
-        nonsingular = plus = 0
-        at = [0] * n  # leaves by endpoint
+        nonsingular = plus = word = 0
+        ends, flip = [0] * n, [0] * n
         for i, lf in enumerate(self.leaves.values()):
             index[lf.id] = i
             plus |= (lf.sign == PLUS) << i
-            nonsingular |= (not lf.is_singular) << i
-            e = ep[lf.id] = tuple(sorted(self.pos(x) for x in lf.endpoints))
-            for x in e:
-                at[x] |= 1 << i
-        everything = (1 << len(index)) - 1
-        minus = everything & ~plus
-        ends = [b & nonsingular for b in at]
-        # one sweep round the circle: ``inside`` holds the nonsingular leaves
-        # whose face 0 contains the current position; x lies strictly on face
-        # 0 of the leaves in on0[x] and strictly on face 1 of those in on1[x]
-        on0, on1, inside = [0] * n, [0] * n, 0
-        for x, out in enumerate(ends):
-            on0[x] = inside & ~out
-            on1[x] = nonsingular & ~inside & ~out
-            inside ^= out
-        side = _ById((lid, on0[e[0]]) for lid, e in ep.items())
-        # a leaf crosses a nonsingular leaf of the other sign iff its
-        # endpoints lie on both faces of it; of its own sign, that is a
-        # same-sign crossing for validate to report
-        cross, tangled = _ById(), []
-        for lid, e in ep.items():
-            f0 = f1 = 0
-            for x in e:
-                f0 |= on0[x]
-                f1 |= on1[x]
-            both, own = f0 & f1, plus if plus >> index[lid] & 1 else minus
-            cross[lid] = both & ~own
-            if both & own:
-                tangled.append((lid, both & own))
-        # and a singular leaf iff its endpoints lie on two of its faces
-        ids = tuple(index)
-        for i in _bits(everything & ~nonsingular):
-            e, bit = ep[ids[i]], 1 << i
-            once = twice = 0
-            for a, b in zip(e, e[1:] + (e[0] + n,)):
-                hit = 0
-                for x in range(a + 1, b):
-                    hit |= at[x % n]
-                twice |= once & hit
-                once |= hit
-            for j in _bits(twice & (minus if plus & bit else plus)):
-                cross[ids[j]] |= bit
+            e = ep[lf.id] = tuple(sorted(map(self.pos, lf.endpoints)))
+            d = len(e)
+            nonsingular |= (d < 3) << i
+            if d not in steps:
+                steps[d] = lift(d - 1), [lift(j ^ (j - 1) % d) for j in range(d)]
+            first, flips = steps[d]
+            word |= first << i
+            for x, f in zip(e, flips):
+                ends[x] |= 1 << i
+                flip[x] |= f << i
+        gap = list(itertools.accumulate(flip, operator.xor, initial=word))[1:]
         nonsep = tuple(sum(1 << index[l] for l in pair)
                        for pair in self.nonseparated
                        if len(pair) == 2 and all(l in index for l in pair))
-        return _Relations(ids, index, ep, _Faces(ep, n), cross, side, ends,
-                          nonsingular, plus, minus, nonsep, tuple(tangled))
+        t = _Relations(tuple(index), index, ep, gap, planes, _ById(), ends,
+                       nonsingular, plus, everything & ~plus, nonsep, [])
+        # a leaf crosses a leaf m of the other sign iff two of its endpoints
+        # off m lie on two faces of m, that is differ in some plane; of its
+        # own sign, that is a same-sign crossing for validate to report
+        for i, (lid, e) in enumerate(ep.items()):
+            both = 0
+            for x, y in itertools.combinations(e, 2):
+                both |= t.fold(gap[x] ^ gap[y]) & ~(ends[x] | ends[y])
+            own = plus if plus >> i & 1 else t.minus
+            t.cross[lid] = both & ~own
+            if both & own:
+                t.tangled.append((lid, both & own))
+        return t
 
     # -- relations --------------------------------------------------------
 
@@ -632,15 +623,8 @@ class FinitePattern:
     # -- separation -------------------------------------------------------
 
     def _separates(self, m: str, l1: str, l2: str) -> bool:
-        # unchecked core: all same sign, pairwise distinct and disjoint; a
-        # nonsingular m is read off the side bitsets, a singular one face by
-        # face
-        t = self._table
-        i = t.index[m]
-        if t.nonsingular >> i & 1:
-            return bool((t.side[l1] ^ t.side[l2]) >> i & 1)
-        face = t.face[m]
-        return face[t.ep[l1][0]] != face[t.ep[l2][0]]
+        # unchecked core: all same sign, pairwise distinct and disjoint
+        return bool(self._seps(l1, l2) >> self._table.index[m] & 1)
 
     def _ids_of(self, bits: int, sign: str | None = None) -> list[str]:
         """The leaf ids of a bitset, of one sign on request, in
@@ -653,19 +637,13 @@ class FinitePattern:
     def _seps(self, x: str, y: str) -> int:
         """Bitset of the leaves of x's family, x and y excluded, that separate
         x from y: the unchecked core of ``separator_chain`` (x and y of one
-        family and disjoint).  Nonsingular separators come from the side
-        bitsets, the few singular ones from a comparison of faces."""
+        family and disjoint), read off the face planes at their first
+        endpoints."""
         t = self._table
-        family = t.plus if t.plus >> t.index[x] & 1 else t.minus
-        out = (t.side[x] ^ t.side[y]) & family
-        singular = family & ~t.nonsingular
-        if singular:
-            ex, ey = t.ep[x][0], t.ep[y][0]
-            for i in _bits(singular):
-                face = t.face[t.ids[i]]
-                if face[ex] != face[ey]:
-                    out |= 1 << i
-        return out & ~(1 << t.index[x] | 1 << t.index[y])
+        i, j = t.index[x], t.index[y]
+        family = t.plus if t.plus >> i & 1 else t.minus
+        return (t.fold(t.gap[t.ep[x][0]] ^ t.gap[t.ep[y][0]]) & family
+                & ~(1 << i | 1 << j))
 
     def _breaks(self, x: str, y: str) -> bool:
         """Does the NONSEP pseudo-interval between two same-family leaves
@@ -688,17 +666,6 @@ class FinitePattern:
             raise PreconditionError("separates_leaves requires distinct leaves")
         return self._separates(m, l1, l2)
 
-    def _face_of_point(self, pt: Point, leaf_id: str) -> int | None:
-        """Arc index of ``leaf_id``'s face containing the point; None if the
-        point lies on the leaf."""
-        if pt.on_leaf(leaf_id):
-            return None
-        if pt.kind == "crossing":
-            same = pt.plus_leaf if self.leaf(leaf_id).sign == PLUS else pt.minus_leaf
-            t = self._table
-            return t.face[leaf_id][t.ep[same][0]]
-        return self.arc_index_of_gap(leaf_id, self.pos(pt.anchor))
-
     def point(self, pid_or_point) -> Point:
         if isinstance(pid_or_point, Point):
             return pid_or_point
@@ -710,30 +677,22 @@ class FinitePattern:
     def _point_seps(self, px: Point, py: Point) -> int:
         """Bitset of the leaves separating two points, with the convention of
         ``separates_point``: a leaf holding exactly one of the points
-        separates them, a leaf holding both does not.  Between two crossing
-        points the nonsingular leaves are read from the side bitsets; region
-        points and singular leaves are read by face lookups."""
-        t = self._table
-        (on_x, side_x), (on_y, side_y) = self._point_bits(px), self._point_bits(py)
-        off = (t.plus | t.minus) & ~(on_x | on_y)
-        out, slow = on_x ^ on_y, off
-        if side_x is not None and side_y is not None:
-            out |= (side_x ^ side_y) & off
-            slow &= ~t.nonsingular
-        for i in _bits(slow):
-            m = t.ids[i]
-            if self._face_of_point(px, m) != self._face_of_point(py, m):
-                out |= 1 << i
-        return out
+        separates them, a leaf holding both does not, and a leaf off both
+        separates them iff they lie on two of its faces."""
+        (on_x, gap_x), (on_y, gap_y) = self._point_bits(px), self._point_bits(py)
+        return (on_x ^ on_y) | (self._table.fold(gap_x ^ gap_y) & ~(on_x | on_y))
 
-    def _point_bits(self, pt: Point) -> tuple[int, int | None]:
-        """The leaves through a point, and the nonsingular leaves holding it
-        on their face 0 (None for a region point)."""
+    def _point_bits(self, pt: Point) -> tuple[int, int]:
+        """The leaves through a point, and the face planes of the point: of
+        the gap after its anchor, or for a crossing point of P and M, of
+        P's first endpoint for the plus leaves and of M's for the minus."""
+        t = self._table
         if pt.kind != "crossing":
-            return 0, None
-        t, P, M = self._table, pt.plus_leaf, pt.minus_leaf
+            return 0, t.gap[self.pos(pt.anchor)]
+        P, M = pt.plus_leaf, pt.minus_leaf
+        at_p, at_m = t.gap[t.ep[P][0]], t.gap[t.ep[M][0]]
         return (1 << t.index[P] | 1 << t.index[M],
-                (t.side[P] & t.plus) | (t.side[M] & t.minus))
+                at_m ^ ((at_p ^ at_m) & t.plus * t.planes))
 
     def separates_point(self, leaf_id: str, x, y) -> bool:
         """Leaf-separation of two marked points, with the convention of

@@ -36,14 +36,16 @@ from .pattern import (
     PreconditionError, Singularity, UnknownIdError, UsageError,
 )
 
-# most leaves a certificate window (0, reach()) may hold; the shipped
-# patterns need at most 48
+# most leaves a certificate window (0, reach()) may hold, and most leaf pairs
+# an automorphism's template check may compare; the shipped patterns need at
+# most 48 and 324
 MAX_CERTIFICATE_LEAVES = 4096
 
 
 class CertificateTooWideError(InvalidPatternError):
     """A periodic pattern whose certificate window would exceed
-    MAX_CERTIFICATE_LEAVES leaves."""
+    MAX_CERTIFICATE_LEAVES leaves, or an automorphism whose template check
+    would compare more leaf pairs than that."""
 
 
 @dataclass(frozen=True)
@@ -346,9 +348,11 @@ class PeriodicPattern:
 class PatternAutomorphism:
     """A template-preserving pair of index maps, plus one per sign.
 
-    The constructor checks the templates where maps enter.  By translation
-    invariance and template locality its finite check certifies the infinite
-    map, so products and inverses of checked maps are built unchecked.
+    The constructor checks the templates where maps enter, after refusing a
+    map whose check would compare more than MAX_CERTIFICATE_LEAVES leaf
+    pairs.  By translation invariance and template locality its finite check
+    certifies the infinite map, so products and inverses of checked maps are
+    built unchecked.
     Orientation-reversing (translation anti-commuting) maps are not modeled.
     """
 
@@ -362,6 +366,11 @@ class PatternAutomorphism:
         self.plus = plus
         self.minus = minus
         self.name = name
+        pairs = (2 * self._reach() + 1) * pattern.period
+        if pairs > MAX_CERTIFICATE_LEAVES:
+            raise CertificateTooWideError(
+                f"automorphism {name!r}: its template check would compare "
+                f"{pairs} leaf pairs, more than {MAX_CERTIFICATE_LEAVES}")
         self._check_templates()
 
     @classmethod
@@ -468,15 +477,22 @@ HYPERBOLIC_MATRIX = ((2, 1), (1, 1))
 _INV_MATRIX = ((1, -1), (-1, 2))
 
 
-def _mat_vec(m, v):
-    return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
+def _times(p, q):
+    """The 2x2 product p q, each as (a, b, c, d) by rows."""
+    a, b, c, d = p
+    e, f, g, h = q
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
-def _mat_pow_vec(k: int, v):
-    m = HYPERBOLIC_MATRIX if k >= 0 else _INV_MATRIX
-    for _ in range(abs(k)):
-        v = _mat_vec(m, v)
-    return v
+def _power(m: int):
+    """A^m as (a, b, c, d), by repeated squaring."""
+    (a, b), (c, d) = HYPERBOLIC_MATRIX if m >= 0 else _INV_MATRIX
+    p, base, m = (1, 0, 0, 1), (a, b, c, d), abs(m)
+    while m:
+        if m & 1:
+            p = _times(p, base)
+        base, m = _times(base, base), m >> 1
+    return p
 
 
 @dataclass(frozen=True)
@@ -488,13 +504,15 @@ class AffineElement:
     v: tuple[int, int]
 
     def mul(self, other: "AffineElement") -> "AffineElement":
-        w = _mat_pow_vec(self.k, other.v)
-        return AffineElement(self.k + other.k,
-                             (self.v[0] + w[0], self.v[1] + w[1]))
+        a, b, c, d = _power(self.k)
+        x, y = other.v
+        return AffineElement(self.k + other.k, (self.v[0] + a * x + b * y,
+                                                self.v[1] + c * x + d * y))
 
     def inverse(self) -> "AffineElement":
-        w = _mat_pow_vec(-self.k, self.v)
-        return AffineElement(-self.k, (-w[0], -w[1]))
+        a, b, c, d = _power(-self.k)
+        x, y = self.v
+        return AffineElement(-self.k, (-a * x - b * y, -c * x - d * y))
 
     @staticmethod
     def identity() -> "AffineElement":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import graphs as gr
 from .pattern import (
     PLUS, MINUS, DegenerateInputError, FinitePattern, Point, PreconditionError,
-    UnknownIdError, _bits,
+    UnknownIdError,
 )
 
 D_H, D_PLUS, D_MINUS, D_RPLUS, D_RMINUS = "dH", "d+", "d-", "dR+", "dR-"
@@ -68,31 +68,21 @@ def _separation_depth(p: FinitePattern, x, leaves: list[str]) -> dict:
     (disjoint from it) lie between the point x and it.
 
     m lies between x and a leaf l disjoint from it when l's first endpoint
-    is off x's face of m, an endpoint of m included.  For a nonsingular m
-    not through the crossing point x that is a bit of ``side[l] ^ side_x``
-    or of the endpoint bitset at that position; singular leaves, leaves
-    through x and every leaf for a region point are compared face by face."""
+    e is off x's face of m, an endpoint of m included: a bit of the folded
+    face planes ``gap[e] ^ gap_x`` or of the leaves ending at e.  A leaf
+    through x has no face of x, so it lies between exactly when it does not
+    end at e."""
     t = p._table
-    px = p.point(x)
-    on_x, side_x = p._point_bits(px)
+    on_x, gap_x = p._point_bits(p.point(x))
     mask = 0
     for l in leaves:
         mask |= 1 << t.index[l]
-    if side_x is None:  # a region point
-        side_x = fast = 0
-    else:
-        fast = mask & t.nonsingular & ~on_x
-    slow = [(i, t.face[t.ids[i]], p._face_of_point(px, t.ids[i]))
-            for i in _bits(mask & ~fast)]
     depth = {}
     for l in leaves:
         e = t.ep[l][0]
         others = mask & ~t.cross[l] & ~(1 << t.index[l])
-        d = (others & fast & ((t.side[l] ^ side_x) | t.ends[e])).bit_count()
-        for i, face, face_x in slow:
-            if others >> i & 1 and face[e] != face_x:
-                d += 1
-        depth[l] = d
+        off_face = t.fold(t.gap[e] ^ gap_x) & ~on_x | t.ends[e]
+        depth[l] = (others & (off_face ^ on_x)).bit_count()
     return depth
 
 

@@ -14,6 +14,7 @@ implementation with its own matrix arithmetic.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from unittest import mock
@@ -111,44 +112,66 @@ def oracle_template_cross(pp, sign_a: str, ia: int, sign_b: str, ib: int) -> boo
 
 # -- relation-table oracle ----------------------------------------------------------
 
+def arc_index_of_position(p, leaf_id: str, x: int):
+    """Index of the open arc of ``leaf_id`` containing circle position x,
+    or None when x is an endpoint of the leaf, counted from its sorted
+    endpoint positions: arc i runs from the i-th endpoint to the next, and
+    the last one wraps round."""
+    return _arc(_sorted_endpoints(p, leaf_id), x)
+
+
+def _sorted_endpoints(p, leaf_id: str) -> list:
+    return sorted(map(p.pos, p.leaves[leaf_id].endpoints))
+
+
+def _arc(e: list, x: int):
+    if x in e:
+        return None
+    return (bisect.bisect(e, x) - 1) % len(e)
+
+
+def oracle_face_of_point(p, pt, leaf_id: str):
+    """The arc of ``leaf_id`` holding a marked point, None if the point lies
+    on the leaf: for a crossing point, the arc holding the first endpoint of
+    the point's leaf of ``leaf_id``'s family; for a region point, the arc
+    holding the gap just counterclockwise of its anchor, which starts at the
+    anchor when the anchor is an endpoint."""
+    from bifol.pattern import PLUS
+
+    if pt.on_leaf(leaf_id):
+        return None
+    if pt.kind == "crossing":
+        same = pt.plus_leaf if p.leaves[leaf_id].sign == PLUS else pt.minus_leaf
+        return arc_index_of_position(p, leaf_id, _sorted_endpoints(p, same)[0])
+    x, e = p.pos(pt.anchor), _sorted_endpoints(p, leaf_id)
+    return e.index(x) if x in e else _arc(e, x)
+
+
 def oracle_relations(p) -> dict:
     """The relation table built the slow way: a face row for every leaf,
-    every crossing by a face test per pair of opposite-sign leaves, the
-    side bitsets from a sweep round the circle.  Returns the columns
-    ``ep``, ``face``, ``cross`` and ``side`` keyed by leaf id, and ``ends``
-    keyed by circle position."""
-    n = p.n
+    every crossing by a face test per pair of opposite-sign leaves.  Returns
+    the columns ``ep``, ``face`` (the arc index of every circle position,
+    None on the leaf's endpoints) and ``cross`` keyed by leaf id, and
+    ``ends`` keyed by circle position."""
     ids = list(p.leaves)
-    index = {lid: i for i, lid in enumerate(ids)}
-    ep, face, side = {}, {}, {}
-    starts = [[] for _ in range(n)]  # leaves by first endpoint
-    ends = [0] * n  # nonsingular leaves by endpoint
+    ep, face = {}, {}
+    ends = [0] * p.n  # leaves by endpoint
     for i, lf in enumerate(p.leaves.values()):
-        e = ep[lf.id] = tuple(sorted(p.pos(x) for x in lf.endpoints))
-        row = [len(e) - 1] * e[0]
-        for j, (a, b) in enumerate(zip(e, e[1:] + (n,))):
-            row += [None] + [j] * (b - a - 1)
-        face[lf.id] = row
-        starts[e[0]].append(lf.id)
-        if not lf.is_singular:
-            for x in e:
-                ends[x] |= 1 << i
-    inside = 0
-    for x in range(n):
-        for lid in starts[x]:
-            side[lid] = inside & ~ends[x]
-        inside ^= ends[x]
+        e = _sorted_endpoints(p, lf.id)
+        ep[lf.id] = tuple(e)
+        face[lf.id] = [_arc(e, x) for x in range(p.n)]
+        for x in ep[lf.id]:
+            ends[x] |= 1 << i
     cross = dict.fromkeys(ids, 0)
-    for t in ids:
+    for i, t in enumerate(ids):
         for a in ids:
             if p.leaves[a].sign == p.leaves[t].sign:
                 continue
             hit = {face[t][x] for x in ep[a]}
             hit.discard(None)
             if len(hit) >= 2:
-                cross[a] |= 1 << index[t]
-    return {"ep": ep, "face": face, "cross": cross, "side": side,
-            "ends": ends}
+                cross[a] |= 1 << i
+    return {"ep": ep, "face": face, "cross": cross, "ends": ends}
 
 
 # -- validation oracle --------------------------------------------------------------
@@ -274,20 +297,14 @@ def oracle_wall_sup(p, x, y, kind: str) -> int:
     return best
 
 
-def arc_index_of_position(p, leaf_id: str, x: int):
-    """Index of the open arc of ``leaf_id`` containing circle position x,
-    or None when x is an endpoint of the leaf, read from its face row."""
-    return p._table.face[leaf_id][x]
-
-
 def oracle_separation_depth(p, x, leaves) -> dict:
     """Depth of each separator by a face-by-face loop: how many other
     separators, disjoint from it, have it off the face that holds x."""
     px = p.point(x)
-    face_x = {m: p._face_of_point(px, m) for m in leaves}
+    face_x = {m: oracle_face_of_point(p, px, m) for m in leaves}
+    ep = {m: _sorted_endpoints(p, m) for m in leaves}
     return {l: sum(1 for m in leaves if m != l and not p.intersects(m, l)
-                   and arc_index_of_position(p, m, p.endpoint_positions(l)[0])
-                   != face_x[m])
+                   and _arc(ep[m], ep[l][0]) != face_x[m])
             for l in leaves}
 
 

@@ -7,8 +7,22 @@ from bifol.pattern import PreconditionError
 from bifol.periodic import AffineElement, IndexMap
 from bifol import census as cs
 
-from oracles import (oracle_affine_ball, oracle_skew_ball,
+from oracles import (_aff_inv, _aff_mul, oracle_affine_ball, oracle_skew_ball,
                      oracle_translation_ball, oracle_trivial_ball_sizes)
+
+
+def test_affine_products_match_the_oracle():
+    # mul and inverse read A^k off repeated squaring; the oracle applies A
+    # or its inverse |k| times
+    rng = random.Random(7)
+    for _ in range(300):
+        a, b = ((rng.randint(-cs.MAX_EXPONENT, cs.MAX_EXPONENT),
+                 (rng.randint(-50, 50), rng.randint(-50, 50))) for _ in range(2))
+        g, h = AffineElement(*a), AffineElement(*b)
+        gh, inv = g.mul(h), g.inverse()
+        assert (gh.k, gh.v) == _aff_mul(a, b), (a, b)
+        assert (inv.k, inv.v) == _aff_inv(a), a
+        assert g.mul(inv).is_identity()
 
 
 def test_ball_base_cases():

@@ -18,7 +18,7 @@ from bifol import cli
 from bifol.pattern import (
     FinitePattern, InvalidPatternError, PreconditionError, UsageError,
 )
-from bifol.periodic import generate
+from bifol.periodic import CertificateTooWideError, generate
 
 FIXDIR = Path(__file__).parent.parent / "src" / "bifol" / "fixtures"
 
@@ -113,9 +113,32 @@ def test_periodic_certificate_past_the_leaf_limit(tmp_path, capsys):
     assert main(["classify", "--pattern", str(path), "--element", "s"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(path) in err, err
-    # the widest window under the limit is accepted: reach 2047, 4096 leaves
+    # the widest window under the limit is accepted: reach 2047, 4096
+    # leaves; the automorphism s would compare 4099 leaf pairs, so it goes
     d["plus_families"][0]["endpoints"][1][1] = "2046"
+    with pytest.raises(CertificateTooWideError, match="automorphism 's'"):
+        bio.parse_pattern_text(json.dumps(d))
+    d["automorphisms"] = {}
     assert bio.parse_pattern_text(json.dumps(d)).reach() == 2047
+
+
+def test_automorphism_offsets_past_the_leaf_limit(tmp_path, capsys):
+    # offsets of 1e9 would ask the template check for about two billion
+    # pairs; the map is refused before any pair is compared
+    d = json.loads(fixture_text("skew2"))
+    d["automorphisms"]["s"] = {"plus": [10 ** 9], "minus": [10 ** 9]}
+    with pytest.raises(CertificateTooWideError,
+                       match="automorphism 's': its template check would "
+                             "compare 2000000009 leaf pairs, more than 4096"):
+        bio.parse_pattern_text(json.dumps(d))
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(d), encoding="utf-8")
+    assert main(["validate", "--in", str(path)]) == 2
+    violations = json.loads(capsys.readouterr().out)["results"]["violations"]
+    assert violations.startswith(f"{path}: automorphism 's'"), violations
+    # the widest shipped check, scalloped's s, is far under the limit
+    g = load_fixture("scalloped").automorphisms["s"]
+    assert (2 * g._reach() + 1) * g.pattern.period == 324
 
 
 def _validate_file(path):

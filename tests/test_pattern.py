@@ -14,8 +14,8 @@ from bifol.randgen import random_pattern
 
 from oracles import (
     geometric_intersects, geometric_separates_leaves, geometric_separates_point,
-    oracle_pseudo_interval_set, oracle_relations, oracle_validate,
-    all_monotone_paths,
+    oracle_face_of_point, oracle_pseudo_interval_set, oracle_relations,
+    oracle_validate, all_monotone_paths,
 )
 
 
@@ -43,36 +43,26 @@ def _table_patterns():
 
 
 def test_relation_table_matches_the_oracle():
+    # every column, and the face of every leaf at every circle position:
+    # the oracle row's arc off the leaf, the arc starting there on it
     for name, p in _table_patterns():
         want, t = oracle_relations(p), p._table
         assert dict(t.ep) == want["ep"], name
         assert dict(t.cross) == want["cross"], name
-        assert dict(t.side) == want["side"], name
         assert t.ends == want["ends"], name
-        for lid in p.leaves:
-            assert t.face[lid] == want["face"][lid], (name, lid)
+        for lid, row in want["face"].items():
+            e = want["ep"][lid]
+            got = [t.face(lid, x) for x in range(p.n)]
+            assert got == [e.index(x) if f is None else f
+                           for x, f in enumerate(row)], (name, lid)
 
 
-def test_face_rows_are_built_on_read_only():
-    # a window is not validated, so nothing has read a face yet
-    w = load_fixture("ladder_periodic").materialize_window(-3, 3)
-    t = w._table
-    assert w.intersects("u0", "ga-1") and not w.intersects("u0", "ga0")
-    assert w.separator_chain("u-3", "w3")
-    assert w._separates("u0", "u-3", "w3")
-    assert len(t.face) == 0
-    assert t.face["u0"][t.ep["u0"][0]] is None
-    assert list(t.face) == ["u0"]
-    with pytest.raises(UnknownIdError):
-        t.face["nope"]
-
-
-def test_separates_reads_the_side_bitsets():
-    # the bitset rule for a nonsingular separator, and the face rows for a
-    # singular one, against a comparison of face rows kept here
+def test_separates_reads_the_face_planes():
+    # the folded planes for every separator, singular or not, against a
+    # comparison of the oracle's face rows
     rng = random.Random(13)
     for name, p in _table_patterns():
-        t = p._table
+        want = oracle_relations(p)
         for sign in (PLUS, MINUS):
             ids = p.leaf_ids(sign)
             if len(ids) < 3:
@@ -80,9 +70,9 @@ def test_separates_reads_the_side_bitsets():
             triples = (itertools.permutations(ids, 3) if len(ids) <= 12
                        else (rng.sample(ids, 3) for _ in range(1500)))
             for m, a, b in triples:
-                face = t.face[m]
-                want = face[t.ep[a][0]] != face[t.ep[b][0]]
-                assert p._separates(m, a, b) == want, (name, m, a, b)
+                face, ep = want["face"][m], want["ep"]
+                assert p._separates(m, a, b) == \
+                    (face[ep[a][0]] != face[ep[b][0]]), (name, m, a, b)
 
 
 # -- validation ------------------------------------------------------------------
@@ -313,9 +303,12 @@ def test_point_separation_matches_geometry():
 
 def test_region_point_faces(grid3):
     q = Point.region("q", grid3.boundary[0])
-    # the gap after the first boundary label sits outside every chord
+    # the gap after the first boundary label sits on no leaf, and the point
+    # reads the face planes of that gap
+    on, planes = grid3._point_bits(q)
+    assert on == 0 and planes == grid3._table.gap[0]
     for leaf in grid3.leaves:
-        assert grid3._face_of_point(q, leaf) is not None
+        assert grid3._table.face(leaf, 0) == oracle_face_of_point(grid3, q, leaf)
 
 
 # -- pseudo-intervals ---------------------------------------------------------------------
@@ -399,7 +392,8 @@ def _brute_point_seps(p, px, py):
         on_x, on_y = px.on_leaf(m), py.on_leaf(m)
         if px.key() == py.key() or (on_x and on_y):
             continue
-        if on_x or on_y or p._face_of_point(px, m) != p._face_of_point(py, m):
+        if on_x or on_y or oracle_face_of_point(p, px, m) != \
+                oracle_face_of_point(p, py, m):
             out.append(m)
     return out
 

@@ -9,12 +9,13 @@ from bifol.pattern import (
 )
 from bifol import graphs as gr
 from bifol import walls as wl
+from bifol.fixtures import load_fixture
 from bifol.randgen import random_pattern
 
 from oracles import (
     oracle_longest_chain, oracle_separation_depth, oracle_wall_sup,
 )
-from test_pattern import _differential_patterns, _probe_points
+from test_pattern import _brute_point_seps, _differential_patterns, _probe_points
 
 
 def test_grid3_no_aligned_plus_pair(grid3):
@@ -254,6 +255,55 @@ def test_witness_tuples_match_face_by_face_oracle():
                 want = oracle_longest_chain(p, kind, seps, a)
             got = wl.longest_chain_witness(p, a, b, kind).leaves
             assert got == want, (name, a.id, b.id, kind)
+
+
+def _region_point_patterns():
+    for name in ("prong3", "prongchain2", "prongdiv", "prongnondiv"):
+        yield name, load_fixture(name)
+    for seed in range(12):
+        yield f"random{seed}", random_pattern(seed, max_leaves=10)
+
+
+def test_region_points_at_every_gap_match_the_face_oracle():
+    # a region point in every gap, against every other gap and every
+    # declared point, through separates_point and wall_distance, on the
+    # singular fixtures and on random patterns; the oracle reads faces off
+    # sorted endpoints
+    for name, p in _region_point_patterns():
+        gaps = [Point.region(f"r{i}", lab) for i, lab in enumerate(p.boundary)]
+        pairs = itertools.chain(
+            itertools.combinations_with_replacement(gaps, 2),
+            itertools.product(gaps, p.points.values()))
+        for a, b in pairs:
+            seps = _brute_point_seps(p, a, b)
+            assert [m for m in p.leaf_ids() if p.separates_point(m, a, b)] \
+                == seps, (name, a.id, b.id)
+            for kind in wl.KINDS:
+                if a.key() != b.key() and not seps:
+                    with pytest.raises(DegenerateInputError):
+                        wl.wall_distance(p, a, b, kind)
+                    continue
+                sign = wl._SIGN_OF[kind]
+                of_kind = sorted(m for m in seps
+                                 if sign in (None, p.leaves[m].sign))
+                chain = oracle_longest_chain(p, kind, of_kind, a)
+                plus_one = kind != wl.D_H and a.key() != b.key()
+                assert wl.wall_distance(p, a, b, kind) == \
+                    len(chain) + plus_one, (name, a.id, b.id, kind)
+
+
+def test_leaf_through_the_point_ending_at_the_first_endpoint_is_not_between(
+        chain3):
+    # m1 runs through the crossing point x of p1 and m1, and p0's first
+    # endpoint is an endpoint of m1 (a perfect fit): x holds no face of m1
+    # and p0 is read on m1, so m1 is not counted as lying between x and p0
+    x = Point.crossing("x", "p1", "m1")
+    assert chain3.endpoint_positions("p0")[0] in \
+        chain3.endpoint_positions("m1")
+    assert not chain3.intersects("p0", "m1")
+    want = {"p0": 0, "m1": 1}
+    assert wl._separation_depth(chain3, x, ["p0", "m1"]) == want
+    assert oracle_separation_depth(chain3, x, ["p0", "m1"]) == want
 
 
 def test_reeb_chains_read_the_gamma_graph(monkeypatch):
