@@ -13,7 +13,8 @@ period).  Each model's census runs on integer normal forms:
 
 Ball enumeration, the fixed/free classification and the growth/genericity
 reports are exact and deterministic; element objects are built only by
-`enumerate_ball`.
+`enumerate_ball`.  Both enumerators stop before a radius whose projected ball
+exceeds `BUDGET` elements, or BIFOL_BUDGET_MS's cap (`_check_budget`).
 """
 
 from __future__ import annotations
@@ -46,13 +47,18 @@ class BudgetExceededError(BifolError):
     """Projected enumeration cost exceeds the configured budget."""
 
 
-def _budget_elements(default: int = 2_000_000) -> int:
-    # BIFOL_BUDGET_MS is interpreted via a fixed elements-per-millisecond
-    # rate so runs stay deterministic across machines.
+BUDGET = 2_000_000  # elements a ball may be projected to hold
+
+
+def _check_budget(radius: int, projected: int) -> None:
+    """Stop before ``radius`` if its ``projected`` ball exceeds BUDGET, or
+    500 elements per millisecond of BIFOL_BUDGET_MS: a fixed rate, so runs
+    stay deterministic across machines."""
     ms = os.environ.get("BIFOL_BUDGET_MS")
-    if ms is None:
-        return default
-    return max(1, int(ms)) * 500
+    budget = BUDGET if ms is None else max(1, int(ms)) * 500
+    if projected > budget:
+        raise BudgetExceededError(f"radius {radius}: projected {projected} "
+                                  f"elements exceeds budget {budget}")
 
 
 @dataclass(frozen=True)
@@ -105,24 +111,19 @@ def classify_fixed_free(model: str, g) -> str:
     return FREE if _FREE[model](t) else FIXED
 
 
-def word_ball(gens: list, ident, n: int, mul, budget: int | None = None,
-              key=None, tag=lambda radius, gen, parent: radius) -> dict:
+def word_ball(gens: list, ident, n: int, mul, key=None,
+              tag=lambda radius, gen, parent: radius) -> dict:
     """Breadth-first search to word length n over the (name, g) pairs `gens`
     with the product mul(g, w) = g*w: {normal form: (element, label)}, keyed
     by key(element), or the element itself.  The identity is labelled
     tag(0, None, None) and each new g*w tag(radius, name of g, label of w).
     The integer-map census and `dynamics` enumerate their balls here; the
     affine census has its own sphere recurrence, `_affine_spheres`."""
-    budget = budget if budget is not None else _budget_elements()
     start = (ident, tag(0, None, None))
     ball = {ident if key is None else key(ident): start}
     frontier = [start]
     for radius in range(1, n + 1):
-        projected = len(ball) + len(frontier) * len(gens)
-        if projected > budget:
-            raise BudgetExceededError(
-                f"radius {radius}: projected {projected} elements "
-                f"exceeds budget {budget}")
+        _check_budget(radius, len(ball) + len(frontier) * len(gens))
         nxt = []
         for w, label in frontier:
             for name, g in gens:
@@ -135,13 +136,13 @@ def word_ball(gens: list, ident, n: int, mul, budget: int | None = None,
     return ball
 
 
-def _ball(S: GeneratingSet, n: int, budget: int | None) -> dict:
+def _ball(S: GeneratingSet, n: int) -> dict:
     """Integer-map model: {offsets: (offsets, word length)}, from one
     operation table, a row per symmetrized generator."""
     _check_radius(n)
     gens = S.symmetrized()
     return word_ball([(nm, g.offsets) for nm, g in gens],
-                     (0,) * gens[0][1].N, n, _intmap_mul, budget)
+                     (0,) * gens[0][1].N, n, _intmap_mul)
 
 
 def _check_radius(n: int) -> None:
@@ -155,7 +156,7 @@ def _columns(k: int, W: int) -> tuple[int, int]:
     return a * W + c, b * W + d
 
 
-def _affine_spheres(S: GeneratingSet, n: int, budget: int | None):
+def _affine_spheres(S: GeneratingSet, n: int):
     """Affine model: yield (W, sphere) for the word lengths 0..n, where a
     sphere is {k: set of v0 * W + v1} over its elements (k, v).
 
@@ -180,7 +181,6 @@ def _affine_spheres(S: GeneratingSet, n: int, budget: int | None):
     is set for R = min(n, 2r) and the two live spheres are repacked; so W
     stays the size the reached radius needs, whatever n is."""
     _check_radius(n)
-    budget = budget if budget is not None else _budget_elements()
     gens = [(g.k, g.v, _power(g.k)) for _, g in S.symmetrized()]
     kmax = max(abs(k) for k, _, _ in gens)
     vmax = max(abs(x) for _, v, _ in gens for x in v)
@@ -188,11 +188,7 @@ def _affine_spheres(S: GeneratingSet, n: int, budget: int | None):
     prev, cur, size = {}, {0: {0}}, 1
     yield W, cur
     for radius in range(1, n + 1):
-        projected = size + sum(map(len, cur.values())) * len(gens)
-        if projected > budget:
-            raise BudgetExceededError(
-                f"radius {radius}: projected {projected} elements "
-                f"exceeds budget {budget}")
+        _check_budget(radius, size + sum(map(len, cur.values())) * len(gens))
         if radius > R:
             R = min(n, 2 * radius)
             a, b, c, d = _power(R * kmax)
@@ -227,12 +223,12 @@ def _unpack(p: int, W: int) -> tuple[int, int]:
     return (p - v1) // W, v1
 
 
-def enumerate_ball(S: GeneratingSet, n: int, budget: int | None = None) -> dict:
+def enumerate_ball(S: GeneratingSet, n: int) -> dict:
     """{normal form: (element, word length)} for word lengths <= n."""
     if S.model == SKEW_INTMAP:
-        return {t: (IndexMap(t), r) for t, (_, r) in _ball(S, n, budget).items()}
+        return {t: (IndexMap(t), r) for t, (_, r) in _ball(S, n).items()}
     out = {}
-    for r, (W, sphere) in enumerate(_affine_spheres(S, n, budget)):
+    for r, (W, sphere) in enumerate(_affine_spheres(S, n)):
         for k, s in sphere.items():
             for p in s:
                 v = _unpack(p, W)
@@ -240,19 +236,18 @@ def enumerate_ball(S: GeneratingSet, n: int, budget: int | None = None) -> dict:
     return out
 
 
-def _counts(S: GeneratingSet, n: int, budget: int | None,
-            ball: dict | None = None) -> tuple[list, list]:
+def _counts(S: GeneratingSet, n: int, ball: dict | None = None) -> tuple[list, list]:
     """Per word length: the number of elements and of free ones, from the
     affine spheres or the integer-map ball (built here unless given)."""
     per_radius, free_r = [0] * (n + 1), [0] * (n + 1)
     if S.model == TRIVIAL_AFFINE:
-        for r, (_, sphere) in enumerate(_affine_spheres(S, n, budget)):
+        for r, (_, sphere) in enumerate(_affine_spheres(S, n)):
             per_radius[r] = sum(map(len, sphere.values()))
             # class 0 past the identity: the nonzero translations
             free_r[r] = len(sphere.get(0, ())) if r else 0
         return per_radius, free_r
     free = _FREE[SKEW_INTMAP]
-    for t, r in (ball or _ball(S, n, budget)).values():
+    for t, r in (ball or _ball(S, n)).values():
         per_radius[r] += 1
         free_r[r] += free(t)
     return per_radius, free_r
@@ -275,8 +270,8 @@ class BallStats:
                                               self.lambda_hat, self.lambda_free)]
 
 
-def ball_stats(S: GeneratingSet, nmax: int, budget: int | None = None) -> BallStats:
-    return _stats(S, *_counts(S, nmax, budget))
+def ball_stats(S: GeneratingSet, nmax: int) -> BallStats:
+    return _stats(S, *_counts(S, nmax))
 
 
 def _stats(S: GeneratingSet, per_radius: list, free_r: list) -> BallStats:
@@ -315,7 +310,7 @@ def _loglog_slope(counts, lo, hi):
         (math.log(hi) - math.log(lo))
 
 
-def growth_report(S: GeneratingSet, nmax: int, budget: int | None = None) -> GrowthReport:
+def growth_report(S: GeneratingSet, nmax: int) -> GrowthReport:
     """Ball statistics plus the doubling inequality at every radius.
 
     For the trivial model the polynomial-growth check is evaluated on the
@@ -324,7 +319,7 @@ def growth_report(S: GeneratingSet, nmax: int, budget: int | None = None) -> Gro
     group, so the slope of its ball intersections is also reported but not
     bounded.
     """
-    st = ball_stats(S, nmax, budget)
+    st = ball_stats(S, nmax)
     checks = {"doubling": st.doubling_ok}
     slope = slope_int = None
     if S.model == TRIVIAL_AFFINE and nmax >= 4:
@@ -358,8 +353,7 @@ class GenericityReport:
         return self.dichotomy_ok and self.fraction_bound_ok
 
 
-def genericity_report(S: GeneratingSet, h: IndexMap, nmax: int,
-                      budget: int | None = None) -> GenericityReport:
+def genericity_report(S: GeneratingSet, h: IndexMap, nmax: int) -> GenericityReport:
     """Skew-model census: verify that every ball element or its h-translate
     acts freely, and the resulting lower bound on the free fraction."""
     if S.model != SKEW_INTMAP:
@@ -369,11 +363,11 @@ def genericity_report(S: GeneratingSet, h: IndexMap, nmax: int,
     if any(o < h.N + 1 for o in h.offsets):
         raise PreconditionError(
             "designated shift must displace every index by more than the period")
-    ball = _ball(S, nmax, budget)
+    ball = _ball(S, nmax)
     if h.offsets not in ball:
         raise PreconditionError("designated shift outside the enumerated ball")
     R = ball[h.offsets][1]  # word length of h
-    st = _stats(S, *_counts(S, nmax, budget, ball))
+    st = _stats(S, *_counts(S, nmax, ball))
     K = st.ball[R]
     L = (2 * S.size) ** R
     free = _FREE[SKEW_INTMAP]

@@ -12,8 +12,10 @@ wall-clock data).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import math
 import sys
 
 from . import census as cs
@@ -144,6 +146,8 @@ def cmd_dist(args):
     results = {"from": args.src, "to": args.dst}
     if isinstance(p, PeriodicPattern):
         lo, hi = args.window
+        if lo >= hi:  # before the window is widened to hold (-2, 2)
+            raise UsageError(f"window ({lo}, {hi}) needs lo < hi")
         d, stable = gr.windowed_distance(p, args.kind, args.src, args.dst,
                                          (min(lo, -2), max(hi, 2)))
         results["stable_under_doubling"] = stable
@@ -345,12 +349,19 @@ def nonnegative(text: str) -> int:
     return int(text)
 
 
+def positive(text: str) -> float:
+    if not 0 < float(text) < math.inf:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be positive and finite, not {text}")
+    return float(text)
+
+
 def _add_window(sp):
     sp.add_argument("--window", nargs=2, type=int, default=(0, 6),
                     metavar=("LO", "HI"),
                     help="materialization window for periodic inputs")
 
 
+@functools.cache  # parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="bifol",
@@ -412,14 +423,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pattern", required=True)
     sp.add_argument("--element", required=True)
     sp.add_argument("--window", dest="window_size", type=int, default=8)
-    sp.add_argument("--nmax", type=int, default=8)
+    sp.add_argument("--nmax", type=nonnegative, default=8)
     sp.set_defaults(fn=cmd_classify)
 
     sp = sub.add_parser("wpd")
     sp.add_argument("--pattern", required=True)
     sp.add_argument("--g", required=True)
     sp.add_argument("--ball", type=nonnegative, default=4)
-    sp.add_argument("--eps", type=float, default=1.0)
+    sp.add_argument("--eps", type=positive, default=1.0)
     sp.add_argument("--n", type=nonnegative, default=8)
     sp.add_argument("--base")
     sp.add_argument("--window", dest="window_size", type=int, default=8)

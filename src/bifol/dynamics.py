@@ -255,15 +255,19 @@ def _algebraic_verdict(pp: PeriodicPattern, g: PatternAutomorphism):
     return None
 
 
+def _complete(G: gr.LeafGraph) -> bool:
+    """Diameter at most one: every vertex is adjacent to all the others."""
+    return all(len(ns) == len(G.vertices) - 1 for ns in G.adj.values())
+
+
 def _window_verdict(pp: PeriodicPattern, g: PatternAutomorphism,
                     p: FinitePattern, window: int, nmax: int):
     """The stages of ``classify_isometry`` read off its window p =
     (-window, window): diameter one, then the translation-length bracket."""
     G = gr.build_graph(p, gr.XPLUS)
-    if gr.diameter(G) <= 1:
-        p2 = pp.materialize_window(-2 * window, 2 * window)
-        if gr.diameter(gr.build_graph(p2, gr.XPLUS)) <= 1:
-            return Elliptic("bounded_orbit", "intersection graph has diameter 1")
+    if _complete(G) and _complete(gr.build_graph(
+            pp.materialize_window(-2 * window, 2 * window), gr.XPLUS)):
+        return Elliptic("bounded_orbit", "intersection graph has diameter 1")
     # translation-length bracket from the window; when the orbit alternates
     # between graph components (parallel-band patterns), sample along the
     # smallest power that returns to the base component

@@ -100,14 +100,11 @@ def diameter(G: LeafGraph):
 
 
 def connected_components(G: LeafGraph) -> list[tuple[str, ...]]:
-    seen, comps = set(), []
+    """The groups of one labelling, each in vertex order, by first vertex."""
+    comps, lab = {}, _components_off(G, (), G.vertices)
     for v in G.vertices:
-        if v in seen:
-            continue
-        comp = set(distances_from(G, v))
-        seen |= comp
-        comps.append(tuple(sorted(comp)))
-    return comps
+        comps.setdefault(lab[v], []).append(v)
+    return [tuple(c) for c in comps.values()]
 
 
 def project_path(p: FinitePattern, G: LeafGraph, path) -> tuple[str, ...]:
@@ -150,38 +147,50 @@ def bottleneck_certify(G: LeafGraph, K: int) -> BottleneckResult:
     """Quasi-tree certificate: for every even geodesic pair and every geodesic
     midpoint v, removing the closed K-ball around v must disconnect the
     endpoints.  Exact equivalence with "every path meets the ball" holds on
-    finite graphs.  The components of G minus the ball of a midpoint are
-    labelled once, when a pair first asks about it, so each (pair, midpoint)
-    check compares two labels."""
-    if len(connected_components(G)) > 1:
+    finite graphs."""
+    comps = connected_components(G)
+    if len(comps) > 1:
         raise PreconditionError("bottleneck certification requires a connected graph")
-    dist = {v: distances_from(G, v) for v in G.vertices}
-    labels = {}  # midpoint -> component label of each vertex, None in its ball
+    return _certify(G, comps, K)
+
+
+def bottleneck_certify_components(G: LeafGraph, K: int) -> BottleneckResult:
+    """Certify each connected component separately, in place; disconnected
+    windows are legal truncation artifacts."""
+    return _certify(G, connected_components(G), K)
+
+
+def _certify(G: LeafGraph, comps: list, K: int) -> BottleneckResult:
+    """The certificate on each component in turn, to the first failure.  A
+    component minus the ball of a midpoint is labelled once, when a pair first
+    asks about it, so each (pair, midpoint) check compares two labels."""
     checked = 0
-    for x, y in itertools.combinations(G.vertices, 2):
-        dxy = dist[x][y]
-        if dxy % 2 or dxy == 0:
-            continue
-        r = dxy // 2
-        mids = [v for v in G.vertices
-                if dist[x].get(v) == r and dist[y].get(v) == r]
-        for v in mids:
-            checked += 1
-            lab = labels.get(v)
-            if lab is None:
-                lab = labels[v] = _components_off(
-                    G, [w for w, d in dist[v].items() if d <= K])
-            if lab[x] is not None and lab[x] == lab[y]:
-                return BottleneckResult(False, K, checked,
-                                        BottleneckWitness(x, y, v))
+    for comp in comps:
+        dist = {v: distances_from(G, v) for v in comp}
+        labels = {}  # midpoint -> component label of each vertex, None in its ball
+        for x, y in itertools.combinations(comp, 2):
+            dxy = dist[x][y]
+            if dxy % 2 or dxy == 0:
+                continue
+            r = dxy // 2
+            mids = [v for v in comp if dist[x].get(v) == r and dist[y].get(v) == r]
+            for v in mids:
+                checked += 1
+                lab = labels.get(v)
+                if lab is None:
+                    lab = labels[v] = _components_off(
+                        G, [w for w, d in dist[v].items() if d <= K], comp)
+                if lab[x] is not None and lab[x] == lab[y]:
+                    return BottleneckResult(False, K, checked,
+                                            BottleneckWitness(x, y, v))
     return BottleneckResult(True, K, checked, None)
 
 
-def _components_off(G: LeafGraph, removed) -> dict:
+def _components_off(G: LeafGraph, removed, seeds) -> dict:
     """Vertex -> a vertex naming its component of G minus ``removed``, and
-    None for the removed vertices."""
+    None for the removed vertices, over the components holding ``seeds``."""
     lab = dict.fromkeys(removed)
-    for s in G.vertices:
+    for s in seeds:
         if s in lab:
             continue
         lab[s] = s
@@ -192,18 +201,6 @@ def _components_off(G: LeafGraph, removed) -> dict:
                     lab[w] = s
                     stack.append(w)
     return lab
-
-
-def bottleneck_certify_components(G: LeafGraph, K: int) -> BottleneckResult:
-    """Certify each connected component separately; disconnected windows are
-    legal truncation artifacts."""
-    checked = 0
-    for comp in connected_components(G):
-        res = bottleneck_certify(G.subgraph(comp), K)
-        checked += res.pairs_checked
-        if not res.passed:
-            return BottleneckResult(False, K, checked, res.witness)
-    return BottleneckResult(True, K, checked, None)
 
 
 def minimal_bottleneck_constant(G: LeafGraph, K_max: int = 16):

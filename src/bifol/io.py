@@ -230,11 +230,7 @@ def parse_pattern_text(text: str):
         raise ParseError("top level must be an object")
     if "period" in d:
         return periodic_from_dict(d)
-    p = finite_from_dict(d)
-    rep = p.validate()
-    if not rep.ok:
-        raise InvalidPatternError(str(rep))
-    return p
+    return finite_from_dict(d).require_valid()
 
 
 def write_pattern(p, path):

@@ -532,7 +532,11 @@ class FinitePattern:
             if self.leaves[l1].sign != self.leaves[l2].sign:
                 v.append(Violation("nonseparated pair has mixed signs", (l1, l2)))
                 continue
-            for m in self._ids_of(self._seps(l1, l2)):
+            # skip leaves ending where l1 or l2 ends: shared endpoints
+            rel = self._table
+            touch = functools.reduce(operator.or_, map(rel.ends.__getitem__,
+                                                       rel.ep[l1] + rel.ep[l2]))
+            for m in self._ids_of(self._seps(l1, l2) & ~touch):
                 v.append(Violation("nonseparated pair separated by same-sign leaf",
                                    (l1, l2, m)))
             common = self.common_transversal(l1, l2)

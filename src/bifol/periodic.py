@@ -21,7 +21,8 @@ distance in the window, clamped to the reach.
 
 The module also owns every shipped fixture generator: finite patterns are
 built by the same track walk (``_chord_pattern``) that builds the windows of
-periodic patterns.
+periodic patterns.  Finite generators are valid by construction, which the
+tests check over a range of sizes; periodic ones are certified as files are.
 """
 
 from __future__ import annotations
@@ -548,8 +549,7 @@ def trivial_pattern(n: int) -> FinitePattern:
         leaves.append(Leaf(f"h{j}", MINUS, (f"c{n + j}", f"c{4 * n - 1 - j}")))
     pts = [Point.crossing(f"x{i}{j}", f"v{i}", f"h{j}")
            for i in range(n) for j in range(n)]
-    fp = FinitePattern(labels, leaves, points=pts)
-    return fp.require_valid()
+    return FinitePattern(labels, leaves, points=pts)
 
 
 def trivial_periodic() -> PeriodicPattern:
@@ -602,8 +602,7 @@ def ladder_pattern(n: int) -> FinitePattern:
         pts.append(Point.crossing("py", f"r{n - 1}", f"a{n - 1}"))
     else:
         pts.append(Point.crossing("py", "y", "g0"))
-    fp = _chord_pattern(ch, nonseparated=nonsep, points=pts)
-    return fp.require_valid()
+    return _chord_pattern(ch, nonseparated=nonsep, points=pts)
 
 
 def ladder_periodic() -> PeriodicPattern:
@@ -635,8 +634,7 @@ def sinestrip_pattern(m: int) -> FinitePattern:
     ch, nonsep = ladder_chords(m)
     flipped = [(cid, MINUS if sign == PLUS else PLUS, eps)
                for cid, sign, eps in ch]
-    fp = _chord_pattern(flipped, nonseparated=nonsep)
-    return fp.require_valid()
+    return _chord_pattern(flipped, nonseparated=nonsep)
 
 
 def prong_pattern(k: int) -> FinitePattern:
@@ -652,8 +650,7 @@ def prong_pattern(k: int) -> FinitePattern:
         leaves.append((f"m{j}", MINUS, [(16 * j - 6) % n, 16 * j + 6]))
     sing = [Singularity("sp", "sm")]
     pts = [Point.crossing("o", "sp", "sm")]
-    fp = _circle_pattern(n, leaves, singularities=sing, points=pts)
-    return fp.require_valid()
+    return _circle_pattern(n, leaves, singularities=sing, points=pts)
 
 
 def lozenge_pattern() -> FinitePattern:
@@ -663,7 +660,7 @@ def lozenge_pattern() -> FinitePattern:
           ("m0", MINUS, [(BOT, 0), (TOP, 2)]),
           ("m1", MINUS, [(BOT, 2), (TOP, 4)])]
     pts = [Point.crossing("ca", "p0", "m0"), Point.crossing("cb", "p1", "m1")]
-    return _chord_pattern(ch, points=pts).require_valid()
+    return _chord_pattern(ch, points=pts)
 
 
 def chain_pattern(n: int) -> FinitePattern:
@@ -676,7 +673,7 @@ def chain_pattern(n: int) -> FinitePattern:
         ch.append((f"p{i}", PLUS, [(BOT, i), (TOP, i - 1)]))
         ch.append((f"m{i}", MINUS, [(BOT, i - 1), (TOP, i)]))
     pts = [Point.crossing(f"k{i}", f"p{i}", f"m{i}") for i in range(n + 1)]
-    return _chord_pattern(ch, points=pts).require_valid()
+    return _chord_pattern(ch, points=pts)
 
 
 def _prong_div_chords(dividing: bool):
@@ -694,15 +691,13 @@ def prongdiv_pattern() -> FinitePattern:
     """Three-prong dividing x from y: x fills one quadrant, y only the
     opposite one."""
     n, leaves = _prong_div_chords(True)
-    fp = _circle_pattern(n, leaves, singularities=[Singularity("sp", "sm")])
-    return fp.require_valid()
+    return _circle_pattern(n, leaves, singularities=[Singularity("sp", "sm")])
 
 
 def prongnondiv_pattern() -> FinitePattern:
     """Same skeleton but y meets a quadrant adjacent to x's: not dividing."""
     n, leaves = _prong_div_chords(False)
-    fp = _circle_pattern(n, leaves, singularities=[Singularity("sp", "sm")])
-    return fp.require_valid()
+    return _circle_pattern(n, leaves, singularities=[Singularity("sp", "sm")])
 
 
 def prongchain_pattern() -> FinitePattern:
@@ -717,10 +712,9 @@ def prongchain_pattern() -> FinitePattern:
     used = sorted({p for _, _, eps in raw for p in eps})
     rank = {p: i for i, p in enumerate(used)}
     leaves = [(lid, sign, [rank[p] for p in eps]) for lid, sign, eps in raw]
-    fp = _circle_pattern(len(used), leaves,
-                         singularities=[Singularity("pa", "qa"),
-                                        Singularity("pb", "qb")])
-    return fp.require_valid()
+    return _circle_pattern(len(used), leaves,
+                           singularities=[Singularity("pa", "qa"),
+                                          Singularity("pb", "qb")])
 
 
 def partlink_pattern() -> FinitePattern:
@@ -731,7 +725,7 @@ def partlink_pattern() -> FinitePattern:
           ("pb", PLUS, [(BOT, 5), (TOP, 5)]),
           ("mb", MINUS, [(BOT, Fraction(-1, 2)), (TOP, 6)])]
     pts = [Point.crossing("a", "pa", "ma"), Point.crossing("b", "pb", "mb")]
-    return _chord_pattern(ch, points=pts).require_valid()
+    return _chord_pattern(ch, points=pts)
 
 
 def scalloped_periodic() -> PeriodicPattern:
@@ -787,7 +781,7 @@ _GENERATORS = {
 
 
 def generate(kind: str, *args):
-    """Build a named pattern; finite kinds return validated FinitePatterns,
+    """Build a named pattern; finite kinds return valid FinitePatterns,
     periodic kinds return PeriodicPatterns.  An unknown kind, or more
     arguments than the kind takes, raise UsageError before any is built."""
     if kind not in _GENERATORS:

@@ -100,9 +100,16 @@ def test_growth_report_skew_free_fraction_positive():
     assert all(st_.free[n] > 0 for n in range(1, 11))
 
 
-def test_budget_abort():
+def test_budget_abort(monkeypatch):
+    monkeypatch.delenv("BIFOL_BUDGET_MS", raising=False)
+    monkeypatch.setattr(cs, "BUDGET", 1000)
     with pytest.raises(cs.BudgetExceededError):
-        cs.enumerate_ball(cs.trivial_affine_gens(), 99, budget=1000)
+        cs.enumerate_ball(cs.trivial_affine_gens(), 99)
+    # the integer-map census shares the check: 1 + 4 elements at radius 1
+    monkeypatch.setattr(cs, "BUDGET", 4)
+    with pytest.raises(cs.BudgetExceededError,
+                       match="^radius 1: projected 5 elements exceeds budget 4$"):
+        cs.ball_stats(cs.skew_intmap_gens(), 3)
 
 
 def test_genericity_report():
@@ -238,7 +245,7 @@ def _cumulative_counts(radii, n):
 def _sphere_radii(S, n):
     """{(k, v0, v1): word length} read off the packed spheres."""
     return {(k, *cs._unpack(p, W)): r
-            for r, (W, sphere) in enumerate(cs._affine_spheres(S, n, None))
+            for r, (W, sphere) in enumerate(cs._affine_spheres(S, n))
             for k, s in sphere.items() for p in s}
 
 
@@ -296,7 +303,7 @@ def test_affine_spheres_widen_past_the_first_width(gens, n):
 
 @pytest.mark.parametrize("gens", [_SHIPPED_AFFINE, [(2, (1, 0)), (-1, (0, 3))]],
                          ids=["shipped", "custom"])
-def test_affine_budget_stops_where_the_oracle_projects(gens):
+def test_affine_budget_stops_where_the_oracle_projects(gens, monkeypatch):
     # at radius r the projection is |B(r-1)| + |S(r-1)| |sym|, from the
     # oracle's cumulative counts
     n = 9
@@ -305,16 +312,18 @@ def test_affine_budget_stops_where_the_oracle_projects(gens):
     counts, _ = _cumulative_counts(_affine_radii(gens, n), n)
     projected = [(r, counts[r - 1] + sym * (counts[r - 1] - (
         counts[r - 2] if r > 1 else 0))) for r in range(1, n + 1)]
+    monkeypatch.delenv("BIFOL_BUDGET_MS", raising=False)
     for budget in sorted({1, 2, 10_000_000} | {p + d for _, p in projected
                                                for d in (-1, 0, 1)}):
         want = next((f"radius {r}: projected {p} elements exceeds budget "
                      f"{budget}" for r, p in projected if p > budget), None)
+        monkeypatch.setattr(cs, "BUDGET", budget)
         for run in (cs.ball_stats, cs.enumerate_ball):
             if want is None:
-                run(S, n, budget)
+                run(S, n)
             else:
                 with pytest.raises(cs.BudgetExceededError) as e:
-                    run(S, n, budget)
+                    run(S, n)
                 assert str(e.value) == want
 
 

@@ -180,6 +180,28 @@ def test_classify_trivial_translation(trivial_periodic):
     assert isinstance(v, dy.Elliptic) and v.certificate == "bounded_orbit"
 
 
+def test_complete_graph_is_diameter_at_most_one():
+    # classify's "diameter one" stage reads degrees, not a BFS per vertex:
+    # same answer as gr.diameter on every graph kind of the fixtures and
+    # their windows, and on a complete graph with and without one edge
+    from bifol.fixtures import MANIFEST
+    graphs = []
+    for name in sorted(MANIFEST):
+        p = load_fixture(name)
+        windows = ([p.materialize_window(-w, w) for w in (1, 2, 4)]
+                   if isinstance(p, PeriodicPattern) else [p])
+        graphs += [gr.build_graph(fp, kind) for fp in windows for kind in gr.KINDS]
+    v = tuple("abcde")
+    for drop in (None, ("a", "b")):
+        graphs.append(gr.LeafGraph("x", v, {x: frozenset(
+            y for y in v if y != x and {x, y} != set(drop or ())) for x in v}))
+    graphs.append(gr.LeafGraph("x", ("a",), {"a": frozenset()}))
+    graphs.append(gr.LeafGraph("x", ("a", "b"), dict.fromkeys("ab", frozenset())))
+    verdicts = [dy._complete(G) for G in graphs]
+    assert verdicts == [gr.diameter(G) <= 1 for G in graphs]
+    assert 10 <= sum(verdicts) < len(graphs) - 10
+
+
 def test_classify_scalloped(scalloped):
     s = scalloped.automorphisms["s"]
     swap = scalloped.automorphisms["swap"]

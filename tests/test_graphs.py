@@ -187,6 +187,38 @@ def _bottleneck_graphs():
                                        for i in range(12)})
 
 
+def test_components_are_certified_in_place():
+    # every component of the whole graph, in place, against the oracle on
+    # each component's subgraph: pair counts add up to the first failure
+    from bifol.fixtures import MANIFEST, load_fixture
+    from bifol.periodic import PeriodicPattern
+
+    patterns = [load_fixture(name) for name in sorted(MANIFEST)]
+    patterns = [p.materialize_window(-3, 3) if isinstance(p, PeriodicPattern)
+                else p for p in patterns]
+    patterns += [random_pattern(seed, max_leaves=16) for seed in range(30)]
+    several = 0
+    for p in patterns:
+        for kind in gr.KINDS:
+            G = gr.build_graph(p, kind)
+            comps = gr.connected_components(G)
+            assert sorted(v for c in comps for v in c) == sorted(G.vertices)
+            assert all(set(gr.distances_from(G, c[0])) == set(c) for c in comps)
+            several += len(comps) > 1
+            for K in range(3):
+                checked, want = 0, (True, None)
+                for comp in comps:
+                    ok, n, wit = oracle_bottleneck_certify(G.subgraph(comp), K)
+                    checked += n
+                    if not ok:
+                        want = (False, wit)
+                        break
+                res = gr.bottleneck_certify_components(G, K)
+                assert (res.passed, res.pairs_checked, res.witness) == \
+                    (want[0], checked, want[1]), (kind, K)
+    assert several >= 20
+
+
 def test_bottleneck_matches_the_subgraph_oracle():
     # one component labelling per midpoint against a subgraph and a BFS per
     # (pair, midpoint): same verdict, count and witness

@@ -424,6 +424,11 @@ def test_cli_wpd_checks_blocks_on_the_axis(capsys, monkeypatch):
     (["lozenges", "--in", _fx("skew2"), "--window", "5", "5"], "window (5, 5)"),
     (["census", "--model", "skew", "--nmax", "-1"], "radius"),
     (["gen", "--kind", "ladder", "--params", "0", "--out", "x.json"], "ladder"),
+    # dist widens a periodic window to hold (-2, 2), after checking it
+    (["dist", "--kind", "xplus", "--in", _fx("skew2"), "--from", "p0", "--to",
+      "p1", "--window", "3", "1"], "window (3, 1)"),
+    (["dist", "--kind", "xplus", "--in", _fx("skew2"), "--from", "p0", "--to",
+      "p1", "--window", "5", "5"], "window (5, 5)"),
 ])
 def test_cli_malformed_input_is_a_usage_error(argv, named, capsys):
     assert main(argv) == 1
@@ -435,11 +440,38 @@ def test_cli_malformed_input_is_a_usage_error(argv, named, capsys):
     ("--ball", ["wpd", "--pattern", _fx("skew2"), "--g", "s"]),
     ("--n", ["wpd", "--pattern", _fx("skew2"), "--g", "s"]),
     ("--K", ["bottleneck", "--in", _fx("grid3")]),
+    ("--nmax", ["classify", "--pattern", _fx("skew2"), "--element", "s"]),
 ])
 def test_cli_negative_count_is_a_usage_error(flag, argv, capsys):
     assert main(argv + [flag, "-1"]) == 1
     err = capsys.readouterr().err
     assert err.endswith(f": error: argument {flag}: must be >= 0, not -1\n"), err
+
+
+@pytest.mark.parametrize("eps", ["-1", "0", "nan", "inf", "1e400"])
+def test_cli_wpd_eps_must_be_positive_and_finite(eps, capsys):
+    # NaN and infinity would reach the report as NaN and Infinity, not JSON
+    argv = ["wpd", "--pattern", _fx("skew2"), "--g", "s", "--eps", eps]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.endswith(": error: argument --eps: must be positive and "
+                        f"finite, not {eps}\n"), err
+
+
+def test_cli_parser_built_once_parses_each_call_afresh(tmp_path, capsys):
+    # the parser is cached: options set by one call must not leak into the
+    # next, whose report must match one from a fresh parser
+    cli.build_parser.cache_clear()
+    first = ["--report", str(tmp_path / "first.json"), "graph", "--kind",
+             "xplus", "--in", _fx("skew2"), "--window", "-3", "3"]
+    second = ["graph", "--kind", "xplus", "--in", _fx("skew2")]
+    assert main(first) == 0 and main(second) == 0
+    cached = capsys.readouterr().out
+    assert cli.build_parser() is cli.build_parser()
+    cli.build_parser.cache_clear()
+    assert main(second) == 0
+    assert capsys.readouterr().out == cached
+    assert json.loads(cached)["env"]["windows"] == [0, 6]
 
 
 def test_generate_checks_kind_and_arity_before_building():

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -9,7 +10,10 @@ from bifol.pattern import (
     PreconditionError, Singularity, UnknownIdError,
 )
 from bifol.fixtures import MANIFEST, load_fixture
-from bifol.periodic import generate, ladder_chords, _chord_pattern
+from bifol import io as bio
+from bifol.periodic import (
+    _GENERATORS, PeriodicPattern, _chord_pattern, generate, ladder_chords,
+)
 from bifol.randgen import random_pattern
 
 from oracles import (
@@ -201,6 +205,47 @@ def test_shared_endpoint_same_sign_rejected():
     p = FinitePattern(["a", "b", "c"],
                       [Leaf("p1", PLUS, ("a", "b")), Leaf("p2", PLUS, ("a", "c"))])
     assert not p.validate().ok
+
+
+def test_nonseparated_pair_skips_leaves_sharing_its_endpoints():
+    # P2 ends at P0's c0 and P4 at P1's c4: whether they separate P0 from P1
+    # has no answer, so only the shared endpoints are listed; P3, disjoint
+    # from both, still separates them
+    text = json.dumps({
+        "boundary": [f"c{i}" for i in range(8)],
+        "leaves": [{"id": lid, "sign": PLUS, "endpoints": eps} for lid, eps in (
+            ("P0", ["c0", "c2"]), ("P1", ["c4", "c6"]), ("P2", ["c0", "c1"]),
+            ("P3", ["c3", "c7"]), ("P4", ["c4", "c5"]))],
+        "nonseparated": [["P0", "P1"]]})
+    with pytest.raises(InvalidPatternError) as e:
+        bio.parse_pattern_text(text)
+    assert str(e.value).splitlines() == [
+        "same-sign leaves share an endpoint: P0, P2",
+        "same-sign leaves share an endpoint: P1, P4",
+        "nonseparated pair separated by same-sign leaf: P0, P1, P3"]
+
+
+def test_generators_and_random_draws_are_valid():
+    # generators and random_pattern do not validate what they build: every
+    # kind over a range of sizes (periodic kinds through windows of their
+    # certified pattern) and 240 random draws pass validate and its
+    # all-pairs oracle
+    sizes = {"trivial": range(1, 7), "skew": range(2, 7), "ladder": range(1, 7),
+             "prong": range(3, 8), "sinestrip": range(1, 7), "chain": range(1, 7)}
+    patterns = []
+    for kind in _GENERATORS:
+        for args in ([(n,) for n in sizes[kind]] if kind in sizes else [()]):
+            p = generate(kind, *args)
+            if isinstance(p, PeriodicPattern):
+                patterns += [p.materialize_window(-w, w) for w in (1, 3)]
+                patterns.append(p.materialize_window(0, p.reach()))
+            else:
+                patterns.append(p)
+    patterns += [random_pattern(seed, max_leaves=8 + seed % 3 * 8)
+                 for seed in range(240)]
+    for p in patterns:
+        rep = p.validate()
+        assert rep.ok and rep == oracle_validate(p), rep
 
 
 # -- relations --------------------------------------------------------------------
