@@ -226,7 +226,7 @@ def _unpack(p: int, W: int) -> tuple[int, int]:
 def enumerate_ball(S: GeneratingSet, n: int) -> dict:
     """{normal form: (element, word length)} for word lengths <= n."""
     if S.model == SKEW_INTMAP:
-        return {t: (IndexMap(t), r) for t, (_, r) in _ball(S, n).items()}
+        return {t: (IndexMap._trusted(t), r) for t, (_, r) in _ball(S, n).items()}
     out = {}
     for r, (W, sphere) in enumerate(_affine_spheres(S, n)):
         for k, s in sphere.items():

@@ -223,8 +223,7 @@ def classify_isometry(pp: PeriodicPattern, g: PatternAutomorphism,
     residue permutation, an intersection graph of diameter one stable under
     doubling, then a loxodromic translation-length bracket.  A degenerate
     bracket yields Inconclusive, never a parabolic verdict."""
-    return _algebraic_verdict(pp, g) or _window_verdict(
-        pp, g, pp.materialize_window(-window, window), window, nmax)
+    return _algebraic_verdict(pp, g) or _window_verdict(pp, g, window, nmax)
 
 
 def _algebraic_verdict(pp: PeriodicPattern, g: PatternAutomorphism):
@@ -235,10 +234,9 @@ def _algebraic_verdict(pp: PeriodicPattern, g: PatternAutomorphism):
     if fp and fm:
         for r in fp:
             for q in fm:
-                for k in range(-pp.reach(), pp.reach() + 1):
-                    if pp.template_cross(PLUS, r, MINUS, q + k * pp.period):
-                        return Elliptic("fixed_point",
-                                        f"plus residue {r} x minus residue {q}")
+                if pp._cross[r][q]:
+                    return Elliptic("fixed_point",
+                                    f"plus residue {r} x minus residue {q}")
     if fp or fm:
         sign = "plus" if fp else "minus"
         return Elliptic("fixed_leaf", f"{sign} residue {(fp or fm)[0]}")
@@ -261,9 +259,15 @@ def _complete(G: gr.LeafGraph) -> bool:
 
 
 def _window_verdict(pp: PeriodicPattern, g: PatternAutomorphism,
-                    p: FinitePattern, window: int, nmax: int):
+                    window: int, nmax: int, p: FinitePattern | None = None):
     """The stages of ``classify_isometry`` read off its window p =
-    (-window, window): diameter one, then the translation-length bracket."""
+    (-window, window), built here unless given: diameter one, then the
+    translation-length bracket, which needs nmax >= 2."""
+    if nmax < 2:
+        return Inconclusive(f"nmax {nmax} is below 2: a displacement bracket "
+                            f"needs at least two displacements")
+    if p is None:
+        p = pp.materialize_window(-window, window)
     G = gr.build_graph(p, gr.XPLUS)
     if _complete(G) and _complete(gr.build_graph(
             pp.materialize_window(-2 * window, 2 * window), gr.XPLUS)):
@@ -373,7 +377,7 @@ def wpd_scan(pp: PeriodicPattern, g: PatternAutomorphism, base: str,
     verdict = _algebraic_verdict(pp, g)
     if verdict is None:
         p = pp.materialize_window(-window, window)
-        verdict = _window_verdict(pp, g, p, window, nmax=8)
+        verdict = _window_verdict(pp, g, window, 8, p)
     if not isinstance(verdict, Loxodromic):
         raise PreconditionError("scanned element must be loxodromic")
     # one ball at radius + 2; its words of length <= radius are the ball

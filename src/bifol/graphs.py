@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .pattern import (
     PLUS, MINUS, FinitePattern, Mode, PreconditionError, UnknownIdError,
+    _bits,
 )
 
 XPLUS, XMINUS, XFULL = "xplus", "xminus", "x"
@@ -50,23 +51,34 @@ def build_graph(p: FinitePattern, kind: str) -> LeafGraph:
         raise PreconditionError(f"unknown graph kind {kind!r}")
     if kind in p._graphs:
         return p._graphs[kind]
-    if kind == XFULL:
-        verts = sorted(p.leaves)
-        linked = p.intersects
+    if kind in (GAMMAPLUS, GAMMAMINUS):
+        verts = sorted(p.leaf_ids(PLUS if kind == GAMMAPLUS else MINUS))
+        adj = {v: set() for v in verts}
+        for a, b in itertools.combinations(verts, 2):
+            if not p._breaks(a, b):
+                adj[a].add(b)
+                adj[b].add(a)
     else:
-        verts = sorted(p.leaf_ids(PLUS if kind in (XPLUS, GAMMAPLUS) else MINUS))
-        if kind in (XPLUS, XMINUS):
-            linked = lambda a, b: p.common_transversal(a, b, nonsingular=True)
-        else:
-            linked = lambda a, b: not p._breaks(a, b)
-    adj = {v: set() for v in verts}
-    for a, b in itertools.combinations(verts, 2):
-        if linked(a, b):
-            adj[a].add(b)
-            adj[b].add(a)
+        adj = _x_rows(p, kind)
+        verts = sorted(adj)
     G = p._graphs[kind] = LeafGraph(kind, tuple(verts),
-                                    {v: frozenset(ns) for v, ns in adj.items()})
+                                    {v: frozenset(adj[v]) for v in verts})
     return G
+
+
+def _x_rows(p: FinitePattern, kind: str) -> dict:
+    """Vertex -> neighbours in an X graph: ``cross[v]``, or for one family
+    the OR of ``cross[m]`` over the nonsingular m crossing v."""
+    t = p._table
+    if kind == XFULL:
+        return {v: p._ids_of(t.cross[v]) for v in t.ids}
+    cross, rows = [t.cross[m] for m in t.ids], {}
+    for i in _bits(t.plus if kind == XPLUS else t.minus):
+        row = 0
+        for m in _bits(cross[i] & t.nonsingular):
+            row |= cross[m]
+        rows[t.ids[i]] = p._ids_of(row & ~(1 << i))
+    return rows
 
 
 def distances_from(G: LeafGraph, src: str) -> dict:

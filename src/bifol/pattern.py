@@ -431,13 +431,12 @@ class FinitePattern:
         t = self._table
         return bool(t.cross[l2] >> t.index[l1] & 1)
 
-    def common_transversal(self, a: str, b: str, nonsingular: bool = False) -> int:
+    def common_transversal(self, a: str, b: str) -> int:
         """Bitset of the leaves crossing both ``a`` and ``b`` (bit i stands
-        for ``leaf_ids()[i]``), only the nonsingular ones on request; zero iff
-        the two leaves have no common transversal."""
+        for ``leaf_ids()[i]``); zero iff the two leaves have no common
+        transversal."""
         t = self._table
-        both = t.cross[a] & t.cross[b]
-        return both & t.nonsingular if nonsingular else both
+        return t.cross[a] & t.cross[b]
 
     def _leaves_by_label(self) -> dict[str, list[str]]:
         """Boundary label -> the leaves ending there."""

@@ -15,9 +15,10 @@ window (0, reach): every violation involves at most three leaves, leaves
 farther apart than the template span relate as at the span plus one, so by
 translation invariance each violation of the infinite pattern has a copy in
 that window.  Windows are faithful truncations of a certified pattern and
-are not validated again.  The certificate window is also the pattern's one
-crossing table: two leaves cross as their families do at the same block
-distance in the window, clamped to the reach.
+are not validated again.  The constructor keeps only one crossing row per
+(plus family, minus family), read off that window: bit d + reach is set iff
+the families cross at block distance d, and farther leaves relate as at the
+reach.
 
 The module also owns every shipped fixture generator: finite patterns are
 built by the same track walk (``_chord_pattern``) that builds the windows of
@@ -98,9 +99,12 @@ def parse_leaf_name(name: str) -> tuple[str, int]:
     while i > 0 and (name[i - 1].isdigit() or name[i - 1] == "-"):
         i -= 1
     fam, idx = name[:i], name[i:]
-    if not fam or not idx or not fam.isalpha():
-        raise UnknownIdError(f"not a periodic leaf name: {name!r}")
-    return fam, int(idx)
+    try:
+        if fam.isalpha():
+            return fam, int(idx)
+    except ValueError:  # "p-", "p1-2"
+        pass
+    raise UnknownIdError(f"not a periodic leaf name: {name!r}")
 
 
 BOT, TOP = "bot", "top"
@@ -115,23 +119,29 @@ def _chord_pattern(chords, tracks=_CORRIDOR, nonseparated=(), singularities=(),
     endpoints come out sorted.  A position holds one leaf, or two leaves of
     opposite signs (a perfect fit).  Values are in units of 1/scale; only
     an error message reads the scale."""
+    # position -> sign bits (1 plus, 2 minus), above 3 once two leaves of
+    # one sign share it
     at = {t.name: {} for t in tracks}
     for cid, sign, eps in chords:
+        bit = 1 if sign == PLUS else 2
         for tr, val in eps:
-            at[tr].setdefault(val, []).append(sign)
-    rank = {}
+            held = at[tr].get(val, 0)
+            at[tr][val] = held | bit | (held & bit) << 2
+    rank, n = {}, 0
     for t in tracks:
+        row = rank[t.name] = {}
         for v in sorted(at[t.name], reverse=t.direction == -1):
-            signs = at[t.name][v]
-            if len(signs) > 2 or (len(signs) == 2 and signs[0] == signs[1]):
+            if at[t.name][v] > 3:
                 raise PreconditionError(
                     f"track {t.name}, position {Fraction(v, scale)}: more "
                     f"than two leaves or two of one sign share the position")
-            rank[(t.name, v)] = len(rank)
-    leaves = [Leaf(cid, sign, tuple(f"c{i}" for i in sorted(rank[e] for e in eps)))
+            row[v] = n
+            n += 1
+    labels = [f"c{i}" for i in range(n)]
+    leaves = [Leaf(cid, sign, tuple([labels[i] for i in
+                                     sorted([rank[tr][v] for tr, v in eps])]))
               for cid, sign, eps in chords]
-    return FinitePattern([f"c{i}" for i in range(len(rank))], leaves,
-                         singularities, nonseparated, points)
+    return FinitePattern(labels, leaves, singularities, nonseparated, points)
 
 
 def _intmap_mul(g, w):
@@ -159,6 +169,13 @@ class IndexMap:
             raise PreconditionError(
                 f"offsets {self.offsets} do not induce a residue permutation")
 
+    @classmethod
+    def _trusted(cls, offsets: tuple) -> "IndexMap":
+        """A product or inverse of valid maps, built unchecked."""
+        m = object.__new__(cls)
+        m.offsets, m.N = offsets, len(offsets)
+        return m
+
     def __call__(self, i: int) -> int:
         return i + self.offsets[i % self.N]
 
@@ -166,13 +183,13 @@ class IndexMap:
         """self after other."""
         if self.N != other.N:
             raise PreconditionError("period mismatch")
-        return IndexMap(_intmap_mul(self.offsets, other.offsets))
+        return IndexMap._trusted(_intmap_mul(self.offsets, other.offsets))
 
     def inverse(self) -> "IndexMap":
         inv = [None] * self.N
         for r, o in enumerate(self.offsets):
             inv[(r + o) % self.N] = -o
-        return IndexMap(inv)
+        return IndexMap._trusted(tuple(inv))
 
     @staticmethod
     def identity(N: int) -> "IndexMap":
@@ -260,10 +277,11 @@ class PeriodicPattern:
             for sign in (PLUS, MINUS) for f in self.families(sign)]
         # positional arguments: the benchmark tracer unpacks (self, lo, hi)
         try:
-            self._certificate = self.materialize_window(0, self._reach)
+            cert = self.materialize_window(0, self._reach)
         except PreconditionError as e:  # translates share a boundary position
             raise InvalidPatternError(f"invalid periodic pattern: {e}") from None
-        self._certificate.require_valid()
+        cert.require_valid()
+        self._cross = self._crossing_rows(cert)
         if automorphisms:
             for nm, (po, mo) in automorphisms.items():
                 self.automorphisms[nm] = PatternAutomorphism(
@@ -274,28 +292,17 @@ class PeriodicPattern:
     def families(self, sign: str) -> tuple[Family, ...]:
         return self.plus_families if sign == PLUS else self.minus_families
 
-    def global_index(self, sign: str, fam: str, k: int) -> int:
-        try:
-            f = self._fam_index[sign][fam]
-        except KeyError:
-            raise UnknownIdError(f"unknown {sign} family {fam!r}") from None
-        return k * self.period + f
-
     def split_index(self, i: int) -> tuple[int, int]:
         return i % self.period, i // self.period
-
-    def sign_of_leaf(self, name: str) -> str:
-        fam, _ = parse_leaf_name(name)
-        for sign in (PLUS, MINUS):
-            if fam in self._fam_index[sign]:
-                return sign
-        raise UnknownIdError(f"unknown leaf {name!r}: no family {fam!r}")
 
     def leaf_index(self, name: str) -> tuple[str, int]:
         """(sign, global index) of a leaf name like 'p3'."""
         fam, k = parse_leaf_name(name)
-        sign = self.sign_of_leaf(name)
-        return sign, self.global_index(sign, fam, k)
+        for sign in (PLUS, MINUS):
+            f = self._fam_index[sign].get(fam)
+            if f is not None:
+                return sign, k * self.period + f
+        raise UnknownIdError(f"unknown leaf {name!r}: no family {fam!r}")
 
     def leaf_of_index(self, sign: str, i: int) -> str:
         r, k = self.split_index(i)
@@ -303,16 +310,28 @@ class PeriodicPattern:
 
     # -- template crossings -------------------------------------------------
 
+    def _crossing_rows(self, cert: FinitePattern) -> list:
+        """``rows[a][b]`` has bit d + reach set iff plus family a at block k
+        crosses minus family b at block k + d, read at k = max(0, -d)."""
+        R, t = self._reach, cert._table
+        plus = [[t.cross[leaf_name(f.name, k)] for k in range(R + 1)]
+                for f in self.plus_families]
+        minus = [[t.index[leaf_name(f.name, k)] for k in range(R + 1)]
+                 for f in self.minus_families]
+        return [[sum((a[max(0, -d)] >> b[max(0, d)] & 1) << d + R
+                     for d in range(-R, R + 1)) for b in minus] for a in plus]
+
     def template_cross(self, sign_a: str, ia: int, sign_b: str, ib: int) -> bool:
-        """Do leaves (sign_a, ia) and (sign_b, ib) cross?  Read from the
-        certificate window: by translation invariance only the two families
-        and the block distance d matter, and d is clamped to the reach."""
-        (ra, ka), (rb, kb) = self.split_index(ia), self.split_index(ib)
-        d = max(-self._reach, min(self._reach, kb - ka))
-        lo = max(0, -d)
-        return self._certificate.intersects(
-            leaf_name(self.families(sign_a)[ra].name, lo),
-            leaf_name(self.families(sign_b)[rb].name, lo + d))
+        """Do leaves (sign_a, ia) and (sign_b, ib) cross?  One bit of their
+        families' crossing row, at their block distance clamped to the
+        reach."""
+        if sign_a == sign_b:
+            return False
+        if sign_a == MINUS:
+            ia, ib = ib, ia
+        P, R = self.period, self._reach
+        d = ib // P - ia // P
+        return bool(self._cross[ia % P][ib % P] >> min(2 * R, max(0, d + R)) & 1)
 
     def reach(self) -> int:
         """Width in blocks of a window holding a copy of every configuration
@@ -387,23 +406,41 @@ class PatternAutomorphism:
         return (self.pattern.reach() + 1 + off_span) * self.pattern.period
 
     def _check_templates(self):
+        """Plus leaf f and minus leaf j cross iff their images do, for each
+        residue f and |j| <= B; the first break in (f, j) order is reported.
+        The j of one residue are compared at once, as runs of row bits."""
         pp, B = self.pattern, self._reach()
-        for f in range(pp.period):
-            for j in range(-B, B + 1):
-                if pp.template_cross(PLUS, f, MINUS, j) != \
-                        pp.template_cross(PLUS, self.plus(f), MINUS, self.minus(j)):
-                    raise PreconditionError(
-                        f"map does not preserve the intersection template "
-                        f"(plus {f}, minus {j})")
+        P, R = pp.period, pp.reach()
+        po, mo = self.plus.offsets, self.minus.offsets
+        # |j // P| <= K and images lie under 2K blocks further, so rows
+        # padded with their end bits to distances -Q..Q (bit d + Q) suffice
+        K = B // P
+        Q, ones = 3 * K, (1 << 3 * K - R) - 1
+        padded = [[row << Q - R | (row & 1) * ones
+                   | (row >> 2 * R & 1) * ones << Q + R + 1 for row in rows]
+                  for rows in pp._cross]
+        for f in range(P):
+            fi, first = f + po[f], None
+            img, kf = padded[fi % P], fi // P
+            for rb in range(P):
+                # bit i: the pair (f, (i - K) P + rb) against its image
+                c = rb + mo[rb]
+                runs = (padded[f][rb] >> Q - K) ^ (img[c % P] >> Q - K + c // P - kf)
+                broken = runs & (1 << 2 * K + (rb == 0)) - 1  # |j| <= B
+                if broken:
+                    j = ((broken & -broken).bit_length() - 1 - K) * P + rb
+                    first = j if first is None else min(first, j)
+            if first is not None:
+                raise PreconditionError(
+                    f"map does not preserve the intersection template "
+                    f"(plus {f}, minus {first})")
         pairs = {(t.fam_a, t.fam_b, t.offset) for t in pp.nonsep}
         pairs |= {(b, a, -o) for a, b, o in pairs}
         for t in pp.nonsep:
-            sign = pp.sign_of_leaf(leaf_name(t.fam_a, 0))
-            m = self.plus if sign == PLUS else self.minus
-            ia = pp.global_index(sign, t.fam_a, 0)
-            ib = pp.global_index(sign, t.fam_b, t.offset)
-            ra, ka = pp.split_index(m(ia))
-            rb, kb = pp.split_index(m(ib))
+            sign = PLUS if t.fam_a in pp._fam_index[PLUS] else MINUS
+            m, at = self.plus if sign == PLUS else self.minus, pp._fam_index[sign]
+            ra, ka = pp.split_index(m(at[t.fam_a]))
+            rb, kb = pp.split_index(m(at[t.fam_b] + t.offset * P))
             fa = pp.families(sign)[ra].name
             fb = pp.families(sign)[rb].name
             if (fa, fb, kb - ka) not in pairs:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import string
 from unittest import mock
 
 
@@ -108,6 +109,28 @@ def oracle_template_cross(pp, sign_a: str, ia: int, sign_b: str, ib: int) -> boo
         return False  # shared endpoint: perfect fit, not a crossing
     lo, hi = aa
     return sum(lo < x < hi for x in bb) == 1
+
+
+def oracle_check_templates(g):
+    """The message of the first failure of an automorphism's template check,
+    or None: the same (plus f, minus j) pairs as the library, in the same
+    order, each asked of the angle oracle, then the declared nonseparated
+    pairs by leaf name."""
+    from bifol.pattern import MINUS, PLUS
+
+    pp, B = g.pattern, g._reach()
+    for f in range(pp.period):
+        for j in range(-B, B + 1):
+            if oracle_template_cross(pp, PLUS, f, MINUS, j) != \
+                    oracle_template_cross(pp, PLUS, g.plus(f), MINUS, g.minus(j)):
+                return (f"map does not preserve the intersection template "
+                        f"(plus {f}, minus {j})")
+    for t in pp.nonsep:
+        pair = {g.act(f"{t.fam_a}0"), g.act(f"{t.fam_b}{t.offset}")}
+        ks = [int(name.lstrip(string.ascii_letters)) for name in pair]
+        if frozenset(pair) not in pp.nonsep_pairs_in(min(ks), max(ks)):
+            return "map does not preserve nonseparation"
+    return None
 
 
 # -- relation-table oracle ----------------------------------------------------------
@@ -350,6 +373,32 @@ def oracle_bfs_distance(adj: dict, src: str, dst: str):
         frontier = nxt
         dist += 1
     return None
+
+
+def oracle_build_graph(p, kind: str):
+    """A leaf graph built pair by pair: crossing for the full graph, a common
+    nonsingular transversal for the one-family ones, no break in the NONSEP
+    pseudo-interval for the true-interval ones.  Not memoized."""
+    from bifol import graphs as gr
+    from bifol.pattern import MINUS, PLUS
+
+    if kind == gr.XFULL:
+        verts = sorted(p.leaves)
+        linked = p.intersects
+    else:
+        verts = sorted(p.leaf_ids(PLUS if kind in (gr.XPLUS, gr.GAMMAPLUS)
+                                  else MINUS))
+        if kind in (gr.XPLUS, gr.XMINUS):
+            linked = lambda a, b: p.common_transversal(a, b) & p._table.nonsingular
+        else:
+            linked = lambda a, b: not p._breaks(a, b)
+    adj = {v: set() for v in verts}
+    for a, b in itertools.combinations(verts, 2):
+        if linked(a, b):
+            adj[a].add(b)
+            adj[b].add(a)
+    return gr.LeafGraph(kind, tuple(verts),
+                        {v: frozenset(ns) for v, ns in adj.items()})
 
 
 def oracle_bottleneck_certify(G, K: int):

@@ -355,3 +355,19 @@ def test_automorphism_ball_budget(trivial_periodic, monkeypatch):
     monkeypatch.setenv("BIFOL_BUDGET_MS", "1")
     with pytest.raises(BudgetExceededError):
         dy.automorphism_ball(trivial_periodic, gens, 16)
+
+
+def test_classify_nmax_below_two_builds_no_window(ladder_periodic, monkeypatch):
+    s = ladder_periodic.automorphisms["s"]
+    built = []
+    monkeypatch.setattr(PeriodicPattern, "materialize_window",
+                        lambda *args: built.append(args))
+    for nmax in (0, 1):
+        v = dy.classify_isometry(ladder_periodic, s, window=8, nmax=nmax)
+        assert v == dy.Inconclusive(
+            f"nmax {nmax} is below 2: a displacement bracket needs at least "
+            f"two displacements")
+    assert built == []
+    # certificates that need no window still win
+    ident = dy.identity_automorphism(ladder_periodic)
+    assert dy.classify_isometry(ladder_periodic, ident, nmax=0).kind == "elliptic"

@@ -7,7 +7,9 @@ from bifol.periodic import generate
 from bifol import graphs as gr
 from bifol.randgen import random_pattern
 
-from oracles import oracle_bfs_distance, oracle_bottleneck_certify
+from oracles import (
+    oracle_bfs_distance, oracle_bottleneck_certify, oracle_build_graph,
+)
 
 
 def test_grid3_graphs(grid3):
@@ -36,6 +38,32 @@ def test_graph_built_once_per_kind():
         for kind in reversed(gr.KINDS):
             assert gr.build_graph(q, kind) == gr.build_graph(p, kind), (name, kind)
             assert gr.build_graph(q, kind) is not gr.build_graph(p, kind)
+
+
+def _differential_patterns():
+    """Every shipped finite fixture, windows of every periodic one (the
+    scalloped windows hold leaves of two unlinked bands) and seeded random
+    patterns."""
+    from bifol.fixtures import MANIFEST, load_fixture
+    from bifol.periodic import PeriodicPattern
+
+    for name in sorted(MANIFEST):
+        p = load_fixture(name)
+        if isinstance(p, PeriodicPattern):
+            for lo, hi in ((0, 1), (-3, 3), (-6, 9)):
+                yield f"{name} ({lo}, {hi})", p.materialize_window(lo, hi)
+        else:
+            yield name, p
+    for seed in range(40):
+        yield f"random {seed}", random_pattern(seed, max_leaves=8 + seed % 4 * 8)
+
+
+@pytest.mark.parametrize("kind", [gr.XFULL, gr.XPLUS, gr.XMINUS])
+def test_intersection_graphs_match_the_pairwise_oracle(kind):
+    for name, p in _differential_patterns():
+        G, want = gr.build_graph(p, kind), oracle_build_graph(p, kind)
+        assert G.vertices == want.vertices, (name, kind)
+        assert G.adj == want.adj, (name, kind)
 
 
 def test_distance_identity_and_errors(grid3):

@@ -362,6 +362,19 @@ def test_cli_classify_loxodromic(capsys):
     assert rep["results"]["verdict"] == "loxodromic"
 
 
+@pytest.mark.parametrize("nmax", [0, 1])
+def test_cli_classify_nmax_below_two_names_nmax(nmax, capsys):
+    # a loxodromic element: no certificate needs a window, and a bracket
+    # needs two displacements whatever the window
+    assert main(["classify", "--pattern", _fx("ladder_periodic"),
+                 "--element", "s", "--nmax", str(nmax)]) == 3
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["results"] == {
+        "element": "s", "verdict": "inconclusive",
+        "reason": f"nmax {nmax} is below 2: a displacement bracket needs at "
+                  f"least two displacements"}
+
+
 def test_cli_wpd(capsys):
     assert main(["wpd", "--pattern", _fx("ladder_periodic"), "--g", "s",
                  "--ball", "3", "--eps", "1", "--n", "4",
@@ -429,6 +442,9 @@ def test_cli_wpd_checks_blocks_on_the_axis(capsys, monkeypatch):
       "p1", "--window", "3", "1"], "window (3, 1)"),
     (["dist", "--kind", "xplus", "--in", _fx("skew2"), "--from", "p0", "--to",
       "p1", "--window", "5", "5"], "window (5, 5)"),
+    # a name whose index is not an integer (it raised ValueError)
+    (["wpd", "--pattern", _fx("skew2"), "--g", "s", "--base", "p-"], "'p-'"),
+    (["wpd", "--pattern", _fx("skew2"), "--g", "s", "--base", "p1-2"], "p1-2"),
 ])
 def test_cli_malformed_input_is_a_usage_error(argv, named, capsys):
     assert main(argv) == 1

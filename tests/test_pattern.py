@@ -164,6 +164,27 @@ def test_same_sign_crossing_rejected():
     assert any(v.rule == "same-sign crossing" for v in rep.violations)
 
 
+def test_chord_positions_hold_one_leaf_or_a_perfect_fit():
+    fit = [("p", PLUS, [("bot", 0), ("top", 0)]),
+           ("m", MINUS, [("bot", 0), ("top", 1)])]
+    p = _chord_pattern(fit)
+    assert p.leaf("p").endpoints == ("c0", "c2") and p.boundary[0] == "c0"
+    assert p.leaf("m").endpoints == ("c0", "c1")
+    third = ("q", PLUS, [("bot", 0), ("top", 2)])
+    same = [("r", MINUS, [("top", 3), ("top", 4)]),
+            ("s", MINUS, [("top", 4), ("top", 5)])]
+    later = [("u", PLUS, [("top", 6), ("top", 7)]),
+             ("v", PLUS, [("top", 6), ("top", 8)])]
+    # the walk names the first bad position: bot ascends, top descends
+    for chords, where in ((fit + [third], "bot, position 0"),
+                          (fit + same, "top, position 4"),
+                          (fit + same + later, "top, position 6"),
+                          (fit + same + later + [third], "bot, position 0")):
+        with pytest.raises(PreconditionError, match=f"track {where}: more than "
+                           "two leaves or two of one sign share the position"):
+            _chord_pattern(chords)
+
+
 def test_nonsep_with_common_transversal_rejected():
     # add one chord to the shipped two-block ladder crossing both pair members
     ch, nonsep = ladder_chords(2)
@@ -591,12 +612,9 @@ def test_relation_table_matches_geometry_past_the_sweep_cap(name, window):
                 geometric_separates_leaves(p, m, l1, l2), (m, l1, l2)
         for a, b in itertools.combinations(same, 2):
             brute = {t for t in ids if crossing.get((t, a)) and crossing.get((t, b))}
-            for nonsingular in (False, True):
-                mask = p.common_transversal(a, b, nonsingular=nonsingular)
-                got = {t for i, t in enumerate(ids) if mask >> i & 1}
-                want = {t for t in brute
-                        if not (nonsingular and p.leaf(t).is_singular)}
-                assert got == want, (a, b)
+            mask = p.common_transversal(a, b)
+            got = {t for i, t in enumerate(ids) if mask >> i & 1}
+            assert got == brute, (a, b)
 
 
 # -- quadrants and prongs -----------------------------------------------------------------

@@ -15,7 +15,9 @@ from bifol.periodic import (
 )
 from bifol import graphs as gr
 
-from oracles import oracle_bfs_distance, oracle_template_cross
+from oracles import (
+    oracle_bfs_distance, oracle_check_templates, oracle_template_cross,
+)
 
 
 # -- generators and windows --------------------------------------------------------
@@ -268,6 +270,114 @@ def test_template_violating_map_rejected(skew2, ladder_periodic):
                             IndexMap([3, 3, 3]))
 
 
+def _template_check_message(pp, plus, minus):
+    """The library's verdict on a pair of maps: the message its template
+    check raises, or None."""
+    try:
+        PatternAutomorphism(pp, plus, minus)
+    except PreconditionError as e:
+        return str(e)
+    return None
+
+
+def _random_index_map(rng, N):
+    perm = rng.sample(range(N), N)
+    return IndexMap([perm[r] - r + N * rng.randint(-2, 2) for r in range(N)])
+
+
+def _template_check_cases(rng):
+    """(pattern, plus map, minus map): the declared automorphisms of every
+    periodic fixture, their products, and random index maps on the fixtures
+    and on random corridor templates."""
+    pats = [load_fixture(nm) for nm in ("skew2", "skew3", "skew4",
+                                        "ladder_periodic", "scalloped",
+                                        "trivial_periodic")]
+    while len(pats) < 30:
+        plus, minus, nonsep = _corridor_template(rng)
+        try:
+            pats.append(PeriodicPattern(_CORRIDOR, plus, minus, nonsep=nonsep))
+        except (InvalidPatternError, PreconditionError):
+            pass
+    # a map that keeps every crossing but moves the declared pair (m0, n-1)
+    # to (m-2, n-2)
+    f = lambda name, sign, *ends: Family(  # noqa: E731
+        name, sign, tuple((t, Fraction(o)) for t, o in ends))
+    pp = PeriodicPattern(
+        _CORRIDOR, [f("p", PLUS, (BOT, "1/2"), (BOT, "3/4")),
+                    f("q", PLUS, (BOT, "13/4"), (BOT, "3"))],
+        [f("m", MINUS, (BOT, "2"), (TOP, "0")),
+         f("n", MINUS, (BOT, "7/2"), (TOP, "5/4"))],
+        nonsep=[NonsepTemplate("m", "n", -1)])
+    yield pp, IndexMap([-4, -4]), IndexMap([-4, -2])
+    for pp in pats:
+        gens = list(pp.automorphisms.values())
+        for g in gens + [a.compose(b.inverse()) for a in gens for b in gens]:
+            yield pp, g.plus, g.minus
+        for _ in range(12):
+            yield (pp, _random_index_map(rng, pp.period),
+                   _random_index_map(rng, pp.period))
+        # a shift of one sign only, and of both
+        for k in (1, -2):
+            ident = IndexMap([0] * pp.period)
+            shift = IndexMap([k * pp.period] * pp.period)
+            yield pp, shift, ident
+            yield pp, shift, shift
+
+
+def test_template_check_matches_the_per_pair_oracle():
+    rng, verdicts = random.Random(20261019), set()
+    for pp, plus, minus in _template_check_cases(rng):
+        got = _template_check_message(pp, plus, minus)
+        want = oracle_check_templates(
+            PatternAutomorphism._trusted(pp, plus, minus, ""))
+        assert got == want, (pp.name, plus, minus)
+        verdicts.add(None if got is None else got.split(" (")[0])
+    # accepted maps, template breaks and nonseparation breaks all occur
+    assert verdicts == {None, "map does not preserve the intersection template",
+                        "map does not preserve nonseparation"}, verdicts
+
+
+def _two_family_corridor(p, q, m, n):
+    """Period-two corridor pattern from (bottom, top) offsets of the plus
+    families p, q and the minus families m, n."""
+    fam = lambda name, sign, ends: Family(  # noqa: E731
+        name, sign, tuple(zip((BOT, TOP), map(Fraction, ends))))
+    return PeriodicPattern(_CORRIDOR, [fam("p", PLUS, p), fam("q", PLUS, q)],
+                           [fam("m", MINUS, m), fam("n", MINUS, n)])
+
+
+def _broken_pairs(pp, plus, minus):
+    P = pp.period
+    return [(f, j) for f in range(P) for j in range(-40 * P, 40 * P + 1)
+            if pp.template_cross(PLUS, f, MINUS, j)
+            != pp.template_cross(PLUS, plus(f), MINUS, minus(j))]
+
+
+def test_template_check_sees_a_break_at_the_outermost_block_distance():
+    # p crosses m and n at block distances 0..2, q at 0..3: swapping p and
+    # q breaks the template at distance 3 only, the farthest that any two
+    # families cross
+    pp = _two_family_corridor(("0", "5/2"), ("1/4", "13/4"),
+                              ("1/2", "0"), ("5/8", "1/8"))
+    swap, ident = IndexMap([1, -1]), IndexMap([0, 0])
+    assert _broken_pairs(pp, swap, ident) == [(0, 6), (0, 7), (1, 6), (1, 7)]
+    msg = "map does not preserve the intersection template (plus 0, minus 6)"
+    assert _template_check_message(pp, swap, ident) == msg
+    assert oracle_check_templates(
+        PatternAutomorphism._trusted(pp, swap, ident, "")) == msg
+    # here each broken pair, or its image, lies reach() = 5 blocks apart,
+    # where the crossing rows are clamped
+    pp = _two_family_corridor(("5/4", "2"), ("5", "21/4"),
+                              ("5/4", "5/4"), ("5", "19/4"))
+    g, P, R = IndexMap([3, -3]), pp.period, pp.reach()
+    broken = _broken_pairs(pp, g, g)
+    assert R == 5 and broken == [(0, -5), (1, -10)]
+    assert all(R in (abs(j // P), abs(g(j) // P - g(f) // P)) for f, j in broken)
+    msg = "map does not preserve the intersection template (plus 0, minus -5)"
+    assert _template_check_message(pp, g, g) == msg
+    assert oracle_check_templates(PatternAutomorphism._trusted(pp, g, g, "")) == msg
+
+
 def _cycle_map(N, cycles, lifts):
     """Offsets moving each residue to the next one of its cycle, plus N times
     the cycle's lift for that residue."""
@@ -329,6 +439,8 @@ def test_index_map_group_axioms(offsets, data):
     assert g.compose(g.inverse()).is_identity()
     assert g.inverse().compose(g).is_identity()
     k = g.compose(h)
+    # built unchecked, yet residue permutations: the check accepts them
+    assert IndexMap(k.offsets) == k and IndexMap(g.inverse().offsets) == g.inverse()
     for i in range(-2 * N, 2 * N + 1):
         assert k(i) == g(h(i))
         assert g(i + N) == g(i) + N
