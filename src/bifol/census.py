@@ -14,7 +14,8 @@ period).  Each model's census runs on integer normal forms:
 Ball enumeration, the fixed/free classification and the growth/genericity
 reports are exact and deterministic; element objects are built only by
 `enumerate_ball`.  Both enumerators stop before a radius whose projected ball
-exceeds `BUDGET` elements, or BIFOL_BUDGET_MS's cap (`_check_budget`).
+exceeds `BUDGET` elements, or BIFOL_BUDGET_MS's cap (`_check_budget`); the
+affine one counts an element once per 64-bit word of its packing width.
 """
 
 from __future__ import annotations
@@ -188,12 +189,17 @@ def _affine_spheres(S: GeneratingSet, n: int):
     prev, cur, size = {}, {0: {0}}, 1
     yield W, cur
     for radius in range(1, n + 1):
-        _check_budget(radius, size + sum(map(len, cur.values())) * len(gens))
-        if radius > R:
+        wider = radius > R
+        if wider:
             R = min(n, 2 * radius)
             a, b, c, d = _power(R * kmax)
             half = R * vmax * max(abs(a) + abs(b), abs(c) + abs(d))
             W, old = 2 * half + 1, W
+        # elements, each counted once per 64-bit word of the width W; checked
+        # before the spheres are repacked to it
+        _check_budget(radius, (size + sum(map(len, cur.values())) * len(gens))
+                      * -(-W.bit_length() // 64))
+        if wider:
             prev, cur = ({k: {p + _unpack(p, old)[0] * (W - old) for p in s}
                           for k, s in sp.items()} for sp in (prev, cur))
             cols = {k: _columns(k, W) for k in cur}

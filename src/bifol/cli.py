@@ -135,7 +135,7 @@ def cmd_graph(args):
         results["dot"] = args.dot
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(bio.distance_matrix_csv(G, gr.distances_from))
+            fh.write(bio.distance_matrix_csv(G))
         results["csv"] = args.csv
     _emit(args, _report("graph", dig, results, windows=args.window))
     return EXIT_OK

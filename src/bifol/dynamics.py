@@ -164,12 +164,11 @@ def overlap_interval(p: FinitePattern, A: PseudoLine, a: str, b: str,
     """Intersection of the interval [a,b] on the line with the image of its
     h-translate, with the four endpoint distance bounds measured."""
     G = gr.build_graph(p, gr.XPLUS)
-    d = lambda u, v: gr.distance(G, u, v)
-    dab = d(a, b)
+    dab = gr.distance(G, a, b)
     if not dab > 4 * eps + 5:
         raise PreconditionError(f"need d(a,b) > 4*eps+5, measured {dab}")
     hinv = h.inverse()
-    da, db = d(a, h.act(a)), d(b, h.act(b))
+    da, db = gr.distance(G, a, h.act(a)), gr.distance(G, b, h.act(b))
     if not (da < eps and db < eps):
         raise PreconditionError(
             f"need d(a,ha) < eps and d(b,hb) < eps, measured {da}, {db}")
@@ -181,8 +180,10 @@ def overlap_interval(p: FinitePattern, A: PseudoLine, a: str, b: str,
     if not J:
         raise PreconditionError("overlap interval is empty in this window")
     j1, j2 = J[0], J[-1]
-    bounds = {"d(j1,a)": d(j1, a), "d(j2,b)": d(j2, b),
-              "d(h j1,a)": d(h.act(j1), a), "d(h j2,b)": d(h.act(j2), b)}
+    bounds = {"d(j1,a)": gr.distance(G, j1, a),
+              "d(j2,b)": gr.distance(G, j2, b),
+              "d(h j1,a)": gr.distance(G, h.act(j1), a),
+              "d(h j2,b)": gr.distance(G, h.act(j2), b)}
     return OverlapReport(j1, j2, tuple(J), bounds, eps)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .pattern import (
     PLUS, MINUS, FinitePattern, Mode, PreconditionError, UnknownIdError,
@@ -32,6 +32,7 @@ class LeafGraph:
     kind: str
     vertices: tuple[str, ...]
     adj: dict  # vertex -> frozenset of neighbours
+    rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def edges(self):
         return [(u, v) for u in self.vertices for v in self.adj[u] if u < v]
@@ -82,9 +83,12 @@ def _x_rows(p: FinitePattern, kind: str) -> dict:
 
 
 def distances_from(G: LeafGraph, src: str) -> dict:
+    """BFS distances from src, kept in G.rows: shared, so nobody may change them."""
+    if src in G.rows:
+        return G.rows[src]
     if src not in G.adj:
         raise UnknownIdError(f"vertex {src!r} not in graph")
-    dist = {src: 0}
+    dist = G.rows[src] = {src: 0}
     q = deque([src])
     while q:
         u = q.popleft()
@@ -178,23 +182,25 @@ def _certify(G: LeafGraph, comps: list, K: int) -> BottleneckResult:
     asks about it, so each (pair, midpoint) check compares two labels."""
     checked = 0
     for comp in comps:
-        dist = {v: distances_from(G, v) for v in comp}
         labels = {}  # midpoint -> component label of each vertex, None in its ball
-        for x, y in itertools.combinations(comp, 2):
-            dxy = dist[x][y]
-            if dxy % 2 or dxy == 0:
-                continue
-            r = dxy // 2
-            mids = [v for v in comp if dist[x].get(v) == r and dist[y].get(v) == r]
-            for v in mids:
-                checked += 1
-                lab = labels.get(v)
-                if lab is None:
-                    lab = labels[v] = _components_off(
-                        G, [w for w, d in dist[v].items() if d <= K], comp)
-                if lab[x] is not None and lab[x] == lab[y]:
-                    return BottleneckResult(False, K, checked,
-                                            BottleneckWitness(x, y, v))
+        for i, x in enumerate(comp):
+            dx = distances_from(G, x)
+            for y in comp[i + 1:]:
+                dxy = dx[y]
+                if dxy % 2 or dxy == 0:
+                    continue
+                r, dy = dxy // 2, distances_from(G, y)
+                mids = [v for v in comp if dx.get(v) == r and dy.get(v) == r]
+                for v in mids:
+                    checked += 1
+                    lab = labels.get(v)
+                    if lab is None:
+                        lab = labels[v] = _components_off(
+                            G, [w for w, d in distances_from(G, v).items()
+                                if d <= K], comp)
+                    if lab[x] is not None and lab[x] == lab[y]:
+                        return BottleneckResult(False, K, checked,
+                                                BottleneckWitness(x, y, v))
     return BottleneckResult(True, K, checked, None)
 
 
@@ -238,20 +244,19 @@ def qi_inclusion_report(p: FinitePattern) -> InclusionReport:
     """Check d_sign(v,w) <= d_X(v,w) <= 2 d_sign(v,w) over all same-sign
     pairs, both signs."""
     GX = build_graph(p, XFULL)
-    dX = {v: distances_from(GX, v) for v in GX.vertices}
     violations = []
     checked = 0
     max_ratio = 0.0
     for kind, sign in ((XPLUS, PLUS), (XMINUS, MINUS)):
         G = build_graph(p, kind)
         for v in G.vertices:
-            dv = distances_from(G, v)
+            dv, dxv = distances_from(G, v), distances_from(GX, v)
             for w in G.vertices:
                 if w <= v:
                     continue
                 checked += 1
                 ds = dv.get(w, INF)
-                dx = dX[v].get(w, INF)
+                dx = dxv.get(w, INF)
                 if ds == INF and dx == INF:
                     continue
                 if not (ds <= dx <= 2 * ds):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from . import graphs as gr
 from .pattern import (
     MINUS, PLUS, FinitePattern, InvalidPatternError, Leaf, Point,
     PreconditionError, Singularity,
@@ -268,11 +269,11 @@ def census_csv(stats) -> str:
     return "\n".join(lines) + "\n"
 
 
-def distance_matrix_csv(G, distances_from) -> str:
+def distance_matrix_csv(G) -> str:
     verts = sorted(G.vertices)
     lines = ["vertex," + ",".join(verts)]
     for u in verts:
-        d = distances_from(G, u)
+        d = gr.distances_from(G, u)
         row = [u] + [("inf" if v not in d else str(d[v])) for v in verts]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from . import graphs as gr
 from .pattern import (
     PLUS, MINUS, DegenerateInputError, FinitePattern, Point, PreconditionError,
-    UnknownIdError,
 )
 
 D_H, D_PLUS, D_MINUS, D_RPLUS, D_RMINUS = "dH", "d+", "d-", "dR+", "dR-"
@@ -207,18 +206,10 @@ def qi_metric_report(p: FinitePattern, points=None) -> MetricQiReport:
     checks, violations, disconnected = [], [], []
     for kind, gk, attr in plan:
         G = gr.build_graph(p, gk)
-        rows = {}  # source leaf -> its BFS distances, one BFS per source
         for a, b in itertools.combinations(crossings, 2):
             la, lb = getattr(a, attr), getattr(b, attr)
             dw = wall_distance(p, a, b, kind)
-            if la == lb:
-                dg = 0
-            else:
-                if lb not in G.adj:
-                    raise UnknownIdError(f"vertex {lb!r} not in graph")
-                if la not in rows:
-                    rows[la] = gr.distances_from(G, la)
-                dg = rows[la].get(lb, gr.INF)
+            dg = 0 if la == lb else gr.distance(G, la, lb)
             checks.append((kind, a.id, b.id, dw, dg))
             if dg == gr.INF:
                 # a truncation artifact: the window's graph is disconnected

@@ -375,6 +375,16 @@ def oracle_bfs_distance(adj: dict, src: str, dst: str):
     return None
 
 
+def oracle_bfs_row(adj: dict, src: str) -> dict:
+    """Distances from src to every vertex it reaches, one level at a time."""
+    row, level, d = {}, {src}, 0
+    while level:
+        row.update(dict.fromkeys(level, d))
+        level = {w for u in level for w in adj[u]} - set(row)
+        d += 1
+    return row
+
+
 def oracle_build_graph(p, kind: str):
     """A leaf graph built pair by pair: crossing for the full graph, a common
     nonsingular transversal for the one-family ones, no break in the NONSEP

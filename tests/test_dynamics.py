@@ -294,6 +294,26 @@ def test_wpd_scan_builds_each_window_once(name, monkeypatch):
     assert windows == [(-8, 8), (-16, 16)]
 
 
+def test_wpd_scan_keeps_at_most_two_rows_per_window(monkeypatch):
+    # each window's witness scan reads the rows of base and tip, kept on its
+    # xplus graph, however many candidates it measures
+    pp = load_fixture("ladder_periodic")
+    s, gens = pp.automorphisms["s"], dict(pp.automorphisms)
+    built = []
+    materialize = PeriodicPattern.materialize_window
+
+    def spy(self, lo, hi):
+        built.append(materialize(self, lo, hi))
+        return built[-1]
+
+    monkeypatch.setattr(PeriodicPattern, "materialize_window", spy)
+    dy.wpd_scan(pp, s, pp.leaf_of_index("plus", 0), 1.0, 8, gens, radius=4,
+                window=8)
+    assert len(built) == 2
+    for p in built:
+        assert 1 <= len(gr.build_graph(p, gr.XPLUS).rows) <= 2
+
+
 def test_wpd_eps_zero(ladder_periodic):
     pp = ladder_periodic
     s = pp.automorphisms["s"]

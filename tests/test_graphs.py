@@ -8,7 +8,8 @@ from bifol import graphs as gr
 from bifol.randgen import random_pattern
 
 from oracles import (
-    oracle_bfs_distance, oracle_bottleneck_certify, oracle_build_graph,
+    oracle_bfs_distance, oracle_bfs_row, oracle_bottleneck_certify,
+    oracle_build_graph,
 )
 
 
@@ -82,6 +83,45 @@ def test_distance_matches_oracle_everywhere():
                 d = gr.distance(G, u, v)
                 o = oracle_bfs_distance(G.adj, u, v)
                 assert (o is None and d == gr.INF) or d == o
+
+
+def test_distance_rows_are_kept_on_the_graph():
+    G = gr.build_graph(generate("trivial", 3), gr.XFULL)
+    assert G.rows == {}
+    row = gr.distances_from(G, "v0")
+    assert gr.distances_from(G, "v0") is row and G.rows == {"v0": row}
+    with pytest.raises(UnknownIdError, match="vertex 'zz' not in graph"):
+        gr.distances_from(G, "zz")
+    assert G.rows == {"v0": row}
+    # the rows are left out of construction, equality and repr
+    H = gr.LeafGraph(G.kind, G.vertices, G.adj)
+    assert H == G and H.rows == {} and repr(H) == repr(G)
+
+
+def test_rows_filled_by_the_reports_match_the_bfs_oracle():
+    # the wall-metric, inclusion and bottleneck reports read their distances
+    # off the rows kept on each graph; every stored row is a plain BFS row
+    from bifol import walls as wl
+    from bifol.fixtures import MANIFEST, load_fixture
+    from bifol.periodic import PeriodicPattern
+
+    patterns = []
+    for name in sorted(MANIFEST):
+        p = load_fixture(name)
+        patterns.append((name, p.materialize_window(-3, 3)
+                         if isinstance(p, PeriodicPattern) else p))
+    patterns += [(f"random {seed}", random_pattern(seed, max_leaves=16))
+                 for seed in range(20)]
+    for name, p in patterns:
+        wl.qi_metric_report(p)
+        gr.qi_inclusion_report(p)
+        for kind in gr.KINDS:
+            gr.bottleneck_certify_components(gr.build_graph(p, kind), 3)
+        for kind in gr.KINDS:
+            G = gr.build_graph(p, kind)
+            assert set(G.rows) == set(G.vertices), (name, kind)
+            for src, row in G.rows.items():
+                assert row == oracle_bfs_row(G.adj, src), (name, kind, src)
 
 
 def test_singular_transversal_excluded(prong3):

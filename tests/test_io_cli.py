@@ -3,6 +3,7 @@ import functools
 import io
 import json
 import operator
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,9 @@ from bifol import cli
 from bifol.pattern import (
     FinitePattern, InvalidPatternError, PreconditionError, UsageError,
 )
-from bifol.periodic import CertificateTooWideError, generate
+from bifol.periodic import (
+    MAX_WINDOW_LEAVES, CertificateTooWideError, generate,
+)
 
 FIXDIR = Path(__file__).parent.parent / "src" / "bifol" / "fixtures"
 
@@ -289,6 +292,29 @@ def test_cli_census_budget(capsys, monkeypatch):
                                        "2446421 elements exceeds budget 2000000\n")
 
 
+def test_cli_census_budget_counts_packed_words(tmp_path, capsys, monkeypatch):
+    # a cyclic set: the ball grows linearly, but its packs widen by about 1.4
+    # bits per radius, so a budget of elements alone ran for about an hour
+    monkeypatch.delenv("BIFOL_BUDGET_MS", raising=False)
+    gens = tmp_path / "cyclic.json"
+    gens.write_text('{"g": {"k": 1, "v": [1, 0]}}', encoding="utf-8")
+
+    def late(signum, frame):
+        pytest.fail("the census ran for more than a second")
+
+    old = signal.signal(signal.SIGALRM, late)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        code = main(["census", "--model", "trivial", "--gens", str(gens),
+                     "--nmax", "1000000"])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert code == 4
+    assert capsys.readouterr().err == ("budget exceeded: radius 5617: projected "
+                                       "2000186 elements exceeds budget 2000000\n")
+
+
 def test_cli_census_budget_from_environment(capsys, monkeypatch):
     monkeypatch.setenv("BIFOL_BUDGET_MS", "1")
     assert main(["census", "--model", "trivial", "--nmax", "99"]) == 4
@@ -450,6 +476,23 @@ def test_cli_malformed_input_is_a_usage_error(argv, named, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and named in err, err
+
+
+@pytest.mark.parametrize("argv, window, leaves", [
+    # scalloped has 8 leaves per block, so (-1024, 1023) is the widest
+    (["graph", "--kind", "xplus", "--in", _fx("scalloped"), "--window",
+      "-1024", "1024"], "(-1024, 1024)", 2049 * 8),
+    # refused before the window is built; the doubled windows of classify,
+    # wpd and dist are checked in the same place
+    (["classify", "--pattern", _fx("ladder_periodic"), "--element", "s",
+      "--window", "1500"], "(-1500, 1500)", 3001 * 6),
+])
+def test_cli_window_past_the_leaf_limit_is_a_usage_error(argv, window, leaves,
+                                                         capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"usage error: window {window} would hold {leaves} leaves, more than "
+        f"{MAX_WINDOW_LEAVES}\n")
 
 
 @pytest.mark.parametrize("flag, argv", [
