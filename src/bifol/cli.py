@@ -49,8 +49,7 @@ def _report(verb, inputs, results, checks=None, seed=None, windows=None):
 def _emit(args, report) -> None:
     text = json.dumps(report, sort_keys=True, indent=2, default=str) + "\n"
     if getattr(args, "report", None):
-        with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        bio.write_text(args.report, text)
     else:
         sys.stdout.write(text)
 
@@ -131,11 +130,10 @@ def cmd_graph(args):
                "edges": len(G.edges()),
                "components": len(gr.connected_components(G))}
     if args.dot:
-        bio.export_dot(fp, G, args.dot)
+        bio.write_text(args.dot, bio.export_dot(fp, G))
         results["dot"] = args.dot
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(bio.distance_matrix_csv(G))
+        bio.write_text(args.csv, bio.distance_matrix_csv(G))
         results["csv"] = args.csv
     _emit(args, _report("graph", dig, results, windows=args.window))
     return EXIT_OK
@@ -195,8 +193,7 @@ def cmd_metric(args):
                     wit = wl.longest_chain_witness(fp, a, b, args.kind)
                     witnesses[f"{a},{b}"] = list(wit.leaves)
             lines.append(",".join(row))
-        with open(args.all_pairs, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        bio.write_text(args.all_pairs, "\n".join(lines) + "\n")
         results["csv"] = args.all_pairs
         results["witnesses"] = witnesses
     else:
@@ -325,8 +322,7 @@ def cmd_census(args):
                    "fractions": list(gen_rep.fractions)}
         ok, tag, stats = gen_rep.ok, "census-skew", gen_rep.stats
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(bio.census_csv(stats))
+        bio.write_text(args.csv, bio.census_csv(stats))
         results["csv"] = args.csv
     _emit(args, _report("census", args.model, results, checks={tag: ok},
                         seed=args.seed))
@@ -337,7 +333,8 @@ def cmd_export(args):
     p, dig = _load(args.input)
     fp = _finite(p, args)
     G = gr.build_graph(fp, args.kind)
-    text = bio.export_dot(fp, G, args.dot)
+    text = bio.export_dot(fp, G)
+    bio.write_text(args.dot, text)
     _emit(args, _report("export", dig, {"dot": args.dot,
                                         "bytes": len(text)}))
     return EXIT_OK

@@ -377,6 +377,9 @@ def wpd_scan(pp: PeriodicPattern, g: PatternAutomorphism, base: str,
     # window and its xplus graph are built once
     verdict = _algebraic_verdict(pp, g)
     if verdict is None:
+        # both windows are size-checked before either is built
+        pp.check_window(-window, window)
+        pp.check_window(-2 * window, 2 * window)
         p = pp.materialize_window(-window, window)
         verdict = _window_verdict(pp, g, window, 8, p)
     if not isinstance(verdict, Loxodromic):

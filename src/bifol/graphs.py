@@ -270,8 +270,11 @@ def windowed_distance(pp, kind: str, u: str, v: str, window: tuple[int, int]):
     """Distance inside a materialized window, with a stability flag: True
     when doubling the window leaves the value unchanged.  Window values are
     upper bounds for the infinite pattern (distances are monotone
-    non-increasing in the window)."""
+    non-increasing in the window).  Both windows are size-checked before
+    either is built."""
     lo, hi = window
+    pp.check_window(lo, hi)
+    pp.check_window(2 * lo, 2 * hi)
     d1 = distance(build_graph(pp.materialize_window(lo, hi), kind), u, v)
     d2 = distance(build_graph(pp.materialize_window(2 * lo, 2 * hi), kind), u, v)
     return d1, d1 == d2

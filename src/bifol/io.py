@@ -234,14 +234,19 @@ def parse_pattern_text(text: str):
     return finite_from_dict(d).require_valid()
 
 
-def write_pattern(p, path):
+def write_text(path, text: str) -> None:
+    """Write a pattern, report or export file: UTF-8 with LF line ends."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize(p))
+        fh.write(text)
+
+
+def write_pattern(p, path):
+    write_text(path, serialize(p))
 
 
 # -- exports ---------------------------------------------------------------------
 
-def export_dot(p: FinitePattern, G, path=None) -> str:
+def export_dot(p: FinitePattern, G) -> str:
     """DOT text for a leaf graph; vertex order is sorted, singular leaves are
     flagged in the label."""
     lines = [f'graph "{G.kind}" {{']
@@ -252,11 +257,7 @@ def export_dot(p: FinitePattern, G, path=None) -> str:
     for u, v in sorted(G.edges()):
         lines.append(f'  "{u}" -- "{v}";')
     lines.append("}")
-    text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
 CENSUS_CSV_HEADER = "n,ball,free,fraction,lambda_G,lambda_Free"

@@ -27,6 +27,9 @@ two leaves the AND of their crossing bitsets, so a separator chain, a broken
 pseudo-interval and the leaves separating two points each cost O(k) integer
 operations.
 
+Records (``Leaf``, ``Point``, ...) check nothing when built: ``validate``,
+run where file data enters, is the one check of a finite pattern.
+
 Conventions baked into the model:
 
 * leaves of the same family never cross, and two distinct leaves may share a
@@ -91,10 +94,6 @@ class Leaf:
     id: str
     sign: str
     endpoints: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.sign not in SIGNS:
-            raise InvalidPatternError(f"leaf {self.id}: bad sign {self.sign!r}")
 
     @property
     def k(self) -> int:
@@ -334,10 +333,6 @@ class FinitePattern:
             self.points[pt.id] = pt
         self._singular_pairs = {frozenset(s.leaves()) for s in self.singularities}
         self._graphs = {}  # graph kind -> LeafGraph, filled by graphs.build_graph
-        self._sing_by_leaf = {}
-        for s in self.singularities:
-            for lid in s.leaves():
-                self._sing_by_leaf.setdefault(lid, []).append(s)
 
     # -- low level circle arithmetic ------------------------------------
 
@@ -438,33 +433,26 @@ class FinitePattern:
         t = self._table
         return t.cross[a] & t.cross[b]
 
-    def _leaves_by_label(self) -> dict[str, list[str]]:
-        """Boundary label -> the leaves ending there."""
-        by_label: dict[str, list[str]] = {}
-        for lf in self.leaves.values():
-            for e in lf.endpoints:
-                by_label.setdefault(e, []).append(lf.id)
-        return by_label
-
     def perfect_fits(self) -> list[tuple[tuple[str, str], tuple[str, str]]]:
-        """Shared-endpoint ray pairs, as ((plus_id,label),(minus_id,label))."""
-        fits = []
-        for label, ids in sorted(self._leaves_by_label().items()):
-            if len(ids) < 2:
-                continue
-            plus = sorted(i for i in ids if self.leaves[i].sign == PLUS)
-            minus = sorted(i for i in ids if self.leaves[i].sign == MINUS)
-            for p in plus:
-                for m in minus:
-                    fits.append(((p, label), (m, label)))
+        """Shared-endpoint ray pairs, as ((plus_id,label),(minus_id,label)),
+        in label order."""
+        ends, fits = self._table.ends, []
+        for label in sorted(self.boundary):
+            bits = ends[self._pos[label]]
+            if bits & (bits - 1):  # two or more leaves end here
+                for p in sorted(self._ids_of(bits, PLUS)):
+                    for m in sorted(self._ids_of(bits, MINUS)):
+                        fits.append(((p, label), (m, label)))
         return fits
 
     # -- validation -------------------------------------------------------
 
     def validate(self) -> ValidationReport:
         v: list[Violation] = []
-        # endpoints well formed and in cyclic order
+        # signs known, endpoints well formed and in cyclic order
         for lf in self.leaves.values():
+            if lf.sign not in SIGNS:
+                v.append(Violation("leaf sign not plus or minus", (lf.id, lf.sign)))
             if len(set(lf.endpoints)) != len(lf.endpoints) or lf.k < 2:
                 v.append(Violation("leaf endpoints not distinct", (lf.id,)))
                 continue
@@ -578,8 +566,9 @@ class FinitePattern:
         endpoints on at most the two faces of each other, which no rule
         forbids."""
         pairs = set()
-        for ids in self._leaves_by_label().values():
-            pairs.update(itertools.combinations(sorted(ids), 2))
+        for bits in self._table.ends:
+            if bits & (bits - 1):  # two or more leaves end here
+                pairs.update(itertools.combinations(sorted(self._ids_of(bits)), 2))
         for lid, bits in self._table.tangled:
             pairs.update(tuple(sorted((lid, m))) for m in self._ids_of(bits))
         for lf in self.leaves.values():
@@ -744,9 +733,10 @@ class FinitePattern:
         prev_split = x
         for cur in chain[1:]:
             blocks[-1].append(cur)
-            sings = self._sing_by_leaf.get(cur, [])
-            if sings and self.leaf(cur).sign == PLUS and \
-                    self._prong_divides_chain(sings[0], prev_split, y):
+            sing = next((s for s in self.singularities if cur in s.leaves()),
+                        None)
+            if sing and self.leaf(cur).sign == PLUS and \
+                    self._prong_divides_chain(sing, prev_split, y):
                 blocks.append([cur])  # the prong closes a block and opens the next
                 prev_split = cur
         return PseudoInterval(x, y, tuple(seps),

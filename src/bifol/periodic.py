@@ -20,10 +20,12 @@ are not validated again.  The constructor keeps only one crossing row per
 the families cross at block distance d, and farther leaves relate as at the
 reach.
 
-The module also owns every shipped fixture generator: finite patterns are
-built by the same track walk (``_chord_pattern``) that builds the windows of
-periodic patterns.  Finite generators are valid by construction, which the
-tests check over a range of sizes; periodic ones are certified as files are.
+The module owns every fixture generator, and ``_circle_pattern``, the one
+builder of the finite patterns the program makes (windows, fixtures, random
+draws) from integer circle positions, most via the ranking track walk
+``_chord_pattern``.  Those are valid by construction (the tests check the
+generators over a range of sizes).  ``Track`` and ``Family`` records check
+nothing; the constructor checks them where file data enters.
 """
 
 from __future__ import annotations
@@ -59,10 +61,6 @@ class Track:
     name: str
     direction: int  # +1: positions ascend along the circle; -1: descend
 
-    def __post_init__(self):
-        if self.direction not in (1, -1):
-            raise PreconditionError("track direction must be +1 or -1")
-
 
 @dataclass(frozen=True)
 class Family:
@@ -71,10 +69,6 @@ class Family:
     name: str
     sign: str
     endpoints: tuple[tuple[str, Fraction], ...]
-
-    def __post_init__(self):
-        if not self.name.isalpha():
-            raise PreconditionError("family names must be alphabetic")
 
 
 @dataclass(frozen=True)
@@ -115,14 +109,25 @@ BOT, TOP = "bot", "top"
 _CORRIDOR = (Track(BOT, 1), Track(TOP, -1))
 
 
+def _circle_pattern(n, leaves, singularities=(), nonseparated=(), points=()):
+    """The one builder of the program's patterns: leaves given as (id, sign,
+    [positions]) on a circle with integer positions 0..n-1, labelled c0,
+    c1, ...  The leaves are trusted, not checked: ``validate`` checks
+    patterns that come from files."""
+    labels = [f"c{i}" for i in range(n)]
+    built = [Leaf(cid, sign, tuple([labels[i] for i in sorted(eps)]))
+             for cid, sign, eps in leaves]
+    return FinitePattern(labels, built, singularities, nonseparated, points)
+
+
 def _chord_pattern(chords, tracks=_CORRIDOR, nonseparated=(), singularities=(),
                    points=(), scale=1):
     """Finite pattern from chords (id, sign, [(track, value), ...]) on the
     given tracks.  Walking the circle (the tracks in order, each in its own
-    direction) labels every occupied position c0, c1, ..., so each leaf's
-    endpoints come out sorted.  A position holds one leaf, or two leaves of
-    opposite signs (a perfect fit).  Values are in units of 1/scale; only
-    an error message reads the scale."""
+    direction) ranks every occupied position 0, 1, ..., and
+    ``_circle_pattern`` builds the pattern on those ranks.  A position holds
+    one leaf, or two leaves of opposite signs (a perfect fit).  Values are in
+    units of 1/scale; only an error message reads the scale."""
     # position -> sign bits (1 plus, 2 minus), above 3 once two leaves of
     # one sign share it
     at = {t.name: {} for t in tracks}
@@ -141,11 +146,9 @@ def _chord_pattern(chords, tracks=_CORRIDOR, nonseparated=(), singularities=(),
                     f"than two leaves or two of one sign share the position")
             row[v] = n
             n += 1
-    labels = [f"c{i}" for i in range(n)]
-    leaves = [Leaf(cid, sign, tuple([labels[i] for i in
-                                     sorted([rank[tr][v] for tr, v in eps])]))
+    ranked = [(cid, sign, [rank[tr][v] for tr, v in eps])
               for cid, sign, eps in chords]
-    return FinitePattern(labels, leaves, singularities, nonseparated, points)
+    return _circle_pattern(n, ranked, singularities, nonseparated, points)
 
 
 def _intmap_mul(g, w):
@@ -197,7 +200,7 @@ class IndexMap:
 
     @staticmethod
     def identity(N: int) -> "IndexMap":
-        return IndexMap([0] * N)
+        return IndexMap._trusted((0,) * N)
 
     def is_identity(self) -> bool:
         return all(o == 0 for o in self.offsets)
@@ -251,13 +254,17 @@ class PeriodicPattern:
         self.automorphisms: dict[str, "PatternAutomorphism"] = {}
         self.band = band  # optional per-residue crossing-offset sets
         self.name = name
+        if any(t.direction not in (1, -1) for t in self.tracks):
+            raise PreconditionError("track direction must be +1 or -1")
+        fams = self.plus_families + self.minus_families
+        names = [f.name for f in fams]
+        if not all(nm.isalpha() for nm in names):
+            raise PreconditionError("family names must be alphabetic")
         track_names = {t.name for t in self.tracks}
         if len(track_names) != len(self.tracks):
             raise PreconditionError("track names must be unique")
         self._fam_index = {PLUS: {f.name: i for i, f in enumerate(self.plus_families)},
                            MINUS: {f.name: i for i, f in enumerate(self.minus_families)}}
-        fams = self.plus_families + self.minus_families
-        names = [f.name for f in fams]
         if len(set(names)) != len(names):
             raise PreconditionError("family names must be unique")
         for f in fams:
@@ -351,20 +358,25 @@ class PeriodicPattern:
 
     # -- windows ------------------------------------------------------------
 
-    def materialize_window(self, lo: int, hi: int) -> FinitePattern:
-        """Finite pattern holding every family copy with block index in
-        [lo, hi] and the declared nonseparated pairs among them; the boundary
-        circle is the track walk over their endpoints.  Endpoints sit on
-        integer positions, offset * scale + k * scale, which keeps the order
-        of offset + k.  The constructor has certified the pattern, so the
-        window is valid and is not checked; only its size is, against
-        MAX_WINDOW_LEAVES."""
+    def check_window(self, lo: int, hi: int) -> None:
+        """Refuse an empty window, or one of more than MAX_WINDOW_LEAVES
+        leaves, without building it."""
         if lo >= hi:
             raise UsageError(f"window ({lo}, {hi}) needs lo < hi")
         leaves = (hi - lo + 1) * len(self._templates)
         if leaves > MAX_WINDOW_LEAVES:
             raise UsageError(f"window ({lo}, {hi}) would hold {leaves} leaves, "
                              f"more than {MAX_WINDOW_LEAVES}")
+
+    def materialize_window(self, lo: int, hi: int) -> FinitePattern:
+        """Finite pattern holding every family copy with block index in
+        [lo, hi] and the declared nonseparated pairs among them; the boundary
+        circle is the track walk over their endpoints.  Endpoints sit on
+        integer positions, offset * scale + k * scale, which keeps the order
+        of offset + k.  The constructor has certified the pattern, so the
+        window is valid and is not checked; only its size is, by
+        ``check_window``."""
+        self.check_window(lo, hi)
         s = self._scale
         chords = [(leaf_name(name, k), sign, [(t, v + k * s) for t, v in eps])
                   for sign, name, eps in self._templates
@@ -571,15 +583,6 @@ class AffineElement:
 
 # -- fixture generators -------------------------------------------------------
 
-def _circle_pattern(n_positions, leaves, **kw):
-    """Finite pattern from leaves given as (id, sign, [positions]) on a circle
-    with integer positions 0..n_positions-1."""
-    labels = [f"c{i}" for i in range(n_positions)]
-    built = [Leaf(cid, sign, tuple(f"c{p}" for p in sorted(eps)))
-             for cid, sign, eps in leaves]
-    return FinitePattern(labels, built, **kw)
-
-
 def trivial_pattern(n: int) -> FinitePattern:
     """Complete-bipartite grid: n 'vertical' plus and n 'horizontal' minus
     chords, every opposite pair crossing, all crossings marked."""
@@ -587,16 +590,15 @@ def trivial_pattern(n: int) -> FinitePattern:
         raise UsageError("trivial(n) needs n >= 1")
     # circle: v tops (0..n-1), h rights (n..2n-1), v bottoms reversed,
     # h lefts reversed
-    labels = [f"c{i}" for i in range(4 * n)]
     leaves = []
     for i in range(n):
-        leaves.append(Leaf(f"v{i}", PLUS, (f"c{i}", f"c{3 * n - 1 - i}")))
+        leaves.append((f"v{i}", PLUS, (i, 3 * n - 1 - i)))
     for j in range(n):
-        leaves.append(Leaf(f"h{j}", MINUS, (f"c{n + j}", f"c{4 * n - 1 - j}")))
+        leaves.append((f"h{j}", MINUS, (n + j, 4 * n - 1 - j)))
     w = len(str(n - 1))  # padded, so (1, 10) and (11, 0) differ
     pts = [Point.crossing(f"x{i:0{w}}{j:0{w}}", f"v{i}", f"h{j}")
            for i in range(n) for j in range(n)]
-    return FinitePattern(labels, leaves, points=pts)
+    return _circle_pattern(4 * n, leaves, points=pts)
 
 
 def trivial_periodic() -> PeriodicPattern:
@@ -756,12 +758,10 @@ def prongchain_pattern() -> FinitePattern:
            ("x", PLUS, [8, 24]), ("y", PLUS, [106, 110]),
            ("tx", MINUS, [16, 368]), ("tm", MINUS, [98, 156]),
            ("ty", MINUS, [102, 108])]
-    used = sorted({p for _, _, eps in raw for p in eps})
-    rank = {p: i for i, p in enumerate(used)}
-    leaves = [(lid, sign, [rank[p] for p in eps]) for lid, sign, eps in raw]
-    return _circle_pattern(len(used), leaves,
-                           singularities=[Singularity("pa", "qa"),
-                                          Singularity("pb", "qb")])
+    # all on the ascending bot track, which ranks the positions
+    chords = [(lid, sign, [(BOT, p) for p in eps]) for lid, sign, eps in raw]
+    return _chord_pattern(chords, singularities=[Singularity("pa", "qa"),
+                                                 Singularity("pb", "qb")])
 
 
 def partlink_pattern() -> FinitePattern:

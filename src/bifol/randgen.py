@@ -3,8 +3,9 @@
 Chords are sampled on a fine integer grid of boundary positions; a candidate
 is kept only when it crosses no same-family chord, so every draw yields a
 valid pattern.  Occasionally a legal nonseparated pair is declared.  The
-construction is a pure function of the seed.  Draws are not validated; the
-tests check their validity over hundreds of seeds.
+construction is a pure function of the seed.  ``periodic._chord_pattern``
+ranks the grid positions.  Draws are not validated; the tests check their
+validity over hundreds of seeds.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from .pattern import PLUS, MINUS, FinitePattern, Leaf, Point
+from .pattern import PLUS, MINUS, FinitePattern, Point
+from .periodic import BOT, _chord_pattern
 
 _GRID = 10_000
 
@@ -48,11 +50,8 @@ def random_pattern(seed: int, max_leaves: int = 20) -> FinitePattern:
                 used.update((e1, e2))
                 break
 
-    positions = sorted(used)
-    label_of = {pos: f"c{i}" for i, pos in enumerate(positions)}
-    leaves = [Leaf(cid, sign, tuple(label_of[x] for x in sorted((e1, e2))))
-              for cid, sign, e1, e2 in chords]
-    pattern = FinitePattern([label_of[x] for x in positions], leaves)
+    on_bot = [(cid, sign, [(BOT, e1), (BOT, e2)]) for cid, sign, e1, e2 in chords]
+    pattern = _chord_pattern(on_bot)
 
     nonsep = []
     if rng.random() < 0.5:
@@ -74,5 +73,4 @@ def random_pattern(seed: int, max_leaves: int = 20) -> FinitePattern:
         plus, minus = (a, b) if pattern.leaves[a].sign == PLUS else (b, a)
         points.append(Point.crossing(f"pt{i}", plus, minus))
 
-    return FinitePattern(pattern.boundary, leaves, nonseparated=nonsep,
-                         points=points)
+    return _chord_pattern(on_bot, nonseparated=nonsep, points=points)

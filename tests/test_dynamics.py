@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from bifol.pattern import Mode, PreconditionError
+from bifol.pattern import Mode, PreconditionError, UsageError
 from bifol.periodic import IndexMap, PatternAutomorphism, PeriodicPattern
 from bifol import dynamics as dy
 from bifol import graphs as gr
@@ -292,6 +292,19 @@ def test_wpd_scan_builds_each_window_once(name, monkeypatch):
     dy.wpd_scan(pp, s, pp.leaf_of_index("plus", 0), 1.0, 4, {"s": s},
                 radius=2, window=8)
     assert windows == [(-8, 8), (-16, 16)]
+
+
+def test_wpd_scan_refuses_a_doubled_window_before_building_any(monkeypatch):
+    # (-700, 700) holds 8406 leaves, (-1400, 1400) 16806: past the limit
+    pp = load_fixture("ladder_periodic")
+    s = pp.automorphisms["s"]
+    built = []
+    monkeypatch.setattr(PeriodicPattern, "materialize_window",
+                        lambda self, lo, hi: built.append((lo, hi)))
+    with pytest.raises(UsageError, match=r"window \(-1400, 1400\) would hold "
+                                         r"16806 leaves"):
+        dy.wpd_scan(pp, s, "u0", 1.0, 4, {"s": s}, radius=2, window=700)
+    assert built == []
 
 
 def test_wpd_scan_keeps_at_most_two_rows_per_window(monkeypatch):

@@ -20,7 +20,7 @@ from bifol.pattern import (
     FinitePattern, InvalidPatternError, PreconditionError, UsageError,
 )
 from bifol.periodic import (
-    MAX_WINDOW_LEAVES, CertificateTooWideError, generate,
+    MAX_WINDOW_LEAVES, CertificateTooWideError, PeriodicPattern, generate,
 )
 
 FIXDIR = Path(__file__).parent.parent / "src" / "bifol" / "fixtures"
@@ -233,6 +233,34 @@ def test_cli_validate_nonsep_unknown_family(fam_a, fam_b, tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["results"]["valid"] is False
     assert "nonseparated pair names unknown leaf" in rep["results"]["violations"]
+
+
+def test_cli_validate_unknown_sign_names_the_leaf(tmp_path):
+    # a Leaf is built unchecked; validate reports the sign, before any
+    # relation is derived
+    d = json.loads(fixture_text("loz1"))
+    d["leaves"][1]["sign"] = "neutral"
+    leaf = d["leaves"][1]["id"]
+    path = tmp_path / "neutral.json"
+    path.write_text(json.dumps(d), encoding="utf-8")
+    code, out, err = _validate_file(path)
+    assert (code, err) == (2, "")
+    assert json.loads(out)["results"]["violations"] == (
+        f"leaf sign not plus or minus: {leaf}, neutral")
+    p = bio.finite_from_dict(d)
+    assert [str(v) for v in p.validate().violations] == [
+        f"leaf sign not plus or minus: {leaf}, neutral"]
+
+
+def test_cli_validate_family_name_not_alphabetic(tmp_path):
+    d = json.loads(fixture_text("skew2"))
+    d["plus_families"][0]["name"] = "p1"
+    path = tmp_path / "p1.json"
+    path.write_text(json.dumps(d), encoding="utf-8")
+    code, out, err = _validate_file(path)
+    assert (code, err) == (2, "")
+    assert json.loads(out)["results"]["violations"] == (
+        "invalid periodic pattern: family names must be alphabetic")
 
 
 def test_dot_export(grid3, tmp_path):
@@ -493,6 +521,26 @@ def test_cli_window_past_the_leaf_limit_is_a_usage_error(argv, window, leaves,
     assert capsys.readouterr().err == (
         f"usage error: window {window} would hold {leaves} leaves, more than "
         f"{MAX_WINDOW_LEAVES}\n")
+
+
+def test_cli_dist_refuses_a_doubled_window_before_building_any(capsys,
+                                                               monkeypatch):
+    # (-700, 700) holds 8406 leaves, (-1400, 1400) 16806: past the limit;
+    # the only window built is the certificate, when the file is read
+    built, materialize = [], PeriodicPattern.materialize_window
+    reach = load_fixture("ladder_periodic").reach()
+
+    def spy(self, lo, hi):
+        built.append((lo, hi))
+        return materialize(self, lo, hi)
+
+    monkeypatch.setattr(PeriodicPattern, "materialize_window", spy)
+    assert main(["dist", "--kind", "xplus", "--in", _fx("ladder_periodic"),
+                 "--from", "u0", "--to", "u3", "--window", "-700", "700"]) == 1
+    assert capsys.readouterr().err == (
+        f"usage error: window (-1400, 1400) would hold 16806 leaves, more than "
+        f"{MAX_WINDOW_LEAVES}\n")
+    assert built == [(0, reach)]
 
 
 @pytest.mark.parametrize("flag, argv", [

@@ -63,6 +63,16 @@ def test_window_preconditions(skew2):
                         skew2.minus_families)
 
 
+def test_constructor_checks_track_and_family_records(skew2):
+    # the records are built unchecked; the pattern's constructor checks them
+    with pytest.raises(PreconditionError, match="track direction"):
+        PeriodicPattern((Track(BOT, 1), Track(TOP, 0)), skew2.plus_families,
+                        skew2.minus_families)
+    p1 = Family("p1", PLUS, skew2.plus_families[0].endpoints)
+    with pytest.raises(PreconditionError, match="family names must be alphabetic"):
+        PeriodicPattern(_CORRIDOR, [p1], skew2.minus_families)
+
+
 PERIODIC_FIXTURES = ("skew2", "skew3", "skew4", "ladder_periodic",
                      "trivial_periodic", "scalloped")
 
