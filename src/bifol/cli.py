@@ -254,6 +254,8 @@ def cmd_wpd(args):
     base = args.base or p.leaf_of_index("plus", 0)
     p.leaf_index(base)  # an unknown --base is a usage error, not a scan failure
     w = args.window_size
+    p.check_window(-w, w)  # both scan windows, before the axis is built
+    p.check_window(-2 * w, 2 * w)
     scan = dy.wpd_scan(p, g, base, args.eps, args.n, p.automorphisms,
                        radius=args.ball, window=w,
                        axis_data=dy.axis(p, g, "plus", (-w, w)))

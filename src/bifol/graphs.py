@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -23,6 +24,8 @@ from .pattern import (
 XPLUS, XMINUS, XFULL = "xplus", "xminus", "x"
 GAMMAPLUS, GAMMAMINUS = "gammaplus", "gammaminus"
 KINDS = (XPLUS, XMINUS, XFULL, GAMMAPLUS, GAMMAMINUS)
+_FAMILY = {XPLUS: PLUS, GAMMAPLUS: PLUS, XMINUS: MINUS, GAMMAMINUS: MINUS}
+_GAMMA = (GAMMAPLUS, GAMMAMINUS)
 
 INF = math.inf
 
@@ -50,35 +53,59 @@ def build_graph(p: FinitePattern, kind: str) -> LeafGraph:
     kind = kind.lower()
     if kind not in KINDS:
         raise PreconditionError(f"unknown graph kind {kind!r}")
-    if kind in p._graphs:
-        return p._graphs[kind]
-    if kind in (GAMMAPLUS, GAMMAMINUS):
-        verts = sorted(p.leaf_ids(PLUS if kind == GAMMAPLUS else MINUS))
-        adj = {v: set() for v in verts}
-        for a, b in itertools.combinations(verts, 2):
-            if not p._breaks(a, b):
-                adj[a].add(b)
-                adj[b].add(a)
-    else:
-        adj = _x_rows(p, kind)
-        verts = sorted(adj)
-    G = p._graphs[kind] = LeafGraph(kind, tuple(verts),
-                                    {v: frozenset(adj[v]) for v in verts})
-    return G
+    if kind not in p._graphs:
+        t, verts = p._table, sorted(p.leaf_ids(_FAMILY.get(kind)))
+        rows = (gamma_rows if kind in _GAMMA else _x_rows)(p, kind)
+        p._graphs[kind] = LeafGraph(kind, tuple(verts), {
+            v: frozenset(p._ids_of(rows[t.index[v]])) for v in verts})
+    return p._graphs[kind]
 
 
-def _x_rows(p: FinitePattern, kind: str) -> dict:
-    """Vertex -> neighbours in an X graph: ``cross[v]``, or for one family
-    the OR of ``cross[m]`` over the nonsingular m crossing v."""
+def _x_rows(p: FinitePattern, kind: str) -> list:
+    """Neighbour bitsets in an X graph, by bit position: ``cross[v]``, or for
+    one family the OR of ``cross[m]`` over the nonsingular m crossing v."""
     t = p._table
     if kind == XFULL:
-        return {v: p._ids_of(t.cross[v]) for v in t.ids}
-    cross, rows = [t.cross[m] for m in t.ids], {}
+        return t.cross
+    rows = [0] * len(t.cross)
     for i in _bits(t.plus if kind == XPLUS else t.minus):
         row = 0
-        for m in _bits(cross[i] & t.nonsingular):
-            row |= cross[m]
-        rows[t.ids[i]] = p._ids_of(row & ~(1 << i))
+        for m in _bits(t.cross[i] & t.nonsingular):
+            row |= t.cross[m]
+        rows[i] = row & ~(1 << i)
+    return rows
+
+
+def gamma_rows(p: FinitePattern, kind: str) -> list:
+    """Neighbour bitsets of a true-interval graph by bit position, zero off
+    its family, built once per pattern.  b is adjacent to a unless a declared
+    nonseparated pair (u, w) of the family lies in [a, b]: u lies there when
+    it is a or b, or when b's first endpoint is off u's face holding a's.
+    Faces are prefix masks of first endpoints over the circle, and every a on
+    one face of u and one of w breaks one set: O(|nonsep|) per row."""
+    if kind in p._gamma:
+        return p._gamma[kind]
+    t = p._table
+    family = t.plus if kind == GAMMAPLUS else t.minus
+    before = [0] * (p.n + 1)  # the leaves whose first endpoint is below x
+    for i, e in enumerate(t.ep.values()):
+        before[e[0] + 1] |= 1 << i
+    before = list(itertools.accumulate(before, operator.or_))
+
+    def faces(u):  # (a on face j but u, the family off face j and u), (u, all)
+        e, bit = t.ep[t.ids[u]], 1 << u
+        on = [before[y] ^ before[x] for x, y in zip(e, e[1:])]
+        on.append(~(before[e[-1]] ^ before[e[0]]))
+        return [(f & ~bit & family, family & ~f | bit) for f in on] + [(bit, family)]
+
+    rows = p._gamma[kind] = [0] * len(t.ids)  # the broken sets, then the rows
+    for u, w in (_bits(pair) for pair in t.nonsep if pair & family == pair):
+        for (on_u, off_u), (on_w, off_w) in itertools.product(faces(u),
+                                                               faces(w)):
+            for a in _bits(on_u & on_w if off_u & off_w else 0):
+                rows[a] |= off_u & off_w
+    for a in _bits(family):
+        rows[a] = family & ~(rows[a] | 1 << a)
     return rows
 
 
@@ -92,9 +119,10 @@ def distances_from(G: LeafGraph, src: str) -> dict:
     q = deque([src])
     while q:
         u = q.popleft()
+        d = dist[u] + 1
         for w in G.adj[u]:
             if w not in dist:
-                dist[w] = dist[u] + 1
+                dist[w] = d
                 q.append(w)
     return dist
 
@@ -177,27 +205,35 @@ def bottleneck_certify_components(G: LeafGraph, K: int) -> BottleneckResult:
 
 
 def _certify(G: LeafGraph, comps: list, K: int) -> BottleneckResult:
-    """The certificate on each component in turn, to the first failure.  A
-    component minus the ball of a midpoint is labelled once, when a pair first
-    asks about it, so each (pair, midpoint) check compares two labels."""
+    """The certificate on each component in turn, to the first failure.  The
+    midpoints of x and y at distance 2r are the bits of ``sphere[x][r] &
+    sphere[y][r]``, spheres of component indices read off ``G.rows``, so
+    lowest bit first is component order.  A component minus the ball of a
+    midpoint is labelled once, when a pair first asks about it."""
     checked = 0
     for comp in comps:
+        at = {v: j for j, v in enumerate(comp)}
+        sphere = {v: [0] * (max(distances_from(G, v).values()) + 1)
+                  for v in comp}  # vertex -> component-index bitset per radius
+        for v in comp:
+            for w, d in G.rows[v].items():
+                sphere[v][d] |= 1 << at[w]
         labels = {}  # midpoint -> component label of each vertex, None in its ball
         for i, x in enumerate(comp):
-            dx = distances_from(G, x)
+            dx = G.rows[x]
             for y in comp[i + 1:]:
                 dxy = dx[y]
                 if dxy % 2 or dxy == 0:
                     continue
-                r, dy = dxy // 2, distances_from(G, y)
-                mids = [v for v in comp if dx.get(v) == r and dy.get(v) == r]
-                for v in mids:
+                r = dxy // 2
+                for j in _bits(sphere[x][r] & sphere[y][r]):
+                    v = comp[j]
                     checked += 1
                     lab = labels.get(v)
                     if lab is None:
                         lab = labels[v] = _components_off(
-                            G, [w for w, d in distances_from(G, v).items()
-                                if d <= K], comp)
+                            G, [w for w, d in G.rows[v].items() if d <= K],
+                            comp)
                     if lab[x] is not None and lab[x] == lab[y]:
                         return BottleneckResult(False, K, checked,
                                                 BottleneckWitness(x, y, v))

@@ -266,7 +266,7 @@ class _Relations(NamedTuple):
     gap: list         # circle position -> face planes of the gap after it
     planes: int       # bit 0 of every plane: mask * planes copies a bitset
                       # into each
-    cross: _ById      # leaf id -> bitset of the leaves crossing it
+    cross: list       # bit position -> bitset of the leaves crossing it
     ends: list        # circle position -> bitset of the leaves ending there
     nonsingular: int  # bitset of the leaves with two endpoints
     plus: int         # bitset of the plus leaves
@@ -333,6 +333,7 @@ class FinitePattern:
             self.points[pt.id] = pt
         self._singular_pairs = {frozenset(s.leaves()) for s in self.singularities}
         self._graphs = {}  # graph kind -> LeafGraph, filled by graphs.build_graph
+        self._gamma = {}  # gamma kind -> adjacency bitsets, by graphs.gamma_rows
 
     # -- low level circle arithmetic ------------------------------------
 
@@ -403,7 +404,7 @@ class FinitePattern:
         nonsep = tuple(sum(1 << index[l] for l in pair)
                        for pair in self.nonseparated
                        if len(pair) == 2 and all(l in index for l in pair))
-        t = _Relations(tuple(index), index, ep, gap, planes, _ById(), ends,
+        t = _Relations(tuple(index), index, ep, gap, planes, [], ends,
                        nonsingular, plus, everything & ~plus, nonsep, [])
         # a leaf crosses a leaf m of the other sign iff two of its endpoints
         # off m lie on two faces of m, that is differ in some plane; of its
@@ -413,7 +414,7 @@ class FinitePattern:
             for x, y in itertools.combinations(e, 2):
                 both |= t.fold(gap[x] ^ gap[y]) & ~(ends[x] | ends[y])
             own = plus if plus >> i & 1 else t.minus
-            t.cross[lid] = both & ~own
+            t.cross.append(both & ~own)
             if both & own:
                 t.tangled.append((lid, both & own))
         return t
@@ -424,24 +425,24 @@ class FinitePattern:
         """True iff the two leaves cross: signs differ and some two endpoints
         of ``l2`` lie in two distinct open arcs of the circle minus ``l1``."""
         t = self._table
-        return bool(t.cross[l2] >> t.index[l1] & 1)
+        return bool(t.cross[t.index[l2]] >> t.index[l1] & 1)
 
     def common_transversal(self, a: str, b: str) -> int:
         """Bitset of the leaves crossing both ``a`` and ``b`` (bit i stands
         for ``leaf_ids()[i]``); zero iff the two leaves have no common
         transversal."""
         t = self._table
-        return t.cross[a] & t.cross[b]
+        return t.cross[t.index[a]] & t.cross[t.index[b]]
 
     def perfect_fits(self) -> list[tuple[tuple[str, str], tuple[str, str]]]:
         """Shared-endpoint ray pairs, as ((plus_id,label),(minus_id,label)),
         in label order."""
-        ends, fits = self._table.ends, []
+        t, fits = self._table, []
         for label in sorted(self.boundary):
-            bits = ends[self._pos[label]]
+            bits = t.ends[self._pos[label]]
             if bits & (bits - 1):  # two or more leaves end here
-                for p in sorted(self._ids_of(bits, PLUS)):
-                    for m in sorted(self._ids_of(bits, MINUS)):
+                for p in sorted(self._ids_of(bits & t.plus)):
+                    for m in sorted(self._ids_of(bits & t.minus)):
                         fits.append(((p, label), (m, label)))
         return fits
 
@@ -618,13 +619,10 @@ class FinitePattern:
         # unchecked core: all same sign, pairwise distinct and disjoint
         return bool(self._seps(l1, l2) >> self._table.index[m] & 1)
 
-    def _ids_of(self, bits: int, sign: str | None = None) -> list[str]:
-        """The leaf ids of a bitset, of one sign on request, in
-        ``leaf_ids()`` order."""
-        t = self._table
-        if sign is not None:
-            bits &= t.plus if sign == PLUS else t.minus
-        return [t.ids[i] for i in _bits(bits)]
+    def _ids_of(self, bits: int) -> list[str]:
+        """The leaf ids of a bitset, in ``leaf_ids()`` order."""
+        ids = self._table.ids
+        return [ids[i] for i in _bits(bits)]
 
     def _seps(self, x: str, y: str) -> int:
         """Bitset of the leaves of x's family, x and y excluded, that separate

@@ -325,7 +325,7 @@ class PeriodicPattern:
         """``rows[a][b]`` has bit d + reach set iff plus family a at block k
         crosses minus family b at block k + d, read at k = max(0, -d)."""
         R, t = self._reach, cert._table
-        plus = [[t.cross[leaf_name(f.name, k)] for k in range(R + 1)]
+        plus = [[t.cross[t.index[leaf_name(f.name, k)]] for k in range(R + 1)]
                 for f in self.plus_families]
         minus = [[t.index[leaf_name(f.name, k)] for k in range(R + 1)]
                  for f in self.minus_families]

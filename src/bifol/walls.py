@@ -7,16 +7,22 @@ Five flavours: mixed-family and one-family hyperbolically-aligned walls
 convention that a point on the leaf counts as separated from any point off
 it; the one-family distances add one to the supremum, and the supremum over
 no admissible family is zero.
+
+Chains live on the bit positions of the relation table: a pair's separator
+bitset masked by the kind's sign, depths off the face planes, admissibility
+one bit of the crossing bitsets or of ``graphs.gamma_rows``.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
 from . import graphs as gr
 from .pattern import (
     PLUS, MINUS, DegenerateInputError, FinitePattern, Point, PreconditionError,
+    _bits,
 )
 
 D_H, D_PLUS, D_MINUS, D_RPLUS, D_RMINUS = "dH", "d+", "d-", "dR+", "dR-"
@@ -25,16 +31,12 @@ KINDS = (D_H, D_PLUS, D_MINUS, D_RPLUS, D_RMINUS)
 _SIGN_OF = {D_PLUS: PLUS, D_MINUS: MINUS, D_RPLUS: PLUS, D_RMINUS: MINUS,
             D_H: None}
 _GAMMA = {D_RPLUS: gr.GAMMAPLUS, D_RMINUS: gr.GAMMAMINUS}
-_PLUS_ONE = {D_PLUS, D_MINUS, D_RPLUS, D_RMINUS}
 
 
 @dataclass(frozen=True)
 class AlignedFamily:
     kind: str
     leaves: tuple[str, ...]
-
-    def __len__(self):
-        return len(self.leaves)
 
 
 def aligned(p: FinitePattern, l1: str, l2: str) -> bool:
@@ -54,66 +56,61 @@ def reeb_separated(p: FinitePattern, l1: str, l2: str) -> bool:
 
 
 def separating_leaves(p: FinitePattern, x, y, kind: str) -> list[str]:
-    return _of_kind(p, p._point_seps(p.point(x), p.point(y)), kind)
+    seps = _of_kind(p, p._point_seps(p.point(x), p.point(y)), kind)
+    return sorted(p._ids_of(seps))
 
 
-def _of_kind(p: FinitePattern, seps: int, kind: str) -> list[str]:
-    """The leaves of a separator bitset that a metric kind counts, sorted."""
-    return sorted(p._ids_of(seps, _SIGN_OF[kind]))
+def _of_kind(p: FinitePattern, seps: int, kind: str) -> int:
+    """The bits of a separator bitset that a metric kind counts."""
+    t, sign = p._table, _SIGN_OF[kind]
+    return seps if sign is None else seps & (t.plus if sign == PLUS else t.minus)
 
 
-def _separation_depth(p: FinitePattern, x, leaves: list[str]) -> dict:
-    """Partial order position of each separator: how many other separators
-    (disjoint from it) lie between the point x and it.
+def _separation_depth(p: FinitePattern, x, seps: int) -> dict:
+    """Partial order position of each separator bit: how many other
+    separators (disjoint from it) lie between the point x and it.
 
     m lies between x and a leaf l disjoint from it when l's first endpoint
     e is off x's face of m, an endpoint of m included: a bit of the folded
     face planes ``gap[e] ^ gap_x`` or of the leaves ending at e.  A leaf
     through x has no face of x, so it lies between exactly when it does not
     end at e."""
-    t = p._table
+    t, depth = p._table, {}
+    ep, ids, gap, ends, cross = t.ep, t.ids, t.gap, t.ends, t.cross
     on_x, gap_x = p._point_bits(p.point(x))
-    mask = 0
-    for l in leaves:
-        mask |= 1 << t.index[l]
-    depth = {}
-    for l in leaves:
-        e = t.ep[l][0]
-        others = mask & ~t.cross[l] & ~(1 << t.index[l])
-        off_face = t.fold(t.gap[e] ^ gap_x) & ~on_x | t.ends[e]
-        depth[l] = (others & (off_face ^ on_x)).bit_count()
+    for i in _bits(seps):
+        e = ep[ids[i]][0]
+        off_face = t.fold(gap[e] ^ gap_x) & ~on_x | ends[e]
+        depth[i] = (seps & ~cross[i] & ~(1 << i)
+                    & (off_face ^ on_x)).bit_count()
     return depth
 
 
-def _longest_chain(p: FinitePattern, kind: str, seps: list[str], x) -> tuple[str, ...]:
-    """Longest admissible family inside the separator set, computed as a
-    longest path in the nestedness order; consecutive admissibility implies
-    pairwise admissibility for nested families, which is property-tested.
-    Ties go to the lexicographically least chain."""
+def _longest_chain(p: FinitePattern, kind: str, seps: int, x) -> tuple[str, ...]:
+    """The least longest admissible family inside the separator bitset: a
+    longest path over its bits in the nestedness order, by (depth, leaf id),
+    as consecutive admissibility implies pairwise admissibility for nested
+    families (property-tested).  Admissibility is a bit test: no common
+    transversal, or for Reeb kinds no edge in the gamma rows.  Each bit takes
+    the first admissible shallower chain in key order, (minus length, chain),
+    so the least key is the least longest chain."""
     if not seps:
         return ()
     t = p._table
-    # Reeb walls need a broken pseudo-interval, that is no edge of the gamma
-    # graph (built once per pattern); aligned walls no common transversal
-    gamma = gr.build_graph(p, _GAMMA[kind]).adj if kind in _GAMMA else None
+    ids, cross = t.ids, t.cross
+    gamma = gr.gamma_rows(p, _GAMMA[kind]) if kind in _GAMMA else None
     depth = _separation_depth(p, x, seps)
-    order = sorted(seps, key=lambda l: (depth[l], l))
-    best: dict[str, tuple[str, ...]] = {}  # least longest chain ending at l
-    for l in order:
-        cross_l, top = t.cross[l], ()
-        for m in order:
-            if depth[m] >= depth[l]:
+    ranked = []  # (key, depth, bit) of the chains found so far, least key first
+    for dl, _, l in sorted([(d, ids[i], i) for i, d in depth.items()]):
+        cross_l, top = cross[l], (0, ())
+        bad = cross_l if gamma is None else cross_l | gamma[l]
+        for key, dm, m in ranked:
+            if dm < dl and not bad >> m & 1 and (gamma is not None or
+                                                not cross[m] & cross_l):
+                top = key
                 break
-            if cross_l >> t.index[m] & 1:
-                continue
-            if (m not in gamma[l]) if gamma is not None else \
-                    not t.cross[m] & cross_l:
-                c = best[m]
-                if len(c) > len(top) or len(c) == len(top) and c < top:
-                    top = c
-        best[l] = top + (l,)
-    top = max(len(c) for c in best.values())
-    return min(c for c in best.values() if len(c) == top)
+        bisect.insort(ranked, ((top[0] - 1, top[1] + (ids[l],)), dl, l))
+    return ranked[0][0][1]
 
 
 def _witness(p: FinitePattern, px: Point, py: Point, kind: str):
@@ -141,7 +138,7 @@ def wall_distance(p: FinitePattern, x, y, kind: str) -> int:
     one-family kinds between distinct points."""
     px, py = p.point(x), p.point(y)
     sup = len(_witness(p, px, py, kind))
-    return sup + 1 if kind in _PLUS_ONE and px.key() != py.key() else sup
+    return sup + 1 if _SIGN_OF[kind] and px.key() != py.key() else sup
 
 
 @dataclass(frozen=True)

@@ -436,6 +436,49 @@ def oracle_bottleneck_certify(G, K: int):
     return True, checked, None
 
 
+def oracle_bottleneck_midpoints(G, K: int):
+    """The bottleneck certificate over the components of G, with its own BFS
+    rows, the midpoints of each pair found by scanning the whole component,
+    and the rest of G labelled once per midpoint: (passed, pairs checked,
+    witness or None), in the order of ``bottleneck_certify_components``."""
+    from bifol import graphs as gr
+
+    checked = 0
+    for comp in gr.connected_components(G):
+        dist = {v: oracle_bfs_row(G.adj, v) for v in comp}
+        labels = {}
+        for i, x in enumerate(comp):
+            for y in comp[i + 1:]:
+                dxy = dist[x][y]
+                if dxy % 2 or dxy == 0:
+                    continue
+                r = dxy // 2
+                for v in [v for v in comp
+                          if dist[x].get(v) == r and dist[y].get(v) == r]:
+                    checked += 1
+                    if v not in labels:
+                        ball = {w for w, d in dist[v].items() if d <= K}
+                        labels[v] = _labels_off(G.adj, ball)
+                    if x in labels[v] and labels[v].get(y) == labels[v][x]:
+                        return False, checked, gr.BottleneckWitness(x, y, v)
+    return True, checked, None
+
+
+def _labels_off(adj: dict, removed: set) -> dict:
+    """Vertex -> a vertex naming its component in the graph minus
+    ``removed``; removed vertices get no label."""
+    lab = {}
+    for s in adj:
+        if s not in removed and s not in lab:
+            lab[s], stack = s, [s]
+            while stack:
+                for w in adj[stack.pop()]:
+                    if w not in removed and w not in lab:
+                        lab[w] = s
+                        stack.append(w)
+    return lab
+
+
 # -- census oracle --------------------------------------------------------------------
 
 _A = ((2, 1), (1, 1))

@@ -1,8 +1,11 @@
 import itertools
+import random
 
 import pytest
 
-from bifol.pattern import PLUS, Mode, PreconditionError, UnknownIdError
+from bifol.pattern import (
+    MINUS, PLUS, FinitePattern, Mode, PreconditionError, UnknownIdError,
+)
 from bifol.periodic import generate
 from bifol import graphs as gr
 from bifol.randgen import random_pattern
@@ -41,10 +44,20 @@ def test_graph_built_once_per_kind():
             assert gr.build_graph(q, kind) is not gr.build_graph(p, kind)
 
 
+def _declaring(p, pairs):
+    """A fresh copy of p declaring ``pairs`` nonseparated instead."""
+    return FinitePattern(p.boundary, p.leaves.values(), p.singularities,
+                         pairs, p.points.values())
+
+
 def _differential_patterns():
-    """Every shipped finite fixture, windows of every periodic one (the
-    scalloped windows hold leaves of two unlinked bands) and seeded random
-    patterns."""
+    """Every shipped fixture (windows of the periodic ones: the scalloped
+    windows hold leaves of two unlinked bands), seeded random patterns, the
+    same random patterns declaring several legal nonseparated pairs, and the
+    prong fixtures declaring same-family pairs that hold singular leaves.
+    Those have no legal pair, but a declared pair with three or more faces
+    is what the true-interval rows read differently, and their adjacency is
+    defined all the same."""
     from bifol.fixtures import MANIFEST, load_fixture
     from bifol.periodic import PeriodicPattern
 
@@ -55,16 +68,46 @@ def _differential_patterns():
                 yield f"{name} ({lo}, {hi})", p.materialize_window(lo, hi)
         else:
             yield name, p
+    rng = random.Random(7)
     for seed in range(40):
-        yield f"random {seed}", random_pattern(seed, max_leaves=8 + seed % 4 * 8)
+        p = random_pattern(seed, max_leaves=8 + seed % 4 * 8)
+        yield f"random {seed}", p
+        legal = [(a, b) for a, b in itertools.combinations(sorted(p.leaves), 2)
+                 if p.leaves[a].sign == p.leaves[b].sign
+                 and not p._seps(a, b) and not p.common_transversal(a, b)]
+        q = _declaring(p, rng.sample(legal, min(len(legal), 2 + seed % 4)))
+        assert q.validate().ok, seed
+        yield f"random {seed} declaring {len(q.nonseparated)} pairs", q
+    for name in ("prong3", "prongchain2", "prongdiv", "prongnondiv"):
+        p = load_fixture(name)
+        for r in range(4):
+            pairs = [pair for sign in (PLUS, MINUS) for pair in rng.sample(
+                list(itertools.combinations(sorted(p.leaf_ids(sign)), 2)), 2)]
+            yield f"{name} declaring {pairs}", _declaring(p, pairs)
 
 
-@pytest.mark.parametrize("kind", [gr.XFULL, gr.XPLUS, gr.XMINUS])
+@pytest.mark.parametrize("kind", [gr.XFULL, gr.XPLUS, gr.XMINUS,
+                                  gr.GAMMAPLUS, gr.GAMMAMINUS])
 def test_intersection_graphs_match_the_pairwise_oracle(kind):
     for name, p in _differential_patterns():
         G, want = gr.build_graph(p, kind), oracle_build_graph(p, kind)
         assert G.vertices == want.vertices, (name, kind)
         assert G.adj == want.adj, (name, kind)
+
+
+def test_gamma_graphs_never_call_breaks(monkeypatch):
+    # the true-interval graphs are read off their bit rows, not pair by pair
+    calls = []
+    monkeypatch.setattr(FinitePattern, "_breaks",
+                        lambda self, x, y: calls.append((x, y)))
+    cases = list(_differential_patterns())
+    assert any(len(p.nonseparated) >= 3 for _, p in cases)
+    for name, p in cases:
+        assert p._graphs == {}, name
+        gr.build_graph(p, gr.GAMMAPLUS), gr.build_graph(p, gr.GAMMAMINUS)
+    assert calls == []
+    cases[0][1]._breaks(*sorted(cases[0][1].leaf_ids(MINUS))[:2])
+    assert len(calls) == 1  # the spy is live
 
 
 def test_distance_identity_and_errors(grid3):

@@ -543,6 +543,26 @@ def test_cli_dist_refuses_a_doubled_window_before_building_any(capsys,
     assert built == [(0, reach)]
 
 
+def test_cli_wpd_refuses_a_doubled_window_before_building_any(capsys,
+                                                              monkeypatch):
+    # (-700, 700) holds 8406 leaves, (-1400, 1400) 16806: past the limit;
+    # not even the axis window is built, only the certificate
+    built, materialize = [], PeriodicPattern.materialize_window
+    reach = load_fixture("ladder_periodic").reach()
+
+    def spy(self, lo, hi):
+        built.append((lo, hi))
+        return materialize(self, lo, hi)
+
+    monkeypatch.setattr(PeriodicPattern, "materialize_window", spy)
+    assert main(["wpd", "--pattern", _fx("ladder_periodic"), "--g", "s",
+                 "--window", "700"]) == 1
+    assert capsys.readouterr().err == (
+        f"usage error: window (-1400, 1400) would hold 16806 leaves, more than "
+        f"{MAX_WINDOW_LEAVES}\n")
+    assert built == [(0, reach)]
+
+
 @pytest.mark.parametrize("flag, argv", [
     ("--ball", ["wpd", "--pattern", _fx("skew2"), "--g", "s"]),
     ("--n", ["wpd", "--pattern", _fx("skew2"), "--g", "s"]),

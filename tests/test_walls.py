@@ -155,6 +155,13 @@ def test_region_points_skipped_in_qi(grid3):
     assert rep.skipped == ("r",)
 
 
+def _depth_by_id(p, x, leaves):
+    """``walls._separation_depth`` of the bitset of some leaves, by leaf id."""
+    t = p._table
+    depth = wl._separation_depth(p, x, sum(1 << t.index[l] for l in leaves))
+    return {t.ids[i]: d for i, d in depth.items()}
+
+
 def test_nestedness_of_separators():
     # separating leaves of a fixed pair, restricted to disjoint families,
     # are linearly ordered by betweenness
@@ -163,7 +170,7 @@ def test_nestedness_of_separators():
         pts = sorted(p.points)
         for a, b in itertools.combinations(pts, 2):
             seps = wl.separating_leaves(p, a, b, wl.D_H)
-            depth = wl._separation_depth(p, p.point(a), seps)
+            depth = _depth_by_id(p, p.point(a), seps)
             for l1, l2 in itertools.combinations(seps, 2):
                 if not p.intersects(l1, l2):
                     assert depth[l1] != depth[l2] or l1 == l2
@@ -249,8 +256,8 @@ def test_witness_tuples_match_face_by_face_oracle():
                     with pytest.raises(DegenerateInputError):
                         wl.longest_chain_witness(p, a, b, kind)
                     continue
-                seps = wl._of_kind(p, seps, kind)
-                assert wl._separation_depth(p, a, seps) == \
+                seps = p._ids_of(wl._of_kind(p, seps, kind))
+                assert _depth_by_id(p, a, seps) == \
                     oracle_separation_depth(p, a, seps), (name, a.id, b.id, kind)
                 want = oracle_longest_chain(p, kind, seps, a)
             got = wl.longest_chain_witness(p, a, b, kind).leaves
@@ -302,7 +309,7 @@ def test_leaf_through_the_point_ending_at_the_first_endpoint_is_not_between(
         chain3.endpoint_positions("m1")
     assert not chain3.intersects("p0", "m1")
     want = {"p0": 0, "m1": 1}
-    assert wl._separation_depth(chain3, x, ["p0", "m1"]) == want
+    assert _depth_by_id(chain3, x, ["p0", "m1"]) == want
     assert oracle_separation_depth(chain3, x, ["p0", "m1"]) == want
 
 
@@ -329,7 +336,7 @@ def test_reeb_chains_read_the_gamma_graph(monkeypatch):
             for kind in (wl.D_RPLUS, wl.D_RMINUS):
                 seps = p._point_seps(a, b)
                 if a.key() != b.key() and seps:
-                    seps = wl._of_kind(p, seps, kind)
+                    seps = p._ids_of(wl._of_kind(p, seps, kind))
                     cases.append((name, p, a, b, kind,
                                   oracle_longest_chain(p, kind, seps, a)))
         gr.build_graph(p, gr.GAMMAPLUS), gr.build_graph(p, gr.GAMMAMINUS)
