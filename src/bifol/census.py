@@ -6,8 +6,9 @@ for the skew plane (bijections of Z commuting with translation by the
 period).  Each model's census runs on integer normal forms:
 
 - the affine model by a sphere recurrence (`_affine_spheres`): a sphere is
-  {k: set of v packed into one int}, and a step is one C-level set operation
-  per class and generator;
+  {k: set of v packed into one int} holding one element per orbit of
+  inversion (classes k >= 0 only) and, where the generating set allows it,
+  of v -> -v; a step is one C-level set operation per class and generator;
 - the integer-map model by `word_ball`, the breadth-first search also used by
   `dynamics`, keyed by the tuple of offsets.
 
@@ -15,7 +16,8 @@ Ball enumeration, the fixed/free classification and the growth/genericity
 reports are exact and deterministic; element objects are built only by
 `enumerate_ball`.  Both enumerators stop before a radius whose projected ball
 exceeds `BUDGET` elements, or BIFOL_BUDGET_MS's cap (`_check_budget`); the
-affine one counts an element once per 64-bit word of its packing width.
+affine one counts each element of the ball, not each stored orbit, once per
+64-bit word of its packing width.
 """
 
 from __future__ import annotations
@@ -56,7 +58,11 @@ def _check_budget(radius: int, projected: int) -> None:
     500 elements per millisecond of BIFOL_BUDGET_MS: a fixed rate, so runs
     stay deterministic across machines."""
     ms = os.environ.get("BIFOL_BUDGET_MS")
-    budget = BUDGET if ms is None else max(1, int(ms)) * 500
+    try:
+        budget = BUDGET if ms is None else max(1, int(ms)) * 500
+    except ValueError:
+        raise UsageError(f"BIFOL_BUDGET_MS {ms!r}: wants an integer number "
+                         f"of milliseconds") from None
     if projected > budget:
         raise BudgetExceededError(f"radius {radius}: projected {projected} "
                                   f"elements exceeds budget {budget}")
@@ -158,8 +164,9 @@ def _columns(k: int, W: int) -> tuple[int, int]:
 
 
 def _affine_spheres(S: GeneratingSet, n: int):
-    """Affine model: yield (W, sphere) for the word lengths 0..n, where a
-    sphere is {k: set of v0 * W + v1} over its elements (k, v).
+    """Affine model: yield (W, sign, sphere) for the word lengths 0..n, where
+    a sphere is {k: set of v0 * W + v1} over one element (k, v) of each orbit
+    (see Orbits); `_unfold` lists the elements of the orbits.
 
     Words grow on the right, (k, v)(k1, v1) = (k + k1, v + A^k v1), and
     packing is linear, so each product shifts a whole class k by the one
@@ -170,6 +177,16 @@ def _affine_spheres(S: GeneratingSet, n: int):
     is x col1 + y col2 for v1 = (x, y), and the class k + k1 it reaches
     takes the columns of A^k A^k1: sums with the entries of the generator's
     A^k1 as coefficients, never a product of two wide ints.
+
+    Orbits.  Inversion (k, v) -> (-k, -A^-k v) keeps word length (the set
+    is symmetric) and maps class k onto class -k: only classes k >= 0 are
+    stored, a class k != 0 counting twice, and classes -kmax..-1, the only
+    others that feed classes >= 0, are rebuilt from classes 1..kmax.  When
+    the set is closed under sigma: (k, v) -> (k, -v), an automorphism (-I
+    commutes with A), sigma keeps word length and classes: sets hold abs(p),
+    one of v, -v (p > 0 iff v > 0 lexicographically, as |v1| <= W // 2),
+    so a set s counts 2|s| - [0 in s]; and sigma(x) g = sigma(x sigma(g)),
+    so the products of the stored x cover the orbits.
 
     Width.  A word of length <= R is a product of at most R letters (k_i, v_i)
     of the symmetrized set, with translation part the sum of A^K_i v_i over
@@ -182,12 +199,15 @@ def _affine_spheres(S: GeneratingSet, n: int):
     is set for R = min(n, 2r) and the two live spheres are repacked; so W
     stays the size the reached radius needs, whatever n is."""
     _check_radius(n)
-    gens = [(g.k, g.v, _power(g.k)) for _, g in S.symmetrized()]
-    kmax = max(abs(k) for k, _, _ in gens)
-    vmax = max(abs(x) for _, v, _ in gens for x in v)
+    sym = [(g.k, g.v) for _, g in S.symmetrized()]
+    sign = {(k, (-x, -y)) for k, (x, y) in sym} == set(sym)
+    fold = abs if sign else int.__neg__
+    gens = [(k, v, _power(k)) for k, v in sym]
+    kmax = max(abs(k) for k, _ in sym)
+    vmax = max(abs(x) for _, v in sym for x in v)
     W, R = 1, 0
     prev, cur, size = {}, {0: {0}}, 1
-    yield W, cur
+    yield W, sign, cur
     for radius in range(1, n + 1):
         wider = radius > R
         if wider:
@@ -197,17 +217,33 @@ def _affine_spheres(S: GeneratingSet, n: int):
             W, old = 2 * half + 1, W
         # elements, each counted once per 64-bit word of the width W; checked
         # before the spheres are repacked to it
-        _check_budget(radius, (size + sum(map(len, cur.values())) * len(gens))
+        _check_budget(radius, (size + _sphere_size(sign, cur) * len(gens))
                       * -(-W.bit_length() // 64))
         if wider:
             prev, cur = ({k: {p + _unpack(p, old)[0] * (W - old) for p in s}
                           for k, s in sp.items()} for sp in (prev, cur))
             cols = {k: _columns(k, W) for k in cur}
+            inv = {-j: _columns(-j, W) for j in range(1, kmax + 1)}
+        cols.update(inv)
+        # classes -kmax..-1 of S(r): pack(-A^-j v) over class j, or its abs
+        neg = {}
+        for j in range(1, kmax + 1):
+            if j in cur:
+                c1, c2 = inv[-j]
+                neg[-j] = {fold(x * c1 + y * c2)
+                           for x, y in (_unpack(p, W) for p in cur[j])}
         nxt, nxt_cols = {}, {}
-        for k, vs in cur.items():
+        for k, vs in (*neg.items(), *cur.items()):
             p1, p2 = cols[k]
             for k1, (x, y), (e, f, g, h) in gens:
-                shift = map((x * p1 + y * p2).__add__, vs)
+                if k + k1 < 0:
+                    continue
+                # a matrix letter moves the class as it is; under sign the
+                # stored packs are >= 0, so only a step < 0 needs abs
+                step = x * p1 + y * p2
+                shift = map(step.__add__, vs) if step else vs
+                if sign and step < 0:
+                    shift = map(abs, shift)
                 if k + k1 in nxt:
                     nxt[k + k1].update(shift)
                 else:
@@ -219,8 +255,14 @@ def _affine_spheres(S: GeneratingSet, n: int):
             s.difference_update(prev.get(k, ()))
         prev, cur = cur, {k: s for k, s in nxt.items() if s}
         cols = nxt_cols
-        size += sum(map(len, cur.values()))
-        yield W, cur
+        size += _sphere_size(sign, cur)
+        yield W, sign, cur
+
+
+def _sphere_size(sign: bool, sphere: dict) -> int:
+    """The elements of the orbits a sphere of `_affine_spheres` stores."""
+    return sum((2 * len(s) - (0 in s) if sign else len(s)) * (2 if k else 1)
+               for k, s in sphere.items())
 
 
 def _unpack(p: int, W: int) -> tuple[int, int]:
@@ -229,17 +271,26 @@ def _unpack(p: int, W: int) -> tuple[int, int]:
     return (p - v1) // W, v1
 
 
+def _unfold(W: int, sign: bool, sphere: dict):
+    """(k, v0, v1) for each element of the orbits a sphere of
+    `_affine_spheres` stores."""
+    for k, s in sphere.items():
+        a, b, c, d = _power(-k)
+        for p in s:
+            x, y = _unpack(p, W)
+            for e in (1, -1) if sign and p else (1,):
+                yield k, e * x, e * y
+                if k:
+                    yield -k, -e * (a * x + b * y), -e * (c * x + d * y)
+
+
 def enumerate_ball(S: GeneratingSet, n: int) -> dict:
     """{normal form: (element, word length)} for word lengths <= n."""
     if S.model == SKEW_INTMAP:
         return {t: (IndexMap._trusted(t), r) for t, (_, r) in _ball(S, n).items()}
-    out = {}
-    for r, (W, sphere) in enumerate(_affine_spheres(S, n)):
-        for k, s in sphere.items():
-            for p in s:
-                v = _unpack(p, W)
-                out[(k, *v)] = (AffineElement(k, v), r)
-    return out
+    return {t: (AffineElement(t[0], t[1:]), r)
+            for r, (W, sign, sphere) in enumerate(_affine_spheres(S, n))
+            for t in _unfold(W, sign, sphere)}
 
 
 def _counts(S: GeneratingSet, n: int, ball: dict | None = None) -> tuple[list, list]:
@@ -247,10 +298,10 @@ def _counts(S: GeneratingSet, n: int, ball: dict | None = None) -> tuple[list, l
     affine spheres or the integer-map ball (built here unless given)."""
     per_radius, free_r = [0] * (n + 1), [0] * (n + 1)
     if S.model == TRIVIAL_AFFINE:
-        for r, (_, sphere) in enumerate(_affine_spheres(S, n)):
-            per_radius[r] = sum(map(len, sphere.values()))
+        for r, (_, sign, sphere) in enumerate(_affine_spheres(S, n)):
+            per_radius[r] = _sphere_size(sign, sphere)
             # class 0 past the identity: the nonzero translations
-            free_r[r] = len(sphere.get(0, ())) if r else 0
+            free_r[r] = _sphere_size(sign, {0: sphere.get(0, ())}) if r else 0
         return per_radius, free_r
     free = _FREE[SKEW_INTMAP]
     for t, r in (ball or _ball(S, n)).values():

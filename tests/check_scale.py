@@ -5,27 +5,36 @@ periodic windows of 300 to 1300 leaves (well under MAX_WINDOW_LEAVES):
 - ``bottleneck_certify`` on the largest xplus component equals the
   per-pair midpoint oracle ``oracle_bottleneck_midpoints``;
 - the wall witnesses of every kind between 8 crossing points equal
-  ``oracle_longest_chain``, and the wall distances their lengths.
+  ``oracle_longest_chain``, and the wall distances their lengths;
+- the affine census CSV that ``bifol census --csv`` writes, for the shipped
+  set at radius 14 (the widest default packing) and an asymmetric set with
+  a k = 2 letter at radius 12, equals the counts of ``oracle_affine_ball``.
 
-Prints the time of each layer per window; exits nonzero on a difference.
+Prints the time of each layer per window or census; exits nonzero on a
+difference.
 
     PYTHONPATH=src python tests/check_scale.py
 """
 
+import csv
 import itertools
+import json
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from bifol import graphs as gr  # noqa: E402
+from bifol.cli import main as cli_main  # noqa: E402
 from bifol import walls as wl  # noqa: E402
 from bifol.fixtures import load_fixture  # noqa: E402
 from bifol.pattern import MINUS, PLUS, Point  # noqa: E402
 from bifol.periodic import MAX_WINDOW_LEAVES, parse_leaf_name  # noqa: E402
 from oracles import (  # noqa: E402
-    oracle_bottleneck_midpoints, oracle_build_graph, oracle_longest_chain,
+    oracle_affine_ball, oracle_bottleneck_midpoints, oracle_build_graph,
+    oracle_longest_chain,
 )
 
 # scalloped windows put hundreds of separators between nearby points (the
@@ -34,6 +43,10 @@ from oracles import (  # noqa: E402
 WINDOWS = (("scalloped", 20), ("scalloped", 40),
            ("ladder_periodic", 25), ("ladder_periodic", 100))
 POINTS = 8
+# the shipped set is closed under v -> -v, so its spheres store one element
+# per inversion and sign orbit; the asymmetric one, per inversion orbit only
+CENSUSES = (("shipped", [(1, (0, 0)), (0, (1, 0)), (0, (0, 1))], 14),
+            ("asymmetric", [(2, (1, 0)), (-1, (0, 3))], 12))
 
 
 def _timed(f, *args):
@@ -90,8 +103,34 @@ def check(name, w):
     return faults
 
 
+def check_census(name, gens, n):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp, "gens.json"), Path(tmp, "census.csv")
+        path.write_text(json.dumps({f"g{i}": {"k": k, "v": list(v)}
+                                    for i, (k, v) in enumerate(gens)}))
+        code, census_s = _timed(cli_main, [
+            "--report", str(Path(tmp, "report.json")), "census", "--model",
+            "trivial", "--gens", str(path), "--nmax", str(n), "--csv", str(out)])
+        if code != 0:
+            return [f"census {name} exits {code}"]
+        rows = list(csv.DictReader(out.read_text(encoding="utf-8").splitlines()))
+    ball, oracle_s = _timed(oracle_affine_ball, gens, n)
+    per, free = [0] * (n + 1), [0] * (n + 1)
+    for (k, v), r in ball.items():
+        per[r] += 1
+        free[r] += k == 0 and v != (0, 0)
+    want = [(sum(per[:r + 1]), sum(free[:r + 1])) for r in range(n + 1)]
+    got = [(int(r["ball"]), int(r["free"])) for r in rows]
+    print(f"census {name} {gens} to radius {n}: {len(ball)} elements, "
+          f"census {census_s:.3f} s, oracle {oracle_s:.3f} s")
+    if got != want:
+        return [f"census {name} CSV {got} differs from the oracle {want}"]
+    return []
+
+
 def main():
     faults = [f for name, w in WINDOWS for f in check(name, w)]
+    faults += [f for args in CENSUSES for f in check_census(*args)]
     for f in faults:
         print("FAULT:", f)
     return 1 if faults else 0

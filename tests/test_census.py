@@ -243,10 +243,14 @@ def _cumulative_counts(radii, n):
 
 
 def _sphere_radii(S, n):
-    """{(k, v0, v1): word length} read off the packed spheres."""
-    return {(k, *cs._unpack(p, W)): r
-            for r, (W, sphere) in enumerate(cs._affine_spheres(S, n))
-            for k, s in sphere.items() for p in s}
+    """{(k, v0, v1): word length} unfolded from the packed spheres, checking
+    that no element is listed twice."""
+    out = {}
+    for r, (W, sign, sphere) in enumerate(cs._affine_spheres(S, n)):
+        for t in cs._unfold(W, sign, sphere):
+            assert t not in out, t
+            out[t] = r
+    return out
 
 
 def _check_against_oracle(gens, n, elements=True):
@@ -291,6 +295,63 @@ def test_random_affine_spheres_match_oracle():
                               elements=False)
 
 
+def _sign_closed_gens(rng, count):
+    """`count` letters with k in -3..3 and v entries in -5..5, the first with
+    |k| in {2, 3} and v != 0, each with its sign image (k, -v)."""
+    letters = [(rng.choice((-3, -2, 2, 3)),
+                (rng.randint(1, 5), rng.randint(-5, 5)))]
+    while len(letters) < count:
+        letters.append((rng.randint(-3, 3),
+                        (rng.randint(-5, 5), rng.randint(-5, 5))))
+    gens = {g: None for k, (x, y) in letters
+            for g in ((k, (x, y)), (k, (-x, -y)))}
+    gens.pop((0, (0, 0)), None)
+    return list(gens)
+
+
+def test_random_orbit_quotients_match_oracle_element_by_element():
+    # sign-closed sets (the census stores abs(p) there) against asymmetric
+    # ones (inversion only), both with matrix letters of |k| up to 3
+    rng = random.Random(20261019)
+    for i in range(40):
+        if i % 2:
+            gens = _random_affine_gens(rng, 1, rng.randint(1, 3))
+        else:
+            gens = _sign_closed_gens(rng, rng.randint(1, 2))
+        sign = next(cs._affine_spheres(_affine_set(gens), 0))[1]
+        assert sign == (i % 2 == 0), gens
+        _check_against_oracle(gens, 5)
+
+
+@pytest.mark.parametrize("gens, sign", [
+    (_SHIPPED_AFFINE, True),
+    ([(2, (1, 0)), (2, (-1, 0))], True),
+    ([(0, (3, -1)), (0, (1, 2))], True),
+    ([(2, (1, 0)), (-1, (0, 3))], False),
+    ([(1, (1, 0))], False),
+], ids=["shipped", "sign-k2", "translations", "custom", "cyclic"])
+def test_affine_spheres_store_one_element_per_orbit(gens, sign):
+    # inversion on classes k != 0, and v -> -v where the set allows it, act
+    # on the oracle's ball; the spheres store exactly one element of each
+    # orbit, all in classes k >= 0, and under sign no pair p, -p
+    n = 7
+    ball = oracle_affine_ball(gens, n)
+    orbits = set()
+    for g in ball:
+        orbit = {g, _aff_inv(g)} if g[0] else {g}
+        if sign:
+            orbit |= {(k, (-x, -y)) for k, (x, y) in orbit}
+        orbits.add(frozenset(orbit))
+    stored = 0
+    for W, signed, sphere in cs._affine_spheres(_affine_set(gens), n):
+        assert signed == sign
+        assert min(sphere) >= 0
+        for s in sphere.values():
+            stored += len(s)
+            assert not sign or min(s) >= 0
+    assert stored == len(orbits) < len(ball)
+
+
 @pytest.mark.parametrize("gens, n", [
     ([(1, (1, 0))], 40),                  # cyclic: widths for radius 2..40
     ([(0, (3, -1)), (0, (1, 2))], 40),    # no matrix letter: W = 2M + 1
@@ -301,8 +362,9 @@ def test_affine_spheres_widen_past_the_first_width(gens, n):
     _check_against_oracle(gens, n)
 
 
-@pytest.mark.parametrize("gens", [_SHIPPED_AFFINE, [(2, (1, 0)), (-1, (0, 3))]],
-                         ids=["shipped", "custom"])
+@pytest.mark.parametrize("gens", [_SHIPPED_AFFINE, [(2, (1, 0)), (-1, (0, 3))],
+                                  [(2, (1, 0)), (2, (-1, 0))]],
+                         ids=["shipped", "custom", "sign-k2"])
 def test_affine_budget_stops_where_the_oracle_projects(gens, monkeypatch):
     # at radius r the projection is |B(r-1)| + |S(r-1)| |sym|, from the
     # oracle's cumulative counts

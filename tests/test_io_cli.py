@@ -350,6 +350,23 @@ def test_cli_census_budget_from_environment(capsys, monkeypatch):
                                        "523 elements exceeds budget 500\n")
 
 
+@pytest.mark.parametrize("ms", ["0", "-5"])
+def test_cli_census_budget_clamps_to_one_ms(ms, capsys, monkeypatch):
+    monkeypatch.setenv("BIFOL_BUDGET_MS", ms)
+    assert main(["census", "--model", "trivial", "--nmax", "99"]) == 4
+    assert capsys.readouterr().err == ("budget exceeded: radius 4: projected "
+                                       "523 elements exceeds budget 500\n")
+
+
+@pytest.mark.parametrize("ms", ["abc", "1e3"])
+def test_cli_census_budget_that_is_not_an_integer(ms, capsys, monkeypatch):
+    monkeypatch.setenv("BIFOL_BUDGET_MS", ms)
+    assert main(["census", "--model", "trivial", "--nmax", "3"]) == 1
+    assert capsys.readouterr().err == (
+        f"usage error: BIFOL_BUDGET_MS {ms!r}: wants an integer number of "
+        f"milliseconds\n")
+
+
 @pytest.mark.parametrize("model, text, named", [
     ("trivial", '{"A": {"k": 1}}', "generator 'A'"),
     ("trivial", '{"A": {"k": 1.5, "v": [0, 0]}}', "generator 'A'"),
