@@ -81,18 +81,13 @@ def _load(path):
     return _parse(path, text), _digest(text)
 
 
-def _element(p, name):
-    try:
-        return p.automorphisms[name]
-    except KeyError:
-        raise UnknownIdError(f"unknown element {name!r}") from None
-
-
-def _finite(p, args):
+def _load_finite(args):
+    """The --in pattern, materialized over --window when it is periodic, and
+    the digest of its file."""
+    p, dig = _load(args.input)
     if isinstance(p, PeriodicPattern):
-        lo, hi = args.window
-        return p.materialize_window(lo, hi)
-    return p
+        p = p.materialize_window(*args.window)
+    return p, dig
 
 
 def cmd_validate(args):
@@ -114,8 +109,8 @@ def cmd_gen(args):
         raise UsageError(f"--kind {args.kind} takes integer --params, "
                          f"not {' '.join(args.params)!r}") from None
     p = generate(args.kind, *params)
-    if args.materialize:
-        p = _finite(p, args)
+    if args.materialize and isinstance(p, PeriodicPattern):
+        p = p.materialize_window(*args.window)
     bio.write_pattern(p, args.out)
     _emit(args, _report("gen", args.kind, {"out": args.out,
                                            "kind": type(p).__name__}))
@@ -123,8 +118,7 @@ def cmd_gen(args):
 
 
 def cmd_graph(args):
-    p, dig = _load(args.input)
-    fp = _finite(p, args)
+    fp, dig = _load_finite(args)
     G = gr.build_graph(fp, args.kind)
     results = {"kind": G.kind, "vertices": len(G.vertices),
                "edges": len(G.edges()),
@@ -157,10 +151,9 @@ def cmd_dist(args):
 
 
 def cmd_bottleneck(args):
-    p, dig = _load(args.input)
-    fp = _finite(p, args)
-    kinds = [args.kind] if args.kind else ["xplus", "xminus", "gammaplus",
-                                           "gammaminus"]
+    fp, dig = _load_finite(args)
+    kinds = [args.kind] if args.kind else [k for k in gr.KINDS
+                                           if k in gr._FAMILY]
     results, ok = {}, True
     for kind in kinds:
         res = gr.bottleneck_certify_components(gr.build_graph(fp, kind), args.K)
@@ -175,8 +168,7 @@ def cmd_bottleneck(args):
 
 
 def cmd_metric(args):
-    p, dig = _load(args.input)
-    fp = _finite(p, args)
+    fp, dig = _load_finite(args)
     results = {"kind": args.kind}
     if not args.all_pairs and not args.points:
         sys.stderr.write("metric: need --points a,b or --all-pairs FILE\n")
@@ -209,8 +201,7 @@ def cmd_metric(args):
 
 
 def cmd_lozenges(args):
-    p, dig = _load(args.input)
-    fp = _finite(p, args)
+    fp, dig = _load_finite(args)
     rep = fp.detect_lozenges()
     flag = any(rep.chain_quadrant_flags)
     _emit(args, _report("lozenges", dig, {
@@ -227,7 +218,7 @@ def cmd_classify(args):
     p, dig = _load(args.pattern)
     if not isinstance(p, PeriodicPattern):
         raise BifolError("classification needs a periodic pattern")
-    g = _element(p, args.element)
+    g = p.automorphisms[args.element]
     verdict = dy.classify_isometry(p, g, window=args.window_size,
                                    nmax=args.nmax)
     results = {"element": args.element, "verdict": verdict.kind}
@@ -250,7 +241,7 @@ def cmd_wpd(args):
     p, dig = _load(args.pattern)
     if not isinstance(p, PeriodicPattern):
         raise BifolError("WPD scans need a periodic pattern")
-    g = _element(p, args.g)
+    g = p.automorphisms[args.g]
     base = args.base or p.leaf_of_index("plus", 0)
     p.leaf_index(base)  # an unknown --base is a usage error, not a scan failure
     w = args.window_size
@@ -263,6 +254,7 @@ def cmd_wpd(args):
         "witnesses": list(scan.witnesses), "stable": scan.stable,
         "eps": scan.eps, "n": scan.n,
         "block_constraint_ok": scan.block_constraint_ok,
+        "block_checked": scan.block_checked,
     }, windows=[args.window_size]))
     return EXIT_OK
 
@@ -332,8 +324,7 @@ def cmd_census(args):
 
 
 def cmd_export(args):
-    p, dig = _load(args.input)
-    fp = _finite(p, args)
+    fp, dig = _load_finite(args)
     G = gr.build_graph(fp, args.kind)
     text = bio.export_dot(fp, G)
     bio.write_text(args.dot, text)

@@ -342,6 +342,7 @@ class WpdScan:
     eps: float
     n: int
     block_constraint_ok: bool
+    block_checked: bool = False  # a record built without it claims no check
 
 
 def _wpd_witnesses(p, g, base, eps, n, candidates):
@@ -372,7 +373,8 @@ def wpd_scan(pp: PeriodicPattern, g: PatternAutomorphism, base: str,
     """Enumerate candidate elements that move both ends of a long axis
     segment by less than eps; the stability flag reports invariance of the
     witness set under growing the candidate ball by two and doubling the
-    window."""
+    window.  ``block_checked`` says whether the block constraint ran: only an
+    axis with a period of blocks has one, else it is vacuously ok."""
     # classify_isometry, with its window kept for the witness scan, so the
     # window and its xplus graph are built once
     verdict = _algebraic_verdict(pp, g)
@@ -394,8 +396,8 @@ def wpd_scan(pp: PeriodicPattern, g: PatternAutomorphism, base: str,
     del p  # drop the window before its double is built
     wit2 = _wpd_witnesses(pp.materialize_window(-2 * window, 2 * window), g,
                           base, eps, n, cands2)
-    ok = True
-    if axis_data is not None and axis_data.period_blocks > 0:
+    ok, checked = True, axis_data is not None and axis_data.period_blocks > 0
+    if checked:
         blocks = axis_data.blocks
         idx_of = {leaf: i for i, b in enumerate(blocks) for leaf in b}
         for nm, h in cands:
@@ -405,4 +407,4 @@ def wpd_scan(pp: PeriodicPattern, g: PatternAutomorphism, base: str,
             hit = sorted({idx_of[leaf] for leaf in fixed})
             if hit and hit[-1] - hit[0] >= axis_data.period_blocks:
                 ok = False
-    return WpdScan(wit, wit == wit2, eps, n, ok)
+    return WpdScan(wit, wit == wit2, eps, n, ok, checked)

@@ -137,9 +137,6 @@ class Point:
     def region(pid: str, anchor: str) -> "Point":
         return Point(pid, "region", anchor=anchor)
 
-    def on_leaf(self, leaf_id: str) -> bool:
-        return self.kind == "crossing" and leaf_id in (self.plus_leaf, self.minus_leaf)
-
     def key(self):
         if self.kind == "crossing":
             return ("crossing", self.plus_leaf, self.minus_leaf)
@@ -237,10 +234,16 @@ class LozengeReport:
 
 
 class _ById(dict):
-    """Leaf-id keyed table column; a missing id is an UnknownIdError."""
+    """A table keyed by the ids of one kind of name, the noun; a missing id
+    is an UnknownIdError naming the noun and the id."""
 
-    def __missing__(self, leaf_id):
-        raise UnknownIdError(f"unknown leaf {leaf_id!r}")
+    __slots__ = ("noun",)  # no instance dict: every relation table has two
+
+    def __init__(self, noun: str):
+        self.noun = noun
+
+    def __missing__(self, key):
+        raise UnknownIdError(f"unknown {self.noun} {key!r}")
 
 
 class _Relations(NamedTuple):
@@ -384,7 +387,7 @@ class FinitePattern:
         # j - 1 to face j at its j-th endpoint: steps[d] holds the first face
         # and the plane bits each endpoint flips, lifted
         planes, steps = lift((1 << width) - 1), {}
-        index, ep = _ById(), _ById()
+        index, ep = _ById("leaf"), _ById("leaf")
         nonsingular = plus = word = 0
         ends, flip = [0] * n, [0] * n
         for i, lf in enumerate(self.leaves.values()):

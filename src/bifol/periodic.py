@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from .pattern import (
     PLUS, MINUS, FinitePattern, InvalidPatternError, Leaf, Point,
-    PreconditionError, Singularity, UnknownIdError, UsageError,
+    PreconditionError, Singularity, UnknownIdError, UsageError, _ById,
 )
 
 # most leaves a certificate window (0, reach()) may hold, and most leaf pairs
@@ -251,7 +251,7 @@ class PeriodicPattern:
             raise PreconditionError("period must be >= 1")
         self.nonsep: tuple[NonsepTemplate, ...] = tuple(nonsep)
         self.scalloped: ScallopedMarker | None = scalloped
-        self.automorphisms: dict[str, "PatternAutomorphism"] = {}
+        self.automorphisms: dict[str, "PatternAutomorphism"] = _ById("element")
         self.band = band  # optional per-residue crossing-offset sets
         self.name = name
         if any(t.direction not in (1, -1) for t in self.tracks):
@@ -263,8 +263,9 @@ class PeriodicPattern:
         track_names = {t.name for t in self.tracks}
         if len(track_names) != len(self.tracks):
             raise PreconditionError("track names must be unique")
-        self._fam_index = {PLUS: {f.name: i for i, f in enumerate(self.plus_families)},
-                           MINUS: {f.name: i for i, f in enumerate(self.minus_families)}}
+        # family name -> (sign, residue); names are checked unique below
+        self._fam_index = {f.name: (sign, r) for sign in (PLUS, MINUS)
+                           for r, f in enumerate(self.families(sign))}
         if len(set(names)) != len(names):
             raise PreconditionError("family names must be unique")
         for f in fams:
@@ -309,11 +310,10 @@ class PeriodicPattern:
     def leaf_index(self, name: str) -> tuple[str, int]:
         """(sign, global index) of a leaf name like 'p3'."""
         fam, k = parse_leaf_name(name)
-        for sign in (PLUS, MINUS):
-            f = self._fam_index[sign].get(fam)
-            if f is not None:
-                return sign, k * self.period + f
-        raise UnknownIdError(f"unknown leaf {name!r}: no family {fam!r}")
+        if fam not in self._fam_index:
+            raise UnknownIdError(f"unknown leaf {name!r}: no family {fam!r}")
+        sign, r = self._fam_index[fam]
+        return sign, k * self.period + r
 
     def leaf_of_index(self, sign: str, i: int) -> str:
         r, k = self.split_index(i)
@@ -458,10 +458,10 @@ class PatternAutomorphism:
         pairs = {(t.fam_a, t.fam_b, t.offset) for t in pp.nonsep}
         pairs |= {(b, a, -o) for a, b, o in pairs}
         for t in pp.nonsep:
-            sign = PLUS if t.fam_a in pp._fam_index[PLUS] else MINUS
-            m, at = self.plus if sign == PLUS else self.minus, pp._fam_index[sign]
-            ra, ka = pp.split_index(m(at[t.fam_a]))
-            rb, kb = pp.split_index(m(at[t.fam_b] + t.offset * P))
+            (sign, a), (_, b) = pp._fam_index[t.fam_a], pp._fam_index[t.fam_b]
+            m = self.plus if sign == PLUS else self.minus
+            ra, ka = pp.split_index(m(a))
+            rb, kb = pp.split_index(m(b + t.offset * P))
             fa = pp.families(sign)[ra].name
             fb = pp.families(sign)[rb].name
             if (fa, fb, kb - ka) not in pairs:
@@ -519,9 +519,9 @@ def scalloped_invariant(pp: PeriodicPattern, g: PatternAutomorphism) -> bool:
     if pp.scalloped is None:
         raise PreconditionError("pattern has no scalloped marker")
     shifts = set()
-    for sign, fams, m in ((PLUS, pp.scalloped.plus_families, g.plus),
-                          (MINUS, pp.scalloped.minus_families, g.minus)):
-        marked = {pp._fam_index[sign][f] for f in fams}
+    for fams, m in ((pp.scalloped.plus_families, g.plus),
+                    (pp.scalloped.minus_families, g.minus)):
+        marked = {pp._fam_index[f][1] for f in fams}
         for r in marked:
             r2, k2 = pp.split_index(m(r))
             if r2 not in marked:

@@ -21,16 +21,17 @@ from dataclasses import dataclass
 
 from . import graphs as gr
 from .pattern import (
-    PLUS, MINUS, DegenerateInputError, FinitePattern, Point, PreconditionError,
+    PLUS, DegenerateInputError, FinitePattern, Point, PreconditionError,
     _bits,
 )
 
 D_H, D_PLUS, D_MINUS, D_RPLUS, D_RMINUS = "dH", "d+", "d-", "dR+", "dR-"
 KINDS = (D_H, D_PLUS, D_MINUS, D_RPLUS, D_RMINUS)
 
-_SIGN_OF = {D_PLUS: PLUS, D_MINUS: MINUS, D_RPLUS: PLUS, D_RMINUS: MINUS,
-            D_H: None}
-_GAMMA = {D_RPLUS: gr.GAMMAPLUS, D_RMINUS: gr.GAMMAMINUS}
+# the graph of each one-family kind: its family is the kind's sign
+_GRAPH_OF = {D_PLUS: gr.XPLUS, D_MINUS: gr.XMINUS, D_RPLUS: gr.GAMMAPLUS,
+             D_RMINUS: gr.GAMMAMINUS}
+_SIGN_OF = {kind: gr._FAMILY.get(_GRAPH_OF.get(kind)) for kind in KINDS}
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,8 @@ def _longest_chain(p: FinitePattern, kind: str, seps: int, x) -> tuple[str, ...]
         return ()
     t = p._table
     ids, cross = t.ids, t.cross
-    gamma = gr.gamma_rows(p, _GAMMA[kind]) if kind in _GAMMA else None
+    gk = _GRAPH_OF.get(kind)
+    gamma = gr.gamma_rows(p, gk) if gk in gr._GAMMA else None
     depth = _separation_depth(p, x, seps)
     ranked = []  # (key, depth, bit) of the chains found so far, least key first
     for dl, _, l in sorted([(d, ids[i], i) for i, d in depth.items()]):
@@ -197,12 +199,10 @@ def qi_metric_report(p: FinitePattern, points=None) -> MetricQiReport:
     pts = _point_list(p, points)
     crossings = [q for q in pts if q.kind == "crossing"]
     skipped = tuple(q.id for q in pts if q.kind != "crossing")
-    plan = ((D_PLUS, gr.XPLUS, "plus_leaf"), (D_MINUS, gr.XMINUS, "minus_leaf"),
-            (D_RPLUS, gr.GAMMAPLUS, "plus_leaf"),
-            (D_RMINUS, gr.GAMMAMINUS, "minus_leaf"))
     checks, violations, disconnected = [], [], []
-    for kind, gk, attr in plan:
+    for kind, gk in _GRAPH_OF.items():
         G = gr.build_graph(p, gk)
+        attr = "plus_leaf" if _SIGN_OF[kind] == PLUS else "minus_leaf"
         for a, b in itertools.combinations(crossings, 2):
             la, lb = getattr(a, attr), getattr(b, attr)
             dw = wall_distance(p, a, b, kind)

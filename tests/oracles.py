@@ -153,6 +153,12 @@ def _arc(e: list, x: int):
     return (bisect.bisect(e, x) - 1) % len(e)
 
 
+def oracle_on_leaf(pt, leaf_id: str) -> bool:
+    """Does a marked point lie on the leaf?  A crossing point lies on its
+    two leaves, a region point on none."""
+    return pt.kind == "crossing" and leaf_id in (pt.plus_leaf, pt.minus_leaf)
+
+
 def oracle_face_of_point(p, pt, leaf_id: str):
     """The arc of ``leaf_id`` holding a marked point, None if the point lies
     on the leaf: for a crossing point, the arc holding the first endpoint of
@@ -161,7 +167,7 @@ def oracle_face_of_point(p, pt, leaf_id: str):
     anchor when the anchor is an endpoint."""
     from bifol.pattern import PLUS
 
-    if pt.on_leaf(leaf_id):
+    if oracle_on_leaf(pt, leaf_id):
         return None
     if pt.kind == "crossing":
         same = pt.plus_leaf if p.leaves[leaf_id].sign == PLUS else pt.minus_leaf

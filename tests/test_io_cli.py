@@ -160,6 +160,20 @@ def _delete(parent, key):
     del parent[key]
 
 
+def _update(**fields):
+    return lambda parent, key: parent[key].update(fields)
+
+
+def _edited_fixture(name, at, edit, tmp_path):
+    """A copy of a shipped fixture with ``edit(parent, key)`` applied at the
+    JSON path ``at``; the empty path edits the top level."""
+    doc, at = [json.loads(fixture_text(name))], (0, *at)
+    edit(functools.reduce(operator.getitem, at[:-1], doc), at[-1])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc[0]), encoding="utf-8")
+    return path
+
+
 @pytest.mark.parametrize("name, at, edit, message", [
     ("prong3", ("leaves", 0, "endpoints", 0), _set({"a": 1}),
      "leaves[0].endpoints[0]: expected a string, got an object"),
@@ -173,14 +187,71 @@ def _delete(parent, key):
      "automorphisms.swap.minus: expected 4 offsets, got 3"),
     ("ladder_periodic", ("tracks", 1, 1), _set(True),
      "tracks[1][1]: expected an integer, got a boolean"),
+    ("ladder_periodic", ("tracks", 1, 1), _set(2),
+     "tracks[1][1]: expected 1 or -1, got 2"),
+    ("skew2", ("plus_families", 0, "endpoints"), _set([]),
+     "plus_families[0].endpoints: expected an endpoint"),
+    ("skew2", ("minus_families", 0), _delete,
+     "minus_families: expected 1 families, one per plus family, got 0"),
+    ("scalloped", ("scalloped", "plus", 0), _set("zz"),
+     "scalloped.plus[0]: unknown family 'zz'"),
+    ("skew2", (), _set([1]), "top level must be an object"),
 ], ids=["endpoint-object", "name-list", "offset-1/0", "unknown-track",
-        "short-map", "direction-bool"])
+        "short-map", "direction-bool", "direction-2", "no-endpoints",
+        "family-counts", "marker-family", "top-level-list"])
 def test_cli_malformed_file_is_a_parse_error(name, at, edit, message, tmp_path):
-    d = json.loads(fixture_text(name))
-    edit(functools.reduce(operator.getitem, at[:-1], d), at[-1])
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(d), encoding="utf-8")
+    path = _edited_fixture(name, at, edit, tmp_path)
     assert _validate_file(path) == (2, "", f"parse error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize("name, at, edit, violations", [
+    ("prong3", ("singularities", 0, "plus"), _set("zz"),
+     "singularity names unknown leaf: zz\n"
+     "singular leaf lacks singularity record: sm\n"
+     "singular leaf lacks singularity record: sp\n"
+     "forced multiple crossing: sm, sp"),
+    ("prong3", ("singularities", 0, "plus"), _set("sm"),
+     "singularity leaf has wrong sign: sm\n"
+     "singular leaf lacks singularity record: sp\n"
+     "leaf in several singularity records: sm\n"
+     "forced multiple crossing: sm, sp"),
+    ("prong3", ("singularities", 0), _delete,
+     "singular leaf lacks singularity record: sm\n"
+     "singular leaf lacks singularity record: sp\n"
+     "forced multiple crossing: sm, sp"),
+    ("prong3", ("singularities",), _set([{"plus": "sp", "minus": "sm"}] * 2),
+     "leaf in several singularity records: sp\n"
+     "leaf in several singularity records: sm"),
+    ("grid3", ("nonseparated",), _set([["v0", "h0"]]),
+     "nonseparated pair has mixed signs: h0, v0"),
+    ("grid3", ("points", 0, "crossing"), _set(["h0", "v0"]),
+     "crossing point signs wrong: x00"),
+    ("grid3", ("points", 0), _set({"id": "x00", "region": {"after_label": "zz"}}),
+     "region point anchor not on boundary: x00"),
+    ("skew2", ("minus_families", 0, "name"), _set("p"),
+     "invalid periodic pattern: family names must be unique"),
+    # without the automorphisms, whose offset counts are checked first
+    ("skew2", (), _update(plus_families=[], minus_families=[], automorphisms={}),
+     "invalid periodic pattern: period must be >= 1"),
+], ids=["singularity-unknown-leaf", "singularity-wrong-sign",
+        "singular-without-record", "several-records", "nonsep-mixed-signs",
+        "crossing-point-signs", "region-anchor-unknown", "repeated-family",
+        "no-families"])
+def test_cli_invalid_file_is_reported(name, at, edit, violations, tmp_path):
+    code, out, err = _validate_file(_edited_fixture(name, at, edit, tmp_path))
+    assert (code, err) == (2, "")
+    assert json.loads(out)["results"] == {"valid": False,
+                                          "violations": violations}
+
+
+def test_round_trip_region_point():
+    d = json.loads(fixture_text("grid3"))
+    # points are written sorted by id: r before x00
+    d["points"].insert(0, {"id": "r", "region": {"after_label": d["boundary"][0]}})
+    text = bio._canonical(d)
+    p = bio.parse_pattern_text(text)
+    assert p.points["r"].kind == "region"
+    assert bio.serialize(p) == text
 
 
 def _json_paths(x, at=()):
@@ -481,6 +552,17 @@ def test_cli_wpd_checks_blocks_on_the_axis(capsys, monkeypatch):
     assert rep["results"]["block_constraint_ok"] is True
 
 
+@pytest.mark.parametrize("name, checked", [("skew2", False),
+                                           ("ladder_periodic", True)])
+def test_cli_wpd_says_whether_the_block_check_ran(name, checked, capsys):
+    # the axis of s on skew2 is one block: there is no period to check
+    assert main(["wpd", "--pattern", _fx(name), "--g", "s", "--n", "4",
+                 "--window", "6"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["block_checked"] is checked
+    assert results["block_constraint_ok"] is True
+
+
 @pytest.mark.parametrize("argv, named", [
     (["classify", "--pattern", _fx("skew2"), "--element", "nope"], "nope"),
     (["wpd", "--pattern", _fx("skew2"), "--g", "nope"], "nope"),
@@ -516,6 +598,16 @@ def test_cli_wpd_checks_blocks_on_the_axis(capsys, monkeypatch):
     # a name whose index is not an integer (it raised ValueError)
     (["wpd", "--pattern", _fx("skew2"), "--g", "s", "--base", "p-"], "'p-'"),
     (["wpd", "--pattern", _fx("skew2"), "--g", "s", "--base", "p1-2"], "p1-2"),
+    (["wpd", "--pattern", _fx("skew2"), "--g", "s", "--base", "zz"],
+     "usage error: not a periodic leaf name: 'zz'"),
+    (["dist", "--kind", "xplus", "--in", _fx("ladder8"), "--from", "r1",
+      "--to", "zz"], "usage error: vertex 'zz' not in graph"),
+    (["metric", "--in", _fx("grid3"), "--kind", "d+", "--points", "x00,zz"],
+     "usage error: unknown point 'zz'"),
+    (["classify", "--pattern", _fx("scalloped"), "--element", "zz"],
+     "usage error: unknown element 'zz'"),
+    (["wpd", "--pattern", _fx("skew2"), "--g", "s", "--base", "q0"],
+     "usage error: unknown leaf 'q0': no family 'q'"),
 ])
 def test_cli_malformed_input_is_a_usage_error(argv, named, capsys):
     assert main(argv) == 1

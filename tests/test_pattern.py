@@ -18,8 +18,8 @@ from bifol.randgen import random_pattern
 
 from oracles import (
     geometric_intersects, geometric_separates_leaves, geometric_separates_point,
-    oracle_face_of_point, oracle_pseudo_interval_set, oracle_relations,
-    oracle_validate, all_monotone_paths,
+    oracle_face_of_point, oracle_on_leaf, oracle_pseudo_interval_set,
+    oracle_relations, oracle_validate, all_monotone_paths,
 )
 
 
@@ -455,7 +455,7 @@ def _brute_point_seps(p, px, py):
     """Leaves separating two points, one face-by-face lookup per leaf."""
     out = []
     for m in p.leaf_ids():
-        on_x, on_y = px.on_leaf(m), py.on_leaf(m)
+        on_x, on_y = oracle_on_leaf(px, m), oracle_on_leaf(py, m)
         if px.key() == py.key() or (on_x and on_y):
             continue
         if on_x or on_y or oracle_face_of_point(p, px, m) != \
