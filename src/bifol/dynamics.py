@@ -56,25 +56,6 @@ class AxisData:
         return self.line.blocks()
 
 
-def _order_chain(p: FinitePattern, leaves: list[str]) -> list[str]:
-    """Order same-family leaves that form a separation chain, from the end
-    of least id."""
-    if len(leaves) <= 2:
-        return sorted(leaves)
-
-    def farthest(a):
-        # separator sets grow along the chain, so the leaf with the most
-        # separators between it and a is an end
-        return max((b for b in leaves if b != a),
-                   key=lambda b: (p._seps(a, b).bit_count(), b))
-
-    one = farthest(leaves[0])
-    end, other = sorted((one, farthest(one)))
-    # leaves off the chain may separate its ends too (scalloped windows)
-    on = set(leaves)
-    return [end] + [m for m in p.separator_chain(end, other) if m in on] + [other]
-
-
 def axis(pp: PeriodicPattern, g: PatternAutomorphism, sign: str,
          window: tuple[int, int] = (-6, 6)) -> AxisData:
     """Window leaves that separate their own backward and forward images,
@@ -98,7 +79,7 @@ def axis(pp: PeriodicPattern, g: PatternAutomorphism, sign: str,
         raise PreconditionError("no axis leaves inside the window")
     # orientation along the chain is fixed by the end-leaf choice; block
     # structure and period are orientation-independent
-    ordered = _order_chain(p, on_axis)
+    ordered = p._order_chain(on_axis)
     line = PseudoLine(tuple(ordered), frozenset(p.nonseparated))
     blocks = line.blocks()
     # blocks per fundamental domain: where does g send the first full block?

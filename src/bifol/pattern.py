@@ -23,9 +23,10 @@ crosses a leaf of the other sign iff two of its endpoints differ there.
 Meeting two faces of a leaf of the same sign is a same-sign crossing; the
 table keeps those few, so validation examines only the pairs of leaves that
 can break a rule.  Crossing is then one bit test and a common transversal of
-two leaves the AND of their crossing bitsets, so a separator chain, a broken
-pseudo-interval and the leaves separating two points each cost O(k) integer
-operations.
+two leaves the AND of their crossing bitsets, so the leaves separating two
+leaves or two points cost O(k) integer operations, and so does the depth of
+each of them from a leaf or a point: one depth rule orders separator chains,
+wall chains and axes.
 
 Records (``Leaf``, ``Point``, ...) check nothing when built: ``validate``,
 run where file data enters, is the one check of a finite pattern.
@@ -638,15 +639,6 @@ class FinitePattern:
         return (t.fold(t.gap[t.ep[x][0]] ^ t.gap[t.ep[y][0]]) & family
                 & ~(1 << i | 1 << j))
 
-    def _breaks(self, x: str, y: str) -> bool:
-        """Does the NONSEP pseudo-interval between two same-family leaves
-        have two or more blocks?  No same-family leaf separates a declared
-        nonseparated pair, so a pair inside the closed chain is consecutive
-        in it, and the chain breaks iff some declared pair lies inside."""
-        t = self._table
-        closed = self._seps(x, y) | 1 << t.index[x] | 1 << t.index[y]
-        return any(pair & closed == pair for pair in t.nonsep)
-
     def separates_leaves(self, m: str, l1: str, l2: str) -> bool:
         """Does leaf ``m`` separate ``l1`` from ``l2`` in the plane?
 
@@ -696,6 +688,27 @@ class FinitePattern:
 
     # -- pseudo-intervals --------------------------------------------------
 
+    def _depths(self, src, seps: int) -> dict:
+        """Depth of each separator bit from a leaf id or a Point: how many
+        other separators, disjoint from it, lie between the source and it.
+
+        m lies between the source and a leaf l disjoint from it when l's
+        first endpoint e is off the source's face of m, an endpoint of m
+        included: a bit of the folded face planes ``gap[e] ^ gap_x`` or of
+        the leaves ending at e.  A leaf source is read at its first
+        endpoint; a leaf through a point has no face of it, so it lies
+        between exactly when it does not end at e."""
+        t, depth = self._table, {}
+        ep, ids, gap, ends, cross = t.ep, t.ids, t.gap, t.ends, t.cross
+        on_x, gap_x = (self._point_bits(src) if isinstance(src, Point)
+                       else (0, gap[ep[src][0]]))
+        for i in _bits(seps):
+            e = ep[ids[i]][0]
+            off_face = t.fold(gap[e] ^ gap_x) & ~on_x | ends[e]
+            depth[i] = (seps & ~cross[i] & ~(1 << i)
+                        & (off_face ^ on_x)).bit_count()
+        return depth
+
     def separator_chain(self, x: str, y: str) -> list[str]:
         """Leaves separating x from y, ordered from the x side to the y side."""
         sx, sy = self.leaf(x).sign, self.leaf(y).sign
@@ -705,14 +718,28 @@ class FinitePattern:
             return []
         seps = self._seps(x, y)
         chain = [None] * seps.bit_count()
-        for m in self._ids_of(seps):
-            # depth: how many separators lie between x and m, 0..k-1
-            depth = (self._seps(x, m) & seps).bit_count()
+        for i, depth in self._depths(x, seps).items():
+            # depth: how many separators lie between x and it, 0..k-1
             if chain[depth] is not None:
                 raise InvalidPatternError(
                     f"incomparable separators between {x} and {y} (non-planar data)")
-            chain[depth] = m
+            chain[depth] = self._table.ids[i]
         return chain
+
+    def _order_chain(self, leaves) -> list[str]:
+        """Order same-family leaves that form a separation chain, from the end
+        of least id.  The leaf deepest from the least-id leaf is an end, and
+        the others follow it by their depth from it.  Depths count only the
+        given leaves, so leaves off the chain that separate two of them
+        (scalloped windows) do not shift the order."""
+        t = self._table
+        given = sum(1 << t.index[l] for l in leaves)
+        end = min(leaves)
+        for _ in range(2):  # from the least-id leaf to an end, then along
+            depth = self._depths(end, given & ~(1 << t.index[end]))
+            chain = [end] + [t.ids[i] for i in sorted(depth, key=depth.get)]
+            end = chain[-1]
+        return chain if chain[0] < chain[-1] else chain[::-1]
 
     def _prong_divides_chain(self, sing: Singularity, left: str, right: str) -> bool:
         try:

@@ -583,11 +583,21 @@ class AffineElement:
 
 # -- fixture generators -------------------------------------------------------
 
+def _check_size(kind: str, var: str, size: int, least: int, holds: int):
+    """Refuse, before any record is built, a generator size below the kind's
+    least or one whose pattern would hold more than MAX_WINDOW_LEAVES leaves
+    or marked points."""
+    if size < least:
+        raise UsageError(f"{kind}({var}) needs {var} >= {least}")
+    if holds > MAX_WINDOW_LEAVES:
+        raise UsageError(f"{kind}({size}) would hold {holds} leaves or marked "
+                         f"points, more than {MAX_WINDOW_LEAVES}")
+
+
 def trivial_pattern(n: int) -> FinitePattern:
     """Complete-bipartite grid: n 'vertical' plus and n 'horizontal' minus
     chords, every opposite pair crossing, all crossings marked."""
-    if n < 1:
-        raise UsageError("trivial(n) needs n >= 1")
+    _check_size("trivial", "n", n, 1, max(2 * n, n * n))  # leaves, crossing points
     # circle: v tops (0..n-1), h rights (n..2n-1), v bottoms reversed,
     # h lefts reversed
     leaves = []
@@ -624,8 +634,7 @@ def ladder_chords(n: int):
     """Corridor chords of the n-block ladder: end verticals x,y; junction
     pairs (u_k, w_k); bottom hooks r_k in each junction gap; minus leaves
     g_k (block transversals), a_k and b_k (hook transversals)."""
-    if n < 1:
-        raise UsageError("ladder(n) needs n >= 1")
+    _check_size("ladder", "n", n, 1, 6 * n - 3)
     S = 60
     ch = [("x", PLUS, [(BOT, 0), (TOP, 0)]),
           ("y", PLUS, [(BOT, S * n), (TOP, S * n)])]
@@ -678,8 +687,7 @@ def ladder_periodic() -> PeriodicPattern:
 def sinestrip_pattern(m: int) -> FinitePattern:
     """Window where the plus graph of true intervals has diameter 1 while the
     minus one has diameter >= m: a sign-swapped ladder."""
-    if m < 1:
-        raise UsageError("sinestrip(m) needs m >= 1")
+    _check_size("sinestrip", "m", m, 1, 6 * m - 3)
     ch, nonsep = ladder_chords(m)
     flipped = [(cid, MINUS if sign == PLUS else PLUS, eps)
                for cid, sign, eps in ch]
@@ -689,8 +697,7 @@ def sinestrip_pattern(m: int) -> FinitePattern:
 def prong_pattern(k: int) -> FinitePattern:
     """One k-prong singularity with one plus and one minus satellite per
     sector, wired so both leaf graphs are connected."""
-    if k < 3:
-        raise UsageError("prong(k) needs k >= 3")
+    _check_size("prong", "k", k, 3, 2 * k + 2)
     n = 16 * k
     leaves = [("sp", PLUS, [16 * j for j in range(k)]),
               ("sm", MINUS, [16 * j + 8 for j in range(k)])]
@@ -715,8 +722,7 @@ def lozenge_pattern() -> FinitePattern:
 def chain_pattern(n: int) -> FinitePattern:
     """A chain of n lozenges sharing corners: crossings p_i x m_i, perfect
     fits (p_i, m_{i+1}) and (p_{i+1}, m_i)."""
-    if n < 1:
-        raise UsageError("chain(n) needs n >= 1")
+    _check_size("chain", "n", n, 1, 2 * n + 2)
     ch = []
     for i in range(n + 1):
         ch.append((f"p{i}", PLUS, [(BOT, i), (TOP, i - 1)]))

@@ -9,8 +9,9 @@ it; the one-family distances add one to the supremum, and the supremum over
 no admissible family is zero.
 
 Chains live on the bit positions of the relation table: a pair's separator
-bitset masked by the kind's sign, depths off the face planes, admissibility
-one bit of the crossing bitsets or of ``graphs.gamma_rows``.
+bitset masked by the kind's sign, ordered by the pattern's separation depths
+from the first point, admissibility one bit of the crossing bitsets or of
+``graphs.gamma_rows``, which also answers ``reeb_separated``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from . import graphs as gr
 from .pattern import (
     PLUS, DegenerateInputError, FinitePattern, Point, PreconditionError,
-    _bits,
 )
 
 D_H, D_PLUS, D_MINUS, D_RPLUS, D_RMINUS = "dH", "d+", "d-", "dR+", "dR-"
@@ -51,9 +51,12 @@ def reeb_separated(p: FinitePattern, l1: str, l2: str) -> bool:
     """Same family, disjoint, and the pseudo-interval between them breaks."""
     if l1 == l2:
         raise PreconditionError("Reeb separation needs two distinct leaves")
-    if p.leaf(l1).sign != p.leaf(l2).sign:
+    sign = p.leaf(l1).sign
+    if sign != p.leaf(l2).sign:
         raise PreconditionError("Reeb separation is a same-sign relation")
-    return p._breaks(l1, l2)
+    t = p._table
+    rows = gr.gamma_rows(p, gr.GAMMAPLUS if sign == PLUS else gr.GAMMAMINUS)
+    return not rows[t.index[l1]] >> t.index[l2] & 1
 
 
 def separating_leaves(p: FinitePattern, x, y, kind: str) -> list[str]:
@@ -67,41 +70,20 @@ def _of_kind(p: FinitePattern, seps: int, kind: str) -> int:
     return seps if sign is None else seps & (t.plus if sign == PLUS else t.minus)
 
 
-def _separation_depth(p: FinitePattern, x, seps: int) -> dict:
-    """Partial order position of each separator bit: how many other
-    separators (disjoint from it) lie between the point x and it.
-
-    m lies between x and a leaf l disjoint from it when l's first endpoint
-    e is off x's face of m, an endpoint of m included: a bit of the folded
-    face planes ``gap[e] ^ gap_x`` or of the leaves ending at e.  A leaf
-    through x has no face of x, so it lies between exactly when it does not
-    end at e."""
-    t, depth = p._table, {}
-    ep, ids, gap, ends, cross = t.ep, t.ids, t.gap, t.ends, t.cross
-    on_x, gap_x = p._point_bits(p.point(x))
-    for i in _bits(seps):
-        e = ep[ids[i]][0]
-        off_face = t.fold(gap[e] ^ gap_x) & ~on_x | ends[e]
-        depth[i] = (seps & ~cross[i] & ~(1 << i)
-                    & (off_face ^ on_x)).bit_count()
-    return depth
-
-
-def _longest_chain(p: FinitePattern, kind: str, seps: int, x) -> tuple[str, ...]:
-    """The least longest admissible family inside the separator bitset: a
-    longest path over its bits in the nestedness order, by (depth, leaf id),
-    as consecutive admissibility implies pairwise admissibility for nested
-    families (property-tested).  Admissibility is a bit test: no common
-    transversal, or for Reeb kinds no edge in the gamma rows.  Each bit takes
-    the first admissible shallower chain in key order, (minus length, chain),
-    so the least key is the least longest chain."""
-    if not seps:
+def _longest_chain(p: FinitePattern, kind: str, depth: dict) -> tuple[str, ...]:
+    """The least longest admissible family among the separator bits of a
+    depth map: a longest path over them in the nestedness order, by (depth,
+    leaf id), as consecutive admissibility implies pairwise admissibility
+    for nested families (property-tested).  Admissibility is a bit test: no
+    common transversal, or for Reeb kinds no edge in the gamma rows.  Each
+    bit takes the first admissible shallower chain in key order, (minus
+    length, chain), so the least key is the least longest chain."""
+    if not depth:
         return ()
     t = p._table
     ids, cross = t.ids, t.cross
     gk = _GRAPH_OF.get(kind)
     gamma = gr.gamma_rows(p, gk) if gk in gr._GAMMA else None
-    depth = _separation_depth(p, x, seps)
     ranked = []  # (key, depth, bit) of the chains found so far, least key first
     for dl, _, l in sorted([(d, ids[i], i) for i, d in depth.items()]):
         cross_l, top = cross[l], (0, ())
@@ -125,7 +107,7 @@ def _witness(p: FinitePattern, px: Point, py: Point, kind: str):
     if not seps:
         raise DegenerateInputError(
             f"no leaf of the truncation separates {px.id} from {py.id}")
-    return _longest_chain(p, kind, _of_kind(p, seps, kind), px)
+    return _longest_chain(p, kind, p._depths(px, _of_kind(p, seps, kind)))
 
 
 def longest_chain_witness(p: FinitePattern, x, y, kind: str) -> AlignedFamily:

@@ -313,7 +313,7 @@ def oracle_wall_sup(p, x, y, kind: str) -> int:
                     ok = False
                     break
                 if kind in (wl.D_RPLUS, wl.D_RMINUS):
-                    if not wl.reeb_separated(p, a, b):
+                    if not oracle_breaks(p, a, b):
                         ok = False
                         break
                 else:
@@ -324,6 +324,16 @@ def oracle_wall_sup(p, x, y, kind: str) -> int:
                 best = r
                 break
     return best
+
+
+def oracle_breaks(p, x: str, y: str) -> bool:
+    """Does the NONSEP pseudo-interval between two same-family leaves break:
+    does some declared nonseparated pair lie inside the closed separator
+    bitset from x to y?  Any declared pair counts, not only consecutive
+    ones, so illegal declarations break a chain too."""
+    t = p._table
+    closed = p._seps(x, y) | 1 << t.index[x] | 1 << t.index[y]
+    return any(pair & closed == pair for pair in t.nonsep)
 
 
 def oracle_separation_depth(p, x, leaves) -> dict:
@@ -352,7 +362,7 @@ def oracle_longest_chain(p, kind: str, seps, x) -> tuple:
         for m in order:
             if depth[m] < depth[l] and not p.intersects(m, l):
                 if kind in (wl.D_RPLUS, wl.D_RMINUS):
-                    ok = wl.reeb_separated(p, m, l)
+                    ok = oracle_breaks(p, m, l)
                 else:
                     ok = wl.aligned(p, m, l)
                 if ok:
@@ -407,7 +417,7 @@ def oracle_build_graph(p, kind: str):
         if kind in (gr.XPLUS, gr.XMINUS):
             linked = lambda a, b: p.common_transversal(a, b) & p._table.nonsingular
         else:
-            linked = lambda a, b: not p._breaks(a, b)
+            linked = lambda a, b: not oracle_breaks(p, a, b)
     adj = {v: set() for v in verts}
     for a, b in itertools.combinations(verts, 2):
         if linked(a, b):

@@ -95,21 +95,6 @@ def test_intersection_graphs_match_the_pairwise_oracle(kind):
         assert G.adj == want.adj, (name, kind)
 
 
-def test_gamma_graphs_never_call_breaks(monkeypatch):
-    # the true-interval graphs are read off their bit rows, not pair by pair
-    calls = []
-    monkeypatch.setattr(FinitePattern, "_breaks",
-                        lambda self, x, y: calls.append((x, y)))
-    cases = list(_differential_patterns())
-    assert any(len(p.nonseparated) >= 3 for _, p in cases)
-    for name, p in cases:
-        assert p._graphs == {}, name
-        gr.build_graph(p, gr.GAMMAPLUS), gr.build_graph(p, gr.GAMMAMINUS)
-    assert calls == []
-    cases[0][1]._breaks(*sorted(cases[0][1].leaf_ids(MINUS))[:2])
-    assert len(calls) == 1  # the spy is live
-
-
 def test_distance_identity_and_errors(grid3):
     G = gr.build_graph(grid3, gr.XPLUS)
     assert gr.distance(G, "v0", "v0") == 0

