@@ -258,8 +258,6 @@ def _window_verdict(pp: PeriodicPattern, g: PatternAutomorphism,
     # between graph components (parallel-band patterns), sample along the
     # smallest power that returns to the base component
     base = pp.leaf_of_index(PLUS, 0)
-    if base not in p.leaves:
-        return Inconclusive("window does not contain the base leaf")
     dist0 = gr.distances_from(G, base)
     step = None
     cur = base

@@ -221,10 +221,6 @@ class Lozenge:
     def sides(self) -> tuple[str, str, str, str]:
         return (self.plus1, self.plus2, self.minus1, self.minus2)
 
-    def key(self):
-        return frozenset((frozenset((self.plus1, self.minus1)),
-                          frozenset((self.plus2, self.minus2))))
-
 
 @dataclass(frozen=True)
 class LozengeReport:
@@ -817,16 +813,10 @@ class FinitePattern:
                     met.add(qi)
         return met
 
-    def faces_and_quadrants(self, sing: Singularity):
-        """The 2k quadrants of a singularity, in cyclic order, together with
-        the per-leaf incidence map."""
-        if frozenset(sing.leaves()) not in self._singular_pairs:
-            raise UnknownIdError("singularity not in pattern")
-        return self.quadrants_of_crossing(sing.plus_leaf, sing.minus_leaf)
-
     def quadrants_of_crossing(self, plus_id: str, minus_id: str):
-        """Quadrant view of a regular crossing (the degenerate two-prong case
-        gets its own entry point; singularity records are never built for it)."""
+        """The quadrants of a crossing, in cyclic order (four at a regular
+        crossing, 2k at the singular crossing of a k-prong), together with
+        the per-leaf incidence map."""
         if not self.intersects(plus_id, minus_id):
             raise PreconditionError("leaves do not cross")
         quads = self._quadrants(plus_id, minus_id)
@@ -871,40 +861,31 @@ class FinitePattern:
     # -- lozenges ------------------------------------------------------------
 
     def detect_lozenges(self) -> LozengeReport:
-        fits = self.perfect_fits()
-        lozenges: list[Lozenge] = []
-        seen = set()
-        for (p1, _), (m1, _) in fits:
-            for (p2, _), (m2, _) in fits:
-                if len({p1, p2, m1, m2}) != 4:
-                    continue
-                if not (self.intersects(p1, m2) and self.intersects(p2, m1)):
-                    continue
-                loz = Lozenge(p1, m1, p2, m2)
-                if loz.key() in seen:
-                    continue
-                seen.add(loz.key())
-                lozenges.append(loz)
+        # an invalid pattern can list one leaf pair as two fits
+        fits = dict.fromkeys((p, m) for (p, _), (m, _) in self.perfect_fits())
+        lozenges = [Lozenge(p1, m1, p2, m2)
+                    for (p1, m1), (p2, m2) in itertools.combinations(fits, 2)
+                    if p1 != p2 and m1 != m2
+                    and self.intersects(p1, m2) and self.intersects(p2, m1)]
         lozenges.sort(key=lambda L: (L.plus1, L.plus2))
 
-        # chains: lozenges sharing a corner or a side leaf
-        parent = list(range(len(lozenges)))
+        # chains: lozenges joined through shared side leaves (a shared
+        # corner is two shared sides); union-find over leaf ids
+        parent: dict[str, str] = {}
 
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
+        def find(x):
+            while parent.setdefault(x, x) != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
 
-        for i, j in itertools.combinations(range(len(lozenges)), 2):
-            li, lj = lozenges[i], lozenges[j]
-            if (set(li.corners) & set(lj.corners)) or (set(li.sides) & set(lj.sides)):
-                parent[find(i)] = find(j)
-        groups: dict[int, list[int]] = {}
-        for i in range(len(lozenges)):
-            groups.setdefault(find(i), []).append(i)
-        chains = tuple(tuple(sorted(g)) for g in
-                       sorted(groups.values(), key=lambda g: g[0]))
+        for L in lozenges:
+            for lid in L.sides[1:]:
+                parent[find(lid)] = find(L.plus1)
+        groups: dict[str, list[int]] = {}
+        for i, L in enumerate(lozenges):
+            groups.setdefault(find(L.plus1), []).append(i)
+        chains = tuple(tuple(g) for g in groups.values())
 
         corners = frozenset(c for L in lozenges for c in L.corners)
 

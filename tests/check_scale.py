@@ -8,10 +8,13 @@ periodic windows of 300 to 1300 leaves (well under MAX_WINDOW_LEAVES):
   ``oracle_longest_chain``, and the wall distances their lengths;
 - the affine census CSV that ``bifol census --csv`` writes, for the shipped
   set at radius 14 (the widest default packing) and an asymmetric set with
-  a k = 2 letter at radius 12, equals the counts of ``oracle_affine_ball``.
+  a k = 2 letter at radius 12, equals the counts of ``oracle_affine_ball``;
+- ``detect_lozenges`` on scalloped windows (-40, 40) and (-80, 80), chains
+  of hundreds of lozenges, equals ``oracle_lozenges``: the lozenges in
+  order, the chains and the corners.
 
-Prints the time of each layer per window or census; exits nonzero on a
-difference.
+Prints the time of each layer per window, census or lozenge window; exits
+nonzero on a difference.
 
     PYTHONPATH=src python tests/check_scale.py
 """
@@ -34,7 +37,7 @@ from bifol.pattern import MINUS, PLUS, Point  # noqa: E402
 from bifol.periodic import MAX_WINDOW_LEAVES, parse_leaf_name  # noqa: E402
 from oracles import (  # noqa: E402
     oracle_affine_ball, oracle_bottleneck_midpoints, oracle_build_graph,
-    oracle_longest_chain,
+    oracle_longest_chain, oracle_lozenges,
 )
 
 # scalloped windows put hundreds of separators between nearby points (the
@@ -47,6 +50,8 @@ POINTS = 8
 # per inversion and sign orbit; the asymmetric one, per inversion orbit only
 CENSUSES = (("shipped", [(1, (0, 0)), (0, (1, 0)), (0, (0, 1))], 14),
             ("asymmetric", [(2, (1, 0)), (-1, (0, 3))], 12))
+# scalloped windows (-w, w) hold two lozenge chains of about 4 w lozenges
+LOZENGE_WINDOWS = (40, 80)
 
 
 def _timed(f, *args):
@@ -128,9 +133,24 @@ def check_census(name, gens, n):
     return []
 
 
+def check_lozenges(w):
+    p = load_fixture("scalloped").materialize_window(-w, w)
+    rep, detect_s = _timed(p.detect_lozenges)
+    want, oracle_s = _timed(oracle_lozenges, p)
+    print(f"lozenges on scalloped (-{w}, {w}): {len(p.perfect_fits())} fits, "
+          f"{len(rep.lozenges)} lozenges in {len(rep.chains)} chains; "
+          f"detect_lozenges {detect_s:.3f} s, oracle {oracle_s:.3f} s")
+    got = ([(L.plus1, L.minus1, L.plus2, L.minus2) for L in rep.lozenges],
+           list(rep.chains), rep.corners)
+    if got != want:
+        return [f"lozenges on scalloped (-{w}, {w}) differ from the oracle"]
+    return []
+
+
 def main():
     faults = [f for name, w in WINDOWS for f in check(name, w)]
     faults += [f for args in CENSUSES for f in check_census(*args)]
+    faults += [f for w in LOZENGE_WINDOWS for f in check_lozenges(w)]
     for f in faults:
         print("FAULT:", f)
     return 1 if faults else 0

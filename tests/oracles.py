@@ -2,7 +2,8 @@
 
 Each oracle deliberately avoids the code path it checks: geometry uses
 floating-point chords on an honest circle, the relation table a face row per
-leaf and a face test per pair of opposite-sign leaves, validation's pairwise
+leaf and a face test per pair of opposite-sign leaves, lozenges every pair
+of shared-label fits and chains a component search, validation's pairwise
 rules a scan of every pair of leaves, periodic template crossings exact
 endpoint angles without any window, pseudo-intervals come from exhaustive
 path enumeration, wall distances from full subset enumeration, wall
@@ -201,6 +202,52 @@ def oracle_relations(p) -> dict:
             if len(hit) >= 2:
                 cross[a] |= 1 << i
     return {"ep": ep, "face": face, "cross": cross, "ends": ends}
+
+
+# -- lozenge oracle -----------------------------------------------------------------
+
+def oracle_lozenges(p):
+    """Lozenges, chains and corners by brute force.  The fits are the
+    (plus, minus) leaf pairs that share an endpoint label, by label in
+    sorted order and then by ids, each pair once.  A lozenge is two fits on
+    four leaves whose plus1 x minus2 and plus2 x minus1 cross by
+    ``oracle_relations``, as (plus1, minus1, plus2, minus2) from the fit
+    listed first, sorted by (plus1, plus2).  Chains are the components of
+    "shares a side leaf", each in index order, in order of least index."""
+    from bifol.pattern import MINUS, PLUS
+
+    cross = oracle_relations(p)["cross"]
+    bit = {lid: i for i, lid in enumerate(p.leaves)}
+
+    def crosses(a, b):  # the library's intersects(a, b)
+        return bool(cross[b] >> bit[a] & 1)
+
+    fits = []
+    for label in sorted(p.boundary):
+        at = sorted(l for l, lf in p.leaves.items() if label in lf.endpoints)
+        fits += [(a, b) for a in at for b in at if (a, b) not in fits
+                 and p.leaves[a].sign == PLUS and p.leaves[b].sign == MINUS]
+    lozenges = sorted(((p1, m1, p2, m2) for i, (p1, m1) in enumerate(fits)
+                       for p2, m2 in fits[i + 1:]
+                       if len({p1, m1, p2, m2}) == 4
+                       and crosses(p1, m2) and crosses(p2, m1)),
+                      key=lambda L: (L[0], L[2]))
+    near = [[j for j, M in enumerate(lozenges) if set(L) & set(M)]
+            for L in lozenges]
+    chains, done = [], set()
+    for i in range(len(lozenges)):
+        if i in done:
+            continue
+        comp, todo = {i}, [i]
+        while todo:
+            new = set(near[todo.pop()]) - comp
+            comp |= new
+            todo += new
+        done |= comp
+        chains.append(tuple(sorted(comp)))
+    corners = frozenset(frozenset(c) for p1, m1, p2, m2 in lozenges
+                        for c in ((p1, m2), (p2, m1)))
+    return lozenges, chains, corners
 
 
 # -- validation oracle --------------------------------------------------------------

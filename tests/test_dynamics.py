@@ -264,6 +264,15 @@ def test_classify_fixed_leaf(ladder_periodic):
     assert v.certificate == "fixed_point"
 
 
+def test_classify_orbit_leaving_the_base_component_is_inconclusive(
+        ladder_periodic):
+    # s^2 moves the base leaf out of the window (-1, 1) at its first step,
+    # so no power up to nmax brings it back to the base component
+    s = ladder_periodic.automorphisms["s"]
+    v = dy.classify_isometry(ladder_periodic, s.power(2), window=1)
+    assert v == dy.Inconclusive("orbit leaves the base component in this window")
+
+
 def test_prop42_sandwich(ladder_periodic):
     # (m+2)(k-1)+2 >= d(B_0, B_k) >= k-1 with m the block diameter
     pp = ladder_periodic

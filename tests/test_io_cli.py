@@ -517,6 +517,16 @@ def test_cli_classify_nmax_below_two_names_nmax(nmax, capsys):
                   f"least two displacements"}
 
 
+def test_cli_classify_window_too_small_for_a_bracket(capsys):
+    # a loxodromic element whose window (-1, 1) holds one displacement
+    assert main(["classify", "--pattern", _fx("ladder_periodic"),
+                 "--element", "s", "--window", "1"]) == 3
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["results"] == {
+        "element": "s", "verdict": "inconclusive",
+        "reason": "window too small for a displacement bracket"}
+
+
 def test_cli_wpd(capsys):
     assert main(["wpd", "--pattern", _fx("ladder_periodic"), "--g", "s",
                  "--ball", "3", "--eps", "1", "--n", "4",

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bifol.pattern import (
-    PLUS, MINUS, FinitePattern, InvalidPatternError, Leaf, Mode, Point,
-    PreconditionError, Singularity, UnknownIdError,
+    PLUS, MINUS, FinitePattern, InvalidPatternError, Leaf, Lozenge, Mode,
+    Point, PreconditionError, Singularity, UnknownIdError,
 )
 from bifol.fixtures import MANIFEST, load_fixture
 from bifol import io as bio
 from bifol import walls as wl
+from bifol.cli import main
 from bifol.periodic import (
     _GENERATORS, PeriodicPattern, _chord_pattern, generate, ladder_chords,
 )
@@ -19,8 +20,9 @@ from bifol.randgen import random_pattern
 
 from oracles import (
     geometric_intersects, geometric_separates_leaves, geometric_separates_point,
-    oracle_face_of_point, oracle_on_leaf, oracle_pseudo_interval_set,
-    oracle_relations, oracle_validate, all_monotone_paths,
+    oracle_face_of_point, oracle_lozenges, oracle_on_leaf,
+    oracle_pseudo_interval_set, oracle_relations, oracle_validate,
+    all_monotone_paths,
 )
 
 
@@ -621,7 +623,7 @@ def test_relation_table_matches_geometry_past_the_sweep_cap(name, window):
 # -- quadrants and prongs -----------------------------------------------------------------
 
 def test_prong3_quadrants(prong3):
-    quads, inc = prong3.faces_and_quadrants(prong3.singularities[0])
+    quads, inc = prong3.quadrants_of_crossing("sp", "sm")
     assert len(quads) == 6
     # each minus satellite crosses one ray: meets its two flanking quadrants
     assert len(inc["m0"]) == 2
@@ -746,20 +748,27 @@ def test_star_crossing_symmetry():
             assert p1.intersects(a, b) == p2.intersects(b, a), (kind, a, b)
 
 
+def _on_prong3(leaves):
+    """prong3's skeleton, the three-prong sp (plus, at 0, 16, 32) and its
+    partner sm (minus, at 8, 24, 40) on 48 positions, with further leaves
+    (id, sign, [positions])."""
+    from bifol.periodic import _circle_pattern
+
+    return _circle_pattern(48, [("sp", PLUS, [0, 16, 32]),
+                                ("sm", MINUS, [8, 24, 40]), *leaves],
+                           singularities=[Singularity("sp", "sm")])
+
+
 def _prong_chain_leaves(valid):
     # corner chain hugging a three-prong: minus leaves cross one prong ray,
     # plus leaves cross one ray of the partner, quadrant reach q0..q2.  The
     # invalid variant adds a leaf jumping non-adjacent rays, which stretches
     # the chain past three quadrants; no honest plane realizes that.
-    leaves = [("sp", PLUS, [0, 16, 32]), ("sm", MINUS, [8, 24, 40]),
-              ("m0", MINUS, [13, 18]), ("m1", MINUS, [11, 22]),
+    leaves = [("m0", MINUS, [13, 18]), ("m1", MINUS, [11, 22]),
               ("p0", PLUS, [17, 22]), ("p1", PLUS, [7, 13])]
     if not valid:
         leaves += [("mc", MINUS, [17, 42]), ("pc", PLUS, [18, 44])]
-    from bifol.periodic import _circle_pattern
-
-    return _circle_pattern(48, leaves,
-                           singularities=[Singularity("sp", "sm")])
+    return _on_prong3(leaves)
 
 
 def test_chain_near_prong_within_three_quadrants():
@@ -776,6 +785,71 @@ def test_unrealizable_chain_spread_is_flagged_and_rejected():
     assert not rep.ok  # no honest plane realizes the stretched chain
     loz = p.detect_lozenges()
     assert any(loz.chain_quadrant_flags)
+
+
+# a lozenge with a corner at the singular point, and one with a side on the
+# singular leaf; each validates
+_SINGULAR_CORNER = [("m1", MINUS, [0, 4]), ("p2", PLUS, [2, 8])]
+_SINGULAR_SIDE = [("m1", MINUS, [16, 21]), ("m2", MINUS, [30, 38]),
+                  ("p2", PLUS, [17, 30])]
+
+
+@pytest.mark.parametrize("leaves, lozenge, flag", [
+    (_SINGULAR_CORNER, Lozenge("sp", "m1", "p2", "sm"), False),
+    (_SINGULAR_SIDE, Lozenge("sp", "m1", "p2", "m2"), True),
+])
+def test_chain_flag_at_a_singular_corner_and_a_singular_side(
+        leaves, lozenge, flag, tmp_path, capsys):
+    # a chain with a corner at the singularity is not checked against it; a
+    # chain with a side on its leaf meets every one of its quadrants
+    p = _on_prong3(leaves)
+    assert p.validate().ok, str(p.validate())
+    rep = p.detect_lozenges()
+    assert rep.lozenges == (lozenge,)
+    assert rep.chains == ((0,),)
+    assert rep.corners == frozenset(lozenge.corners)
+    assert rep.chain_quadrant_flags == (flag,)
+    path = tmp_path / "p.json"
+    bio.write_pattern(p, path)
+    assert main(["lozenges", "--in", str(path)]) == (3 if flag else 0)
+    assert json.loads(capsys.readouterr().out)["results"]["quadrant_flags"] \
+        == [flag]
+
+
+def _lozenge_patterns():
+    """Every finite fixture; every periodic one at windows (-w, w), w in 1,
+    2, 3, 5, 8, 16 and 40; chain at sizes 1 to 11; and the first 300
+    patterns with a lozenge among prong3's skeleton with 2 to 6 random
+    chords.  None of those 300 validates: they hold the inputs, such as
+    one leaf pair listed as two fits, that only invalid patterns make."""
+    for name in sorted(MANIFEST):
+        p = load_fixture(name)
+        if isinstance(p, FinitePattern):
+            yield name, p
+        else:
+            for w in (1, 2, 3, 5, 8, 16, 40):
+                yield f"{name}[-{w},{w}]", p.materialize_window(-w, w)
+    for n in range(1, 12):
+        yield f"chain {n}", generate("chain", n)
+    rng, found = random.Random(29), 0
+    while found < 300:
+        p = _on_prong3([(f"r{i}", rng.choice((PLUS, MINUS)),
+                         rng.sample(range(48), 2))
+                        for i in range(rng.randint(2, 6))])
+        if oracle_lozenges(p)[0]:
+            found += 1
+            yield f"random {found}", p
+
+
+def test_lozenges_match_the_oracle():
+    # order and orientation included
+    for name, p in _lozenge_patterns():
+        rep = p.detect_lozenges()
+        lozenges, chains, corners = oracle_lozenges(p)
+        assert [(L.plus1, L.minus1, L.plus2, L.minus2)
+                for L in rep.lozenges] == lozenges, name
+        assert list(rep.chains) == chains, name
+        assert rep.corners == corners, name
 
 
 def test_quadrant_jumping_leaves_rejected():

@@ -135,6 +135,27 @@ def test_fault_injection_reports_triangle(grid3, monkeypatch):
     assert any(v[0] == "triangle" for v in rep.violations)
 
 
+def test_broken_distance_reports_each_violation_kind(grid3, monkeypatch):
+    # a distance that is not a metric, whatever the kind: d(x00, x00) = 1,
+    # d(x00, x11) = 0, d(x11, x22) = 1 but d(x22, x11) = 2, and d(x00, x22)
+    # = 5 beyond both two-step paths.  Every graph distance between the
+    # leaf images of grid3's points is 1.
+    broken = {("x00", "x00"): 1, ("x11", "x11"): 0, ("x22", "x22"): 0,
+              ("x00", "x11"): 0, ("x11", "x00"): 0, ("x11", "x22"): 1,
+              ("x22", "x11"): 2, ("x00", "x22"): 5, ("x22", "x00"): 5}
+    monkeypatch.setattr(wl, "wall_distance",
+                        lambda p, a, b, kind: broken[a.id, b.id])
+    pts = ["x00", "x11", "x22"]
+    assert wl.metric_axiom_check(grid3, wl.D_PLUS, points=pts).violations == (
+        ("identity", "x00"), ("indiscernible", "x00", "x11"),
+        ("symmetry", "x11", "x22"), ("triangle", "x00", "x11", "x22"),
+        ("triangle", "x22", "x11", "x00"))
+    # d_wall - 2 <= 1 <= 5 d_wall fails for d_wall 0 and 5
+    assert wl.qi_metric_report(grid3, points=pts).violations == tuple(
+        v for kind in (wl.D_PLUS, wl.D_MINUS, wl.D_RPLUS, wl.D_RMINUS)
+        for v in ((kind, "x00", "x11", 0, 1), (kind, "x00", "x22", 5, 1)))
+
+
 def test_qi_metric_grid3(grid3):
     rep = wl.qi_metric_report(grid3)
     assert rep.ok, rep.violations
