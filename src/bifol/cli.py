@@ -243,10 +243,12 @@ def cmd_wpd(args):
         raise BifolError("WPD scans need a periodic pattern")
     g = p.automorphisms[args.g]
     base = args.base or p.leaf_of_index("plus", 0)
-    p.leaf_index(base)  # an unknown --base is a usage error, not a scan failure
+    k = p.leaf_index(base)[1] // p.period  # an unknown --base is a usage error
     w = args.window_size
     p.check_window(-w, w)  # both scan windows, before the axis is built
     p.check_window(-2 * w, 2 * w)
+    if not -w <= k <= w:  # so is a base outside the window
+        raise UsageError(f"--base {base} lies outside the window ({-w}, {w})")
     scan = dy.wpd_scan(p, g, base, args.eps, args.n, p.automorphisms,
                        radius=args.ball, window=w,
                        axis_data=dy.axis(p, g, "plus", (-w, w)))

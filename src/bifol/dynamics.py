@@ -10,6 +10,7 @@ window doubling, never asserted as limits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import graphs as gr
 from .census import word_ball
@@ -60,38 +61,35 @@ def axis(pp: PeriodicPattern, g: PatternAutomorphism, sign: str,
          window: tuple[int, int] = (-6, 6)) -> AxisData:
     """Window leaves that separate their own backward and forward images,
     ordered, with the block structure induced by the declared nonseparation.
+    Leaves move as indices under g's map m of the sign.
     """
-    m = g.plus if sign == PLUS else g.minus
-    if any(o == 0 for o in m.offsets):
+    m = g._map(sign)
+    if _fixed_residues(m):
         raise PreconditionError(
             "element fixes a leaf; use classify_isometry instead")
     lo, hi = window
     p = pp.materialize_window(lo, hi)
-    ginv = g.inverse()
-    on_axis = []
-    for name in p.leaf_ids(sign):
-        fwd, back = g.act(name), ginv.act(name)
-        if fwd not in p.leaves or back not in p.leaves:
-            continue
-        if p._separates(name, back, fwd):
-            on_axis.append(name)
-    if not on_axis:
+    first, last = lo * pp.period, (hi + 1) * pp.period
+    minv = m.inverse()
+    name = partial(pp.leaf_of_index, sign)
+    at = {name(i): i for i in range(first, last)  # axis leaf -> index
+          if first <= m(i) < last and first <= minv(i) < last
+          and p._separates(name(i), name(minv(i)), name(m(i)))}
+    if not at:
         raise PreconditionError("no axis leaves inside the window")
     # orientation along the chain is fixed by the end-leaf choice; block
     # structure and period are orientation-independent
-    ordered = p._order_chain(on_axis)
+    ordered = p._order_chain(at)
     line = PseudoLine(tuple(ordered), frozenset(p.nonseparated))
     blocks = line.blocks()
-    # blocks per fundamental domain: where does g send the first full block?
+    # blocks per fundamental domain: where does m send the first full block?
+    block_of = {at[leaf]: k for k, b in enumerate(blocks) for leaf in b}
     t = 0
-    if len(blocks) > 1:
-        idx_of = {leaf: i for i, b in enumerate(blocks) for leaf in b}
-        for i, b in enumerate(blocks):
-            images = [g.act(leaf) for leaf in b]
-            hit = {idx_of[x] for x in images if x in idx_of}
-            if len(hit) == 1:
-                t = abs(next(iter(hit)) - i)
-                break
+    for k, b in enumerate(blocks):
+        hit = {block_of.get(m(at[leaf])) for leaf in b} - {None}
+        if len(hit) == 1:
+            t = abs(hit.pop() - k)
+            break
     return AxisData(g.name or "g", sign, window, line, t)
 
 
@@ -194,6 +192,7 @@ class Inconclusive:
 
 
 def _fixed_residues(m: IndexMap):
+    """The residues of the leaves m fixes: those where its offset is 0."""
     return [r for r, o in enumerate(m.offsets) if o == 0]
 
 
@@ -254,30 +253,29 @@ def _window_verdict(pp: PeriodicPattern, g: PatternAutomorphism,
     if _complete(G) and _complete(gr.build_graph(
             pp.materialize_window(-2 * window, 2 * window), gr.XPLUS)):
         return Elliptic("bounded_orbit", "intersection graph has diameter 1")
-    # translation-length bracket from the window; when the orbit alternates
-    # between graph components (parallel-band patterns), sample along the
-    # smallest power that returns to the base component
-    base = pp.leaf_of_index(PLUS, 0)
-    dist0 = gr.distances_from(G, base)
+    # translation-length bracket from one orbit walk of the base leaf, plus
+    # index 0: when the orbit alternates between graph components
+    # (parallel-band patterns), the step is the least j <= nmax that returns
+    # to the base component, and displacements are read at its multiples
+    lo, hi = -window * pp.period, (window + 1) * pp.period
+    dist0 = gr.distances_from(G, pp.leaf_of_index(PLUS, 0))
     step = None
-    cur = base
-    for j in range(1, nmax + 1):
-        cur = g.act(cur)
-        if cur not in p.leaves:
-            break
-        if cur in dist0:
-            step = j
-            break
-    if step is None:
-        return Inconclusive("orbit leaves the base component in this window")
-    gj = g.power(step)
     disp = []
-    cur = base
-    while len(disp) * step < nmax:
-        cur = gj.act(cur)
-        if cur not in p.leaves or cur not in dist0:
-            break
-        disp.append(dist0[cur])
+    i = j = 0
+    while step is None or len(disp) * step < nmax:
+        i = g.plus(i)
+        j += 1
+        d = dist0.get(pp.leaf_of_index(PLUS, i))
+        if step is None:
+            if j > nmax or not lo <= i < hi:
+                return Inconclusive(
+                    "orbit leaves the base component in this window")
+            if d is not None:
+                step = j
+        if step and j % step == 0:
+            if d is None:
+                break
+            disp.append(d)
     if len(disp) < 2:
         return Inconclusive("window too small for a displacement bracket")
     K = len(disp)
@@ -326,19 +324,23 @@ class WpdScan:
 
 def _wpd_witnesses(p, g, base, eps, n, candidates):
     """The candidates moving both ends of the axis segment from ``base`` by
-    less than eps in the xplus graph of the window p."""
+    less than eps in the xplus graph of the window p.  The base is parsed
+    once; the segment and its images move as indices."""
     G = gr.build_graph(p, gr.XPLUS)
     if base not in p.leaves:
-        raise PreconditionError("base vertex outside window")
-    tip = base
+        raise PreconditionError(f"base vertex {base!r} outside window")
+    sign, b = g.pattern.leaf_index(base)
+    name = partial(g.pattern.leaf_of_index, sign)
+    m = g._map(sign)
+    t = b
     for _ in range(n):
-        nxt = g.act(tip)
-        if nxt not in p.leaves:
+        if name(m(t)) not in p.leaves:
             break
-        tip = nxt
+        t = m(t)
+    tip = name(t)
     out = []
     for nm, h in candidates:
-        hb, ht = h.act(base), h.act(tip)
+        hb, ht = name(h._map(sign)(b)), name(h._map(sign)(t))
         if hb not in p.leaves or ht not in p.leaves:
             continue
         if gr.distance(G, base, hb) < eps and gr.distance(G, tip, ht) < eps:
@@ -352,8 +354,11 @@ def wpd_scan(pp: PeriodicPattern, g: PatternAutomorphism, base: str,
     """Enumerate candidate elements that move both ends of a long axis
     segment by less than eps; the stability flag reports invariance of the
     witness set under growing the candidate ball by two and doubling the
-    window.  ``block_checked`` says whether the block constraint ran: only an
-    axis with a period of blocks has one, else it is vacuously ok."""
+    window.  The block check runs when ``axis_data`` is given with
+    ``period_blocks`` > 0 (``block_checked``; else the constraint is vacuously
+    ok): it fails when a candidate other than the identity fixes leaves of
+    two axis blocks ``period_blocks`` or more apart, where an element fixes a
+    leaf iff its offset at the leaf's residue is 0 (``_fixed_residues``)."""
     # classify_isometry, with its window kept for the witness scan, so the
     # window and its xplus graph are built once
     verdict = _algebraic_verdict(pp, g)
@@ -377,13 +382,13 @@ def wpd_scan(pp: PeriodicPattern, g: PatternAutomorphism, base: str,
                           base, eps, n, cands2)
     ok, checked = True, axis_data is not None and axis_data.period_blocks > 0
     if checked:
-        blocks = axis_data.blocks
-        idx_of = {leaf: i for i, b in enumerate(blocks) for leaf in b}
+        residues = [{pp.leaf_index(leaf)[1] % pp.period for leaf in b}
+                    for b in axis_data.blocks]
         for nm, h in cands:
             if h.is_identity():
                 continue
-            fixed = [leaf for leaf in idx_of if h.act(leaf) == leaf]
-            hit = sorted({idx_of[leaf] for leaf in fixed})
+            fixed = set(_fixed_residues(h._map(axis_data.sign)))
+            hit = [k for k, rs in enumerate(residues) if rs & fixed]
             if hit and hit[-1] - hit[0] >= axis_data.period_blocks:
                 ok = False
     return WpdScan(wit, wit == wit2, eps, n, ok, checked)

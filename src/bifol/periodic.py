@@ -459,7 +459,7 @@ class PatternAutomorphism:
         pairs |= {(b, a, -o) for a, b, o in pairs}
         for t in pp.nonsep:
             (sign, a), (_, b) = pp._fam_index[t.fam_a], pp._fam_index[t.fam_b]
-            m = self.plus if sign == PLUS else self.minus
+            m = self._map(sign)
             ra, ka = pp.split_index(m(a))
             rb, kb = pp.split_index(m(b + t.offset * P))
             fa = pp.families(sign)[ra].name
@@ -469,10 +469,13 @@ class PatternAutomorphism:
 
     # -- group algebra -------------------------------------------------------
 
+    def _map(self, sign: str) -> IndexMap:
+        """The index map that moves the leaves of one sign."""
+        return self.plus if sign == PLUS else self.minus
+
     def act(self, leaf: str) -> str:
         sign, i = self.pattern.leaf_index(leaf)
-        m = self.plus if sign == PLUS else self.minus
-        return self.pattern.leaf_of_index(sign, m(i))
+        return self.pattern.leaf_of_index(sign, self._map(sign)(i))
 
     def compose(self, other: "PatternAutomorphism") -> "PatternAutomorphism":
         if other.pattern is not self.pattern:

@@ -9,8 +9,9 @@ endpoint angles without any window, pseudo-intervals come from exhaustive
 path enumeration, wall distances from full subset enumeration, wall
 witnesses from face-by-face depths and per-pair predicates, graph distances
 from a second BFS, the bottleneck certificate a subgraph and a BFS per
-(pair, midpoint), and census balls from a separate normal-form
-implementation with its own matrix arithmetic.
+(pair, midpoint), census balls from a separate normal-form implementation
+with its own matrix arithmetic, and axes, window verdicts and WPD scans
+from leaf names moved one at a time by ``PatternAutomorphism.act``.
 """
 
 from __future__ import annotations
@@ -644,3 +645,115 @@ def oracle_skew_ball(gens, nmax):
     inverses, with locally defined composition."""
     gens = [tuple(g) for g in gens]
     return _oracle_ball(gens, _skew_inv, _skew_mul, (0,) * len(gens[0]), nmax)
+
+
+# -- act-based dynamics oracle ------------------------------------------------------
+# The axis, window verdict and WPD scan as first written: every leaf moved by
+# name with ``PatternAutomorphism.act``, the displacements along a second walk
+# of g^step, and the block check acting on every axis leaf.
+
+def oracle_axis(pp, g, sign: str, window):
+    """(leaves, period_blocks) of ``dynamics.axis``, or None where it refuses."""
+    from bifol.pattern import PLUS, nonsep_blocks
+
+    m = g.plus if sign == PLUS else g.minus
+    if any(o == 0 for o in m.offsets):
+        return None
+    p = pp.materialize_window(*window)
+    ginv = g.inverse()
+    on_axis = [name for name in p.leaf_ids(sign)
+               if g.act(name) in p.leaves and ginv.act(name) in p.leaves
+               and p._separates(name, ginv.act(name), g.act(name))]
+    if not on_axis:
+        return None
+    ordered = p._order_chain(on_axis)
+    blocks = nonsep_blocks(ordered, frozenset(p.nonseparated))
+    t = 0
+    if len(blocks) > 1:
+        idx_of = {leaf: i for i, b in enumerate(blocks) for leaf in b}
+        for i, b in enumerate(blocks):
+            hit = {idx_of[x] for x in map(g.act, b) if x in idx_of}
+            if len(hit) == 1:
+                t = abs(next(iter(hit)) - i)
+                break
+    return tuple(ordered), t
+
+
+def oracle_window_verdict(pp, g, window: int, nmax: int):
+    """``dynamics._window_verdict`` with two walks of named leaves."""
+    from bifol import dynamics as dy
+    from bifol import graphs as gr
+    from bifol.pattern import PLUS
+
+    if nmax < 2:
+        return dy._window_verdict(pp, g, window, nmax)
+    p = pp.materialize_window(-window, window)
+    G = gr.build_graph(p, gr.XPLUS)
+    if dy._complete(G) and dy._complete(gr.build_graph(
+            pp.materialize_window(-2 * window, 2 * window), gr.XPLUS)):
+        return dy.Elliptic("bounded_orbit", "intersection graph has diameter 1")
+    base = pp.leaf_of_index(PLUS, 0)
+    dist0 = gr.distances_from(G, base)
+    step, cur = None, base
+    for j in range(1, nmax + 1):
+        cur = g.act(cur)
+        if cur not in p.leaves:
+            break
+        if cur in dist0:
+            step = j
+            break
+    if step is None:
+        return dy.Inconclusive("orbit leaves the base component in this window")
+    gj, disp, cur = g.power(step), [], base
+    while len(disp) * step < nmax:
+        cur = gj.act(cur)
+        if cur not in p.leaves or cur not in dist0:
+            break
+        disp.append(dist0[cur])
+    if len(disp) < 2:
+        return dy.Inconclusive("window too small for a displacement bracket")
+    K = len(disp)
+    tau_upper = min(d / ((k + 1) * step) for k, d in enumerate(disp))
+    tau_lower = (disp[-1] - disp[0]) / ((K - 1) * step)
+    if tau_lower <= 0:
+        return dy.Inconclusive("window too small: degenerate bracket")
+    return dy.Loxodromic(tau_lower, tau_upper, K * step, tuple(disp))
+
+
+def oracle_wpd_witnesses(p, g, base, eps, n, candidates):
+    from bifol import graphs as gr
+
+    G = gr.build_graph(p, gr.XPLUS)
+    tip = base
+    for _ in range(n):
+        if g.act(tip) not in p.leaves:
+            break
+        tip = g.act(tip)
+    return tuple(sorted(
+        nm for nm, h in candidates
+        if h.act(base) in p.leaves and h.act(tip) in p.leaves
+        and gr.distance(G, base, h.act(base)) < eps
+        and gr.distance(G, tip, h.act(tip)) < eps))
+
+
+def oracle_wpd_scan(pp, g, base, eps, n, gens, radius, window, axis_data):
+    """``dynamics.wpd_scan`` on a loxodromic g: witnesses by name, and the
+    block check acting on every axis leaf for every candidate."""
+    from bifol import dynamics as dy
+
+    words = sorted((nm, r, h) for h, (r, nm) in
+                   dy._word_ball(pp, gens, radius + 2).values())
+    cands = [(nm, h) for nm, r, h in words if r <= radius]
+    wit, wit2 = (oracle_wpd_witnesses(pp.materialize_window(-w, w), g, base,
+                                      eps, n, c)
+                 for w, c in ((window, cands),
+                              (2 * window, [(nm, h) for nm, _, h in words])))
+    ok, checked = True, axis_data is not None and axis_data.period_blocks > 0
+    if checked:
+        idx_of = {leaf: i for i, b in enumerate(axis_data.blocks) for leaf in b}
+        for nm, h in cands:
+            hit = sorted({idx_of[leaf] for leaf in idx_of if h.act(leaf) == leaf})
+            if not h.is_identity() and hit and \
+                    hit[-1] - hit[0] >= axis_data.period_blocks:
+                ok = False
+    return dy.WpdScan(wit, wit == wit2, eps, n, ok, checked)

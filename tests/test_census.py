@@ -397,3 +397,23 @@ def test_affine_exponent_limit():
         with pytest.raises(PreconditionError,
                            match=f"generator 'g0': matrix exponent {k} "):
             _affine_set([(k, (1, 0))])
+
+
+def test_census_refusals_name_the_fault():
+    with pytest.raises(PreconditionError, match="unknown model 'nope'"):
+        cs.GeneratingSet("nope", {"a": IndexMap([1])})
+    with pytest.raises(PreconditionError, match="runs on the skew model"):
+        cs.genericity_report(cs.trivial_affine_gens(), IndexMap([3, 3]), 2)
+    with pytest.raises(PreconditionError, match="must be an integer map"):
+        cs.genericity_report(cs.skew_intmap_gens(), AffineElement(0, (1, 0)),
+                             2)
+
+
+def test_growth_without_translations_has_no_free_slope():
+    # the matrix generator alone makes no free element, so the free counts
+    # are 0 and their log-log slope is undefined
+    rep = cs.growth_report(cs.GeneratingSet(
+        cs.TRIVIAL_AFFINE, {"A": AffineElement(1, (0, 0))}), 4)
+    assert rep.stats.free[4] == 0
+    assert rep.loglog_slope_free is None
+    assert rep.loglog_slope_intrinsic is not None

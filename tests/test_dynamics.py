@@ -1,15 +1,22 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
 from bifol.pattern import MINUS, PLUS, Mode, PreconditionError, UsageError
-from bifol.periodic import IndexMap, PatternAutomorphism, PeriodicPattern
+from bifol.periodic import (
+    BOT, Family, IndexMap, NonsepTemplate, PatternAutomorphism,
+    PeriodicPattern, Track, ladder_periodic,
+)
 from bifol import dynamics as dy
 from bifol import graphs as gr
 from bifol.census import BudgetExceededError, word_ball
 from bifol.fixtures import MANIFEST, load_fixture
 
-from oracles import geometric_separates_leaves
+from oracles import (
+    geometric_separates_leaves, oracle_axis, oracle_window_verdict,
+    oracle_wpd_scan,
+)
 
 
 def test_skew_axis_all_leaves(skew2):
@@ -451,3 +458,146 @@ def test_classify_nmax_below_two_builds_no_window(ladder_periodic, monkeypatch):
     # certificates that need no window still win
     ident = dy.identity_automorphism(ladder_periodic)
     assert dy.classify_isometry(ladder_periodic, ident, nmax=0).kind == "elliptic"
+
+
+def _ladder_band(suffix, bot, top):
+    """ladder_periodic's plus and minus families, suffixed, on the tracks
+    bot and top."""
+    lp = ladder_periodic()
+    return [[Family(f.name + suffix, f.sign, tuple(
+        (bot if t == BOT else top, v) for t, v in f.endpoints))
+        for f in fams] for fams in (lp.plus_families, lp.minus_families)]
+
+
+def two_band():
+    """Two copies of ladder_periodic's families on separate track pairs, as
+    scalloped_periodic lays its bands, the second suffixed "b".  g moves both
+    bands by one block and h only the second."""
+    (p1, m1), (p2, m2) = (_ladder_band("", "bota", "topa"),
+                          _ladder_band("b", "botb", "topb"))
+    return PeriodicPattern(
+        (Track("bota", 1), Track("botb", -1), Track("topb", 1),
+         Track("topa", -1)), p1 + p2, m1 + m2,
+        nonsep=(NonsepTemplate("u", "w", 0), NonsepTemplate("ub", "wb", 0)),
+        name="two_band", automorphisms={"g": ([6] * 6, [6] * 6),
+                                        "h": ([0, 0, 0, 6, 6, 6],) * 2})
+
+
+def ladder_beside_grid():
+    """ladder_periodic's families beside a grid band, trivial_periodic's
+    families renamed x (plus) and y (minus), where every x crosses every y.
+    g moves both bands by one block; h moves every leaf but the y, so it
+    fixes leaves of one sign only.  y is listed first, so its residue is
+    that of the ladder's u."""
+    plus, minus = _ladder_band("", "bota", "topa")
+    return PeriodicPattern(
+        (Track("bota", 1), Track("n", 1), Track("e", 1), Track("s", -1),
+         Track("w", -1), Track("topa", -1)),
+        plus + [Family("x", PLUS, (("n", Fraction(0)), ("s", Fraction(0))))],
+        [Family("y", MINUS, (("e", Fraction(0)), ("w", Fraction(0))))] + minus,
+        nonsep=(NonsepTemplate("u", "w", 0),), name="ladder_beside_grid",
+        automorphisms={"g": ([4] * 4, [4] * 4), "h": ([4] * 4, [0, 4, 4, 4])})
+
+
+def test_wpd_block_check_refuses_an_element_fixing_a_far_block():
+    # h fixes the whole first band, which the axis of g runs along for more
+    # than one block, so the block constraint fails
+    pp = two_band()
+    g = pp.automorphisms["g"]
+    scan = dy.wpd_scan(pp, g, "u0", 1.0, 4, pp.automorphisms, radius=2,
+                       window=6, axis_data=dy.axis(pp, g, "plus", (-6, 6)))
+    assert scan.block_checked
+    assert not scan.block_constraint_ok
+    assert scan.witnesses == ("h", "h*h", "h^-1", "h^-1*h^-1", "id")
+
+
+def _dynamics_cases():
+    """(pattern, named elements, element) for every periodic fixture, the
+    two-band pattern and the ladder beside a grid, over the named elements and their inverses, squares
+    and cubes.  trivial_periodic declares none; it gets a unit translation t
+    and u, which moves the plus leaves and fixes the minus ones."""
+    patterns = [load_fixture(nm) for nm in sorted(MANIFEST)]
+    patterns += [two_band(), ladder_beside_grid()]
+    for pp in patterns:
+        if not isinstance(pp, PeriodicPattern):
+            continue
+        gens = dict(pp.automorphisms) or {
+            nm: PatternAutomorphism(pp, IndexMap([1]), IndexMap([m]), nm)
+            for nm, m in (("t", 1), ("u", 0))}
+        for g in gens.values():
+            g2 = g.compose(g)
+            for h in (g, g.inverse(), g2, g2.compose(g)):
+                yield pp, gens, h
+
+
+def test_axes_verdicts_and_wpd_scans_match_the_act_oracles():
+    # the index-map code against the same computations moving leaf names
+    # with PatternAutomorphism.act, over both signs and six windows; the
+    # scans' block checks see candidates that fix leaves of one sign only
+    counts = {"axis": 0, "verdict": 0, "wpd": 0}
+    for pp, gens, h in _dynamics_cases():
+        for sign, window in itertools.product(
+                (PLUS, MINUS), [(-2, 2), (-4, 4), (-6, 6), (-8, 8), (-3, 7),
+                                (-12, 12)]):
+            case = (pp.name, h.plus.offsets, h.minus.offsets, sign, window)
+            try:
+                ax = dy.axis(pp, h, sign, window)
+            except PreconditionError:
+                ax = None
+            want = oracle_axis(pp, h, sign, window)
+            assert (ax and (ax.leaves, ax.period_blocks)) == want, case
+            counts["axis"] += ax is not None
+            w = window[1]
+            if sign == MINUS or window[0] != -w:
+                continue
+            for nmax in (2, 3, 8):
+                verdict = dy.classify_isometry(pp, h, window=w, nmax=nmax)
+                want = dy._algebraic_verdict(pp, h) or \
+                    oracle_window_verdict(pp, h, w, nmax)
+                assert verdict == want, (case, nmax)
+                counts["verdict"] += 1
+            if verdict.kind != "loxodromic" or w > 8:
+                continue
+            base = pp.leaf_of_index(PLUS, 0)
+            for axis_sign, radius in itertools.product((PLUS, MINUS), (1, 2)):
+                try:
+                    ax = dy.axis(pp, h, axis_sign, window)
+                except PreconditionError:
+                    ax = None
+                scan = dy.wpd_scan(pp, h, base, 2.0, 4, gens, radius=radius,
+                                   window=w, axis_data=ax)
+                assert scan == oracle_wpd_scan(pp, h, base, 2.0, 4, gens,
+                                               radius, w, ax), \
+                    (case, axis_sign, radius)
+                counts["wpd"] += 1
+    assert counts == {"axis": 414, "verdict": 720, "wpd": 296}
+
+
+def test_wpd_witnesses_name_a_base_outside_the_window(ladder_periodic):
+    p = ladder_periodic.materialize_window(-2, 2)
+    with pytest.raises(PreconditionError,
+                       match="base vertex 'u5' outside window"):
+        dy._wpd_witnesses(p, ladder_periodic.automorphisms["s"], "u5", 1.0, 2,
+                          [])
+
+
+def test_line_and_overlap_refusals(grid3, ladder_periodic):
+    A = dy.PseudoLine(("v0", "v2"), frozenset())
+    with pytest.raises(PreconditionError, match="a leaf of the line's family"):
+        dy.project_to_pseudoline(grid3, A, "h1")
+    # v1 lies between the line's two leaves, which are not nonseparated
+    with pytest.raises(dy.ProjectionUndefinedError, match="projection of v1"):
+        dy.project_to_pseudoline(grid3, A, "v1")
+    pp = ladder_periodic
+    s = pp.automorphisms["s"]
+    w = pp.materialize_window(-6, 6)
+    ax = dy.axis(pp, s, "plus", (-6, 6))
+    with pytest.raises(PreconditionError, match="must lie on the axis"):
+        dy.induced_blocks(w, ax, "u0", "r0")
+    # d(u-5, u5) = 30 > 4 eps + 5, but s moves u-5 by 3
+    with pytest.raises(PreconditionError, match="measured 3, 3"):
+        dy.overlap_interval(w, ax.line, "u-5", "u5", s, 0.5)
+    # onto a line of one leaf past u5, the projections miss [u-5, u5]
+    with pytest.raises(PreconditionError, match="overlap interval is empty"):
+        dy.overlap_interval(w, dy.PseudoLine(("w5",), frozenset()), "u-5",
+                            "u5", s.compose(s.inverse()), 1.0)

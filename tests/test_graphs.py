@@ -390,3 +390,20 @@ def test_every_geodesic_vertex_near_every_path(ladder2, grid3):
                 pv = set(path)
                 for v in geodesic_verts:
                     assert min(dist[v][w] for w in pv if w in dist[v]) <= 3
+
+
+def test_graph_refusals_name_the_fault(grid3):
+    with pytest.raises(PreconditionError, match="unknown graph kind 'nope'"):
+        gr.build_graph(grid3, "nope")
+    G = gr.build_graph(grid3, gr.XPLUS)
+    with pytest.raises(PreconditionError, match="empty path"):
+        gr.project_path(grid3, G, [])
+    with pytest.raises(UnknownIdError, match="'zz' not in graph"):
+        gr.project_path(grid3, G, ["v0", "zz"])
+
+
+def test_minimal_bottleneck_constant_is_none_past_its_bound(grid3):
+    G = gr.build_graph(grid3, "x")
+    K = gr.minimal_bottleneck_constant(G)
+    assert K is not None and K >= 1
+    assert gr.minimal_bottleneck_constant(G, K - 1) is None

@@ -622,6 +622,12 @@ def test_cli_wpd_says_whether_the_block_check_ran(name, checked, capsys):
     # MAX_WINDOW_LEAVES; refused before any record is built
     (["gen", "--kind", "trivial", "--params", "129", "--out", "x.json"],
      "usage error: trivial(129) would hold 16641 leaves or marked points"),
+    # a --base outside the scan window, refused before the axis is built
+    (["wpd", "--pattern", _fx("ladder_periodic"), "--g", "s", "--base",
+      "u100"], "usage error: --base u100 lies outside the window (-8, 8)"),
+    (["wpd", "--pattern", _fx("skew2"), "--g", "s", "--base", "p-4",
+      "--window", "3"], "usage error: --base p-4 lies outside the window "
+                        "(-3, 3)"),
 ])
 def test_cli_malformed_input_is_a_usage_error(argv, named, capsys):
     assert main(argv) == 1
@@ -684,6 +690,20 @@ def test_cli_wpd_refuses_a_doubled_window_before_building_any(capsys,
         f"usage error: window (-1400, 1400) would hold 16806 leaves, more than "
         f"{MAX_WINDOW_LEAVES}\n")
     assert built == [(0, reach)]
+
+
+def test_cli_wpd_refuses_an_outside_base_before_building_the_axis(
+        capsys, monkeypatch):
+    from bifol import dynamics as dy
+    monkeypatch.setattr(dy, "axis", lambda *args: pytest.fail("axis built"))
+    assert main(["wpd", "--pattern", _fx("ladder_periodic"), "--g", "s",
+                 "--base", "w9"]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: --base w9 lies outside the window (-8, 8)\n")
+    # the window's end blocks are inside
+    monkeypatch.undo()
+    assert main(["wpd", "--pattern", _fx("ladder_periodic"), "--g", "s",
+                 "--base", "w8", "--n", "1", "--ball", "1"]) == 0
 
 
 @pytest.mark.parametrize("flag, argv", [
@@ -888,3 +908,8 @@ def test_cli_graph_csv(tmp_path, capsys):
     rows = csv.read_text().splitlines()
     assert rows[0] == "vertex,v0,v1,v2"
     assert rows[1] == "v0,0,1,1"
+
+
+def test_serialize_refuses_what_is_not_a_pattern():
+    with pytest.raises(PreconditionError, match="cannot serialize dict"):
+        bio.serialize({})

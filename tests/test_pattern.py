@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from bifol.pattern import (
     PLUS, MINUS, FinitePattern, InvalidPatternError, Leaf, Lozenge, Mode,
-    Point, PreconditionError, Singularity, UnknownIdError,
+    Point, PreconditionError, Singularity, UnknownIdError, _is_cyclic_run,
 )
 from bifol.fixtures import MANIFEST, load_fixture
 from bifol import io as bio
@@ -862,3 +862,63 @@ def test_quadrant_jumping_leaves_rejected():
     rep = q.validate()
     assert any(v.rule == "same-sign crossing" and "bad" in v.subjects
                for v in rep.violations)
+
+
+# -- refusals and edge returns of the pattern API --------------------------------
+
+
+def test_constructor_refuses_duplicate_labels_leaf_ids_and_point_ids():
+    x, y = Leaf("x", PLUS, ("a", "c")), Leaf("y", MINUS, ("b", "d"))
+    with pytest.raises(InvalidPatternError, match="duplicate boundary labels"):
+        FinitePattern(["a", "a"], [])
+    with pytest.raises(InvalidPatternError, match="duplicate leaf id x"):
+        FinitePattern("abcd", [x, Leaf("x", PLUS, ("b", "d"))])
+    q = Point.crossing("q", "x", "y")
+    with pytest.raises(InvalidPatternError, match="duplicate point id q"):
+        FinitePattern("abcd", [x, y], points=[q, q])
+
+
+def test_query_refusals_name_the_fault(grid3, prong3):
+    with pytest.raises(UnknownIdError, match="unknown boundary label 'zz'"):
+        grid3.pos("zz")
+    with pytest.raises(PreconditionError, match="requires distinct leaves"):
+        grid3.separates_leaves("v0", "v0", "v1")
+    with pytest.raises(PreconditionError, match="leaves do not cross"):
+        grid3.quadrants_of_crossing("v0", "v1")
+    a = next(iter(grid3.points))
+    with pytest.raises(PreconditionError, match="two distinct points"):
+        grid3.partially_linked(a, a)
+    sing = prong3.singularities[0]
+    with pytest.raises(PreconditionError, match="requires plus leaves"):
+        prong3.is_dividing_prong(sing, "p0", "m0")
+    chain2 = load_fixture("prongchain2")
+    pa = next(s for s in chain2.singularities if s.plus_leaf == "pa")
+    with pytest.raises(PreconditionError, match="must separate x from y"):
+        chain2.is_dividing_prong(pa, "pb", "y")
+
+
+def test_edge_returns_of_separation_and_quadrants(grid3, prong3):
+    assert grid3.separator_chain("v1", "v1") == []
+    assert str(grid3.validate()) == "valid"
+    # a bounding leaf meets all six quadrants of the 3-prong crossing
+    assert prong3.quadrant_incidence("sp", "sm", "sp") == set(range(6))
+    # p0 meets two quadrants, so it cannot sit in a five-quadrant buffer
+    sing = prong3.singularities[0]
+    assert len(prong3.quadrant_incidence("sp", "sm", "p0")) == 2
+    assert prong3.is_dividing_prong(sing, "p0", "p1") is False
+    # the chain's end is the prong itself: the prong test refuses it, and
+    # the pseudo-interval keeps one block
+    assert prong3.pseudo_interval("p0", "sp", Mode.PRONG).blocks == \
+        (("p0", "sp"),)
+    assert not _is_cyclic_run({0, 2}, 6, 2)
+    assert _is_cyclic_run({0, 5}, 6, 2)
+
+
+def test_ray_crossed_is_none_for_two_rays_of_a_4_prong():
+    # invalid on purpose: m has endpoints in faces 0 and 2 of the 4-prong
+    # s, so it crosses two of its rays and no single ray is the crossed one
+    lab = [f"c{i}" for i in range(8)]
+    p = FinitePattern(lab, [Leaf("s", PLUS, ("c0", "c2", "c4", "c6")),
+                            Leaf("m", MINUS, ("c1", "c5"))])
+    assert p.intersects("m", "s")
+    assert p._ray_crossed("m", "s") is None

@@ -517,3 +517,31 @@ def test_scalloped_window_has_both_chains(scalloped):
     # vertical bricks share consecutive plus sides, horizontal bricks skip one
     assert ("V1", "V0") in keys or ("V0", "V1") in keys
     assert ("V2", "V0") in keys or ("V0", "V2") in keys
+
+
+def test_periodic_refusals_name_the_fault(ladder_periodic):
+    lp = ladder_periodic
+    with pytest.raises(PreconditionError, match="empty offset vector"):
+        IndexMap([])
+    with pytest.raises(PreconditionError, match="period mismatch"):
+        IndexMap([1]).compose(IndexMap([1, 1]))
+    with pytest.raises(PreconditionError, match="family counts must agree"):
+        PeriodicPattern(_CORRIDOR, lp.plus_families, lp.minus_families[:2])
+    with pytest.raises(PreconditionError, match="unknown track 'top'"):
+        PeriodicPattern(_CORRIDOR[:1], lp.plus_families, lp.minus_families)
+    with pytest.raises(PreconditionError, match="index map period mismatch"):
+        PatternAutomorphism(lp, IndexMap([3]), IndexMap([3, 3, 3]))
+    other = generate("ladder_periodic").automorphisms["s"]
+    with pytest.raises(PreconditionError, match="of different patterns"):
+        lp.automorphisms["s"].compose(other)
+
+
+def test_reprs_and_same_sign_template_cross(ladder_periodic):
+    assert repr(IndexMap([1, 1])) == "IndexMap(1, 1)"
+    s = ladder_periodic.automorphisms["s"]
+    assert repr(s) == "Automorphism(s)"
+    assert repr(PatternAutomorphism(ladder_periodic, s.plus, s.minus)) == \
+        "Automorphism((IndexMap(3, 3, 3), IndexMap(3, 3, 3)))"
+    # leaves of one family never cross
+    assert not ladder_periodic.template_cross(PLUS, 0, PLUS, 1)
+    assert not ladder_periodic.template_cross(MINUS, 0, MINUS, 0)

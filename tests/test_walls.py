@@ -394,3 +394,11 @@ def test_qi_metric_unknown_graph_vertex(grid3):
         pts = [Point.crossing("a", *first), Point.crossing("b", *second)]
         with pytest.raises(UnknownIdError, match="'h1' not in graph"):
             wl.qi_metric_report(grid3, points=pts)
+
+
+def test_wall_refusals_name_the_fault(grid3):
+    with pytest.raises(PreconditionError, match="two distinct leaves"):
+        wl.reeb_separated(grid3, "v0", "v0")
+    a, b = list(grid3.points)[:2]
+    with pytest.raises(PreconditionError, match="unknown metric kind 'nope'"):
+        wl.wall_distance(grid3, a, b, "nope")
