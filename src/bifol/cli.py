@@ -138,8 +138,7 @@ def cmd_dist(args):
     results = {"from": args.src, "to": args.dst}
     if isinstance(p, PeriodicPattern):
         lo, hi = args.window
-        if lo >= hi:  # before the window is widened to hold (-2, 2)
-            raise UsageError(f"window ({lo}, {hi}) needs lo < hi")
+        p.check_window(lo, hi)  # the given window, before it is widened
         d, stable = gr.windowed_distance(p, args.kind, args.src, args.dst,
                                          (min(lo, -2), max(hi, 2)))
         results["stable_under_doubling"] = stable
@@ -243,7 +242,11 @@ def cmd_wpd(args):
         raise BifolError("WPD scans need a periodic pattern")
     g = p.automorphisms[args.g]
     base = args.base or p.leaf_of_index("plus", 0)
-    k = p.leaf_index(base)[1] // p.period  # an unknown --base is a usage error
+    sign, i = p.leaf_index(base)  # an unknown --base is a usage error
+    if sign != "plus":  # so is a minus one, before any window is built
+        raise UsageError(f"--base {base} is a minus leaf; the WPD scan needs "
+                         f"a plus leaf")
+    k = i // p.period
     w = args.window_size
     p.check_window(-w, w)  # both scan windows, before the axis is built
     p.check_window(-2 * w, 2 * w)

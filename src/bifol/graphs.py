@@ -223,7 +223,7 @@ def _certify(G: LeafGraph, comps: list, K: int) -> BottleneckResult:
             dx = G.rows[x]
             for y in comp[i + 1:]:
                 dxy = dx[y]
-                if dxy % 2 or dxy == 0:
+                if dxy % 2:
                     continue
                 r = dxy // 2
                 for j in _bits(sphere[x][r] & sphere[y][r]):
@@ -285,11 +285,9 @@ def qi_inclusion_report(p: FinitePattern) -> InclusionReport:
     max_ratio = 0.0
     for kind, sign in ((XPLUS, PLUS), (XMINUS, MINUS)):
         G = build_graph(p, kind)
-        for v in G.vertices:
+        for i, v in enumerate(G.vertices):  # sorted: w > v below
             dv, dxv = distances_from(G, v), distances_from(GX, v)
-            for w in G.vertices:
-                if w <= v:
-                    continue
+            for w in G.vertices[i + 1:]:
                 checked += 1
                 ds = dv.get(w, INF)
                 dx = dxv.get(w, INF)

@@ -22,10 +22,13 @@ reach.
 
 The module owns every fixture generator, and ``_circle_pattern``, the one
 builder of the finite patterns the program makes (windows, fixtures, random
-draws) from integer circle positions, most via the ranking track walk
-``_chord_pattern``.  Those are valid by construction (the tests check the
-generators over a range of sizes).  ``Track`` and ``Family`` records check
-nothing; the constructor checks them where file data enters.
+draws) from integer circle positions, most via the track walk
+``_chord_pattern``, which only ranks positions.  Those are valid by
+construction (the tests check the generators over a range of sizes); a
+file whose templates put two endpoints of one sign on one position is
+refused by its certificate's ``validate``, by leaf name.  ``Track`` and
+``Family`` records check nothing; the constructor checks them where file
+data enters.
 """
 
 from __future__ import annotations
@@ -121,29 +124,21 @@ def _circle_pattern(n, leaves, singularities=(), nonseparated=(), points=()):
 
 
 def _chord_pattern(chords, tracks=_CORRIDOR, nonseparated=(), singularities=(),
-                   points=(), scale=1):
+                   points=()):
     """Finite pattern from chords (id, sign, [(track, value), ...]) on the
     given tracks.  Walking the circle (the tracks in order, each in its own
     direction) ranks every occupied position 0, 1, ..., and
-    ``_circle_pattern`` builds the pattern on those ranks.  A position holds
-    one leaf, or two leaves of opposite signs (a perfect fit).  Values are in
-    units of 1/scale; only an error message reads the scale."""
-    # position -> sign bits (1 plus, 2 minus), above 3 once two leaves of
-    # one sign share it
-    at = {t.name: {} for t in tracks}
-    for cid, sign, eps in chords:
-        bit = 1 if sign == PLUS else 2
+    ``_circle_pattern`` builds the pattern on those ranks; chords on one
+    position share its rank.  Nothing is checked: ``validate`` refuses a
+    position that holds more than one leaf or one perfect fit."""
+    at = {t.name: set() for t in tracks}
+    for _, _, eps in chords:
         for tr, val in eps:
-            held = at[tr].get(val, 0)
-            at[tr][val] = held | bit | (held & bit) << 2
+            at[tr].add(val)
     rank, n = {}, 0
     for t in tracks:
         row = rank[t.name] = {}
         for v in sorted(at[t.name], reverse=t.direction == -1):
-            if at[t.name][v] > 3:
-                raise PreconditionError(
-                    f"track {t.name}, position {Fraction(v, scale)}: more "
-                    f"than two leaves or two of one sign share the position")
             row[v] = n
             n += 1
     ranked = [(cid, sign, [rank[tr][v] for tr, v in eps])
@@ -288,11 +283,7 @@ class PeriodicPattern:
                             for t, off in f.endpoints])
             for sign in (PLUS, MINUS) for f in self.families(sign)]
         # positional arguments: the benchmark tracer unpacks (self, lo, hi)
-        try:
-            cert = self.materialize_window(0, self._reach)
-        except PreconditionError as e:  # translates share a boundary position
-            raise InvalidPatternError(f"invalid periodic pattern: {e}") from None
-        cert.require_valid()
+        cert = self.materialize_window(0, self._reach).require_valid()
         self._cross = self._crossing_rows(cert)
         if automorphisms:
             for nm, (po, mo) in automorphisms.items():
@@ -382,8 +373,7 @@ class PeriodicPattern:
                   for sign, name, eps in self._templates
                   for k in range(lo, hi + 1)]
         return _chord_pattern(chords, self.tracks,
-                              nonseparated=self.nonsep_pairs_in(lo, hi),
-                              scale=s)
+                              nonseparated=self.nonsep_pairs_in(lo, hi))
 
 
 class PatternAutomorphism:

@@ -38,6 +38,9 @@ class Mutant(NamedTuple):
 
 DYNAMICS = "src/bifol/dynamics.py"
 DYNAMICS_TESTS = ("tests/test_dynamics.py",)
+PATTERN = "src/bifol/pattern.py"
+# the shared-position tests, by leaf name, and the moved-slot oracle test
+PATTERN_TESTS = ("tests/test_pattern.py", "tests/test_io_cli.py")
 
 MUTANTS = (
     Mutant("axis: on-axis test without the backward image in the window",
@@ -76,6 +79,18 @@ MUTANTS = (
            "src/bifol/cli.py",
            "if not -w <= k <= w:", "if not -w <= k < w:",
            ("tests/test_io_cli.py",)),
+    Mutant("validate: same-sign leaves may share an endpoint",
+           PATTERN,
+           "                if shared:\n"
+           "                    v.append(Violation(\"same-sign leaves share an "
+           "endpoint\", (l1, l2)))\n"
+           "                elif len(s12) >= 2 or len(s21) >= 2:\n",
+           "                if len(s12) >= 2 or len(s21) >= 2:\n",
+           PATTERN_TESTS),
+    Mutant("validate: a leaf's endpoints need not be distinct",
+           PATTERN,
+           "if len(set(lf.endpoints)) != len(lf.endpoints) or lf.k < 2:",
+           "if lf.k < 2:", PATTERN_TESTS),
 )
 
 

@@ -1,11 +1,13 @@
 import contextlib
 import functools
 import io
+import itertools
 import json
 import operator
 import signal
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,7 @@ from bifol.pattern import (
 )
 from bifol.periodic import (
     MAX_WINDOW_LEAVES, CertificateTooWideError, PeriodicPattern, generate,
+    parse_leaf_name,
 )
 
 FIXDIR = Path(__file__).parent.parent / "src" / "bifol" / "fixtures"
@@ -89,15 +92,87 @@ def test_periodic_crossing_past_the_sample_window_rejected(tmp_path, capsys):
 
 
 def test_periodic_shared_position_is_invalid_data(tmp_path, capsys):
-    # the plus family on bot 0 / bot 1: p0 and p1 share the position bot 1
+    # the plus family on bot 0 / bot 1: p0 and p1 share the position bot 1;
+    # on top 3/2 twice, each leaf meets itself
     d = json.loads(fixture_text("skew2"))
-    d["plus_families"][0]["endpoints"] = [["bot", "0/1"], ["bot", "1/1"]]
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(d), encoding="utf-8")
-    assert main(["validate", "--in", str(path)]) == 2
-    rep = json.loads(capsys.readouterr().out)
-    assert rep["results"]["valid"] is False
-    assert "track bot, position 1" in rep["results"]["violations"]
+    for eps, found in (([["bot", "0/1"], ["bot", "1/1"]],
+                        "same-sign leaves share an endpoint: p0, p1"),
+                       ([["top", "3/2"], ["top", "3/2"]],
+                        "leaf endpoints not distinct: p0")):
+        d["plus_families"][0]["endpoints"] = eps
+        path.write_text(json.dumps(d), encoding="utf-8")
+        assert main(["validate", "--in", str(path)]) == 2
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["results"]["valid"] is False
+        assert found in rep["results"]["violations"].split("\n")
+
+
+PERIODIC_FIXTURES = [name for name in sorted(MANIFEST)
+                     if "period" in json.loads(fixture_text(name))]
+
+
+def _slot_collisions(doc):
+    """Oracle from the template offsets alone: per sign, the pairs of
+    endpoint slots on one track whose offsets differ by an integer d, as
+    (family, family, d).  Such slots meet at block distance d, and
+    |d| <= span < reach, so they meet in the certificate window."""
+    found = []
+    for key in ("plus_families", "minus_families"):
+        slots = [(f["name"], tr, Fraction(off)) for f in doc[key]
+                 for tr, off in f["endpoints"]]
+        for (fa, ta, oa), (fb, tb, ob) in itertools.combinations(slots, 2):
+            if ta == tb and (oa - ob).denominator == 1:
+                found.append((fa, fb, oa - ob))
+    return found
+
+
+def _moved_slots(doc):
+    """Copies of a periodic file, one per ordered pair of distinct endpoint
+    slots of one sign on one track, with the first slot's offset moved to
+    the second's plus -1, 0 or +1 block."""
+    for key in ("plus_families", "minus_families"):
+        slots = [(i, j) for i, f in enumerate(doc[key])
+                 for j in range(len(f["endpoints"]))]
+        for (i, j), (k, m) in itertools.permutations(slots, 2):
+            track, off = doc[key][k]["endpoints"][m]
+            if doc[key][i]["endpoints"][j][0] != track:
+                continue
+            for block in (-1, 0, 1):
+                moved = json.loads(json.dumps(doc))
+                moved[key][i]["endpoints"][j][1] = str(Fraction(off) + block)
+                yield moved
+
+
+def test_colliding_translates_are_refused_by_leaf_name(tmp_path, capsys):
+    path, files = tmp_path / "moved.json", 0
+    for name in PERIODIC_FIXTURES:
+        for doc in _moved_slots(json.loads(fixture_text(name))):
+            files += 1
+            found = _slot_collisions(doc)
+            loops = {fa for fa, fb, d in found if fa == fb and d == 0}
+            with pytest.raises(InvalidPatternError) as e:
+                bio.parse_pattern_text(json.dumps(doc))
+            named = {"same-sign leaves share an endpoint": set(),
+                     "leaf endpoints not distinct": set()}
+            for line in str(e.value).splitlines():
+                rule, _, leaves = line.partition(": ")
+                if rule in named:
+                    named[rule].add(frozenset(parse_leaf_name(lf)[0]
+                                              for lf in leaves.split(", ")))
+            # validate stops at a leaf that meets itself, before any pair
+            if loops:
+                assert named["leaf endpoints not distinct"] == {
+                    frozenset([f]) for f in loops}, (name, doc)
+            else:
+                assert named["same-sign leaves share an endpoint"] == {
+                    frozenset([fa, fb]) for fa, fb, _ in found}, (name, doc)
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            assert main(["validate", "--in", str(path)]) == 2
+            assert json.loads(capsys.readouterr().out)["results"]["valid"] is False
+    # ladder_periodic has 28 such slot pairs and scalloped 16; the skew
+    # patterns and trivial_periodic have one endpoint per sign and track
+    assert files == 3 * (28 + 16)
 
 
 def test_periodic_certificate_past_the_leaf_limit(tmp_path, capsys):
@@ -605,6 +680,10 @@ def test_cli_wpd_says_whether_the_block_check_ran(name, checked, capsys):
       "p1", "--window", "3", "1"], "window (3, 1)"),
     (["dist", "--kind", "xplus", "--in", _fx("skew2"), "--from", "p0", "--to",
       "p1", "--window", "5", "5"], "window (5, 5)"),
+    # an oversize window is named as given, not as widened to (-2, 9000)
+    (["dist", "--kind", "xplus", "--in", _fx("ladder_periodic"), "--from",
+      "u0", "--to", "w0", "--window", "0", "9000"],
+     "usage error: window (0, 9000) would hold 54006 leaves, more than 16384"),
     # a name whose index is not an integer (it raised ValueError)
     (["wpd", "--pattern", _fx("skew2"), "--g", "s", "--base", "p-"], "'p-'"),
     (["wpd", "--pattern", _fx("skew2"), "--g", "s", "--base", "p1-2"], "p1-2"),
@@ -704,6 +783,18 @@ def test_cli_wpd_refuses_an_outside_base_before_building_the_axis(
     monkeypatch.undo()
     assert main(["wpd", "--pattern", _fx("ladder_periodic"), "--g", "s",
                  "--base", "w8", "--n", "1", "--ball", "1"]) == 0
+
+
+def test_cli_wpd_refuses_a_minus_base_before_any_window(capsys, monkeypatch):
+    from bifol import dynamics as dy
+    monkeypatch.setattr(dy, "axis", lambda *args: pytest.fail("axis built"))
+    # --window 0 is refused by check_window: the sign is read before it
+    for extra in ([], ["--window", "0"]):
+        assert main(["wpd", "--pattern", _fx("ladder_periodic"), "--g", "s",
+                     "--base", "al0"] + extra) == 1
+        assert capsys.readouterr().err == (
+            "usage error: --base al0 is a minus leaf; the WPD scan needs a "
+            "plus leaf\n")
 
 
 @pytest.mark.parametrize("flag, argv", [

@@ -178,14 +178,24 @@ def test_chord_positions_hold_one_leaf_or_a_perfect_fit():
             ("s", MINUS, [("top", 4), ("top", 5)])]
     later = [("u", PLUS, [("top", 6), ("top", 7)]),
              ("v", PLUS, [("top", 6), ("top", 8)])]
-    # the walk names the first bad position: bot ascends, top descends
-    for chords, where in ((fit + [third], "bot, position 0"),
-                          (fit + same, "top, position 4"),
-                          (fit + same + later, "top, position 6"),
-                          (fit + same + later + [third], "bot, position 0")):
-        with pytest.raises(PreconditionError, match=f"track {where}: more than "
-                           "two leaves or two of one sign share the position"):
-            _chord_pattern(chords)
+    loop = ("w", MINUS, [("top", 9), ("top", 9)])
+    # chords on one position share its rank, and validate names every pair
+    # of one sign that meets there, and a leaf that meets itself
+    for chords, found in (
+            (fit + [third], ["same-sign leaves share an endpoint: p, q"]),
+            (fit + same, ["same-sign leaves share an endpoint: r, s"]),
+            (fit + same + later, ["same-sign leaves share an endpoint: r, s",
+                                  "same-sign leaves share an endpoint: u, v"]),
+            (fit + same + later + [third],
+             ["same-sign leaves share an endpoint: p, q",
+              "same-sign leaves share an endpoint: r, s",
+              "same-sign leaves share an endpoint: u, v"]),
+            (fit + [loop], ["leaf endpoints not distinct: w"])):
+        p = _chord_pattern(chords)
+        assert p.n == len({(tr, v) for _, _, eps in chords for tr, v in eps})
+        assert [str(v) for v in p.validate().violations] == found
+        with pytest.raises(InvalidPatternError, match=found[0]):
+            p.require_valid()
 
 
 def test_nonsep_with_common_transversal_rejected():
