@@ -680,10 +680,6 @@ def test_cli_wpd_says_whether_the_block_check_ran(name, checked, capsys):
       "p1", "--window", "3", "1"], "window (3, 1)"),
     (["dist", "--kind", "xplus", "--in", _fx("skew2"), "--from", "p0", "--to",
       "p1", "--window", "5", "5"], "window (5, 5)"),
-    # an oversize window is named as given, not as widened to (-2, 9000)
-    (["dist", "--kind", "xplus", "--in", _fx("ladder_periodic"), "--from",
-      "u0", "--to", "w0", "--window", "0", "9000"],
-     "usage error: window (0, 9000) would hold 54006 leaves, more than 16384"),
     # a name whose index is not an integer (it raised ValueError)
     (["wpd", "--pattern", _fx("skew2"), "--g", "s", "--base", "p-"], "'p-'"),
     (["wpd", "--pattern", _fx("skew2"), "--g", "s", "--base", "p1-2"], "p1-2"),
@@ -707,6 +703,10 @@ def test_cli_wpd_says_whether_the_block_check_ran(name, checked, capsys):
     (["wpd", "--pattern", _fx("skew2"), "--g", "s", "--base", "p-4",
       "--window", "3"], "usage error: --base p-4 lies outside the window "
                         "(-3, 3)"),
+    # an oversize window is named as given, not as widened to (-2, 9000)
+    (["dist", "--kind", "xplus", "--in", _fx("ladder_periodic"), "--from",
+      "u0", "--to", "w0", "--window", "0", "9000"],
+     "usage error: window (0, 9000) would hold 54006 leaves, more than 16384"),
 ])
 def test_cli_malformed_input_is_a_usage_error(argv, named, capsys):
     assert main(argv) == 1
