@@ -166,6 +166,14 @@ def cmd_bottleneck(args):
     return EXIT_OK if ok else EXIT_PROPERTY
 
 
+def _metric(fp, a, b, kind):
+    """The wall distance of two points and its witness, the chain found
+    once."""
+    wit = wl.longest_chain_witness(fp, a, b, kind)
+    distinct = fp.point(a).key() != fp.point(b).key()
+    return wl._distance(kind, wit.leaves, distinct), list(wit.leaves)
+
+
 def cmd_metric(args):
     fp, dig = _load_finite(args)
     results = {"kind": args.kind}
@@ -179,10 +187,11 @@ def cmd_metric(args):
         for a in pts:
             row = [a]
             for b in pts:
-                row.append(str(wl.wall_distance(fp, a, b, args.kind)))
                 if a < b:
-                    wit = wl.longest_chain_witness(fp, a, b, args.kind)
-                    witnesses[f"{a},{b}"] = list(wit.leaves)
+                    d, witnesses[f"{a},{b}"] = _metric(fp, a, b, args.kind)
+                else:
+                    d = wl.wall_distance(fp, a, b, args.kind)
+                row.append(str(d))
             lines.append(",".join(row))
         bio.write_text(args.all_pairs, "\n".join(lines) + "\n")
         results["csv"] = args.all_pairs
@@ -192,9 +201,7 @@ def cmd_metric(args):
             raise UsageError(f"--points wants two point ids a,b, not {args.points!r}")
         a, b = args.points.split(",")
         results["points"] = [a, b]
-        results["distance"] = wl.wall_distance(fp, a, b, args.kind)
-        wit = wl.longest_chain_witness(fp, a, b, args.kind)
-        results["witness"] = list(wit.leaves)
+        results["distance"], results["witness"] = _metric(fp, a, b, args.kind)
     _emit(args, _report("metric", dig, results))
     return EXIT_OK
 

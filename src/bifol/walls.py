@@ -12,6 +12,12 @@ Chains live on the bit positions of the relation table: a pair's separator
 bitset masked by the kind's sign, ordered by the pattern's separation depths
 from the first point, admissibility one bit of the crossing bitsets or of
 ``graphs.gamma_rows``, which also answers ``reeb_separated``.
+
+The aligned and the Reeb kind of one sign (d+ and dR+, d- and dR-) count the
+same separators, the pair's bitset under one sign mask, and order them by
+depth from the same first point, so they share one depth map and one order;
+only admissibility tells them apart.  ``qi_metric_report`` therefore takes
+one separator set per pair and one order per (pair, sign).
 """
 
 from __future__ import annotations
@@ -70,22 +76,30 @@ def _of_kind(p: FinitePattern, seps: int, kind: str) -> int:
     return seps if sign is None else seps & (t.plus if sign == PLUS else t.minus)
 
 
-def _longest_chain(p: FinitePattern, kind: str, depth: dict) -> tuple[str, ...]:
-    """The least longest admissible family among the separator bits of a
-    depth map: a longest path over them in the nestedness order, by (depth,
-    leaf id), as consecutive admissibility implies pairwise admissibility
-    for nested families (property-tested).  Admissibility is a bit test: no
-    common transversal, or for Reeb kinds no edge in the gamma rows.  Each
-    bit takes the first admissible shallower chain in key order, (minus
-    length, chain), so the least key is the least longest chain."""
-    if not depth:
+def _ranked(p: FinitePattern, px: Point, seps: int) -> list:
+    """The separator bits as (depth from px, leaf id, bit), in order."""
+    if not seps:
+        return []
+    ids = p._table.ids
+    return sorted([(d, ids[i], i) for i, d in p._depths(px, seps).items()])
+
+
+def _longest_chain(p: FinitePattern, kind: str, order: list) -> tuple[str, ...]:
+    """The least longest admissible family among the separator bits of an
+    order from ``_ranked``: a longest path over them in the nestedness
+    order, by (depth, leaf id), as consecutive admissibility implies pairwise
+    admissibility for nested families (property-tested).  Admissibility is a
+    bit test: no common transversal, or for Reeb kinds no edge in the gamma
+    rows.  Each bit takes the first admissible shallower chain in key order,
+    (minus length, chain), so the least key is the least longest chain."""
+    if not order:
         return ()
     t = p._table
     ids, cross = t.ids, t.cross
     gk = _GRAPH_OF.get(kind)
     gamma = gr.gamma_rows(p, gk) if gk in gr._GAMMA else None
     ranked = []  # (key, depth, bit) of the chains found so far, least key first
-    for dl, _, l in sorted([(d, ids[i], i) for i, d in depth.items()]):
+    for dl, _, l in order:
         cross_l, top = cross[l], (0, ())
         bad = cross_l if gamma is None else cross_l | gamma[l]
         for key, dm, m in ranked:
@@ -97,17 +111,24 @@ def _longest_chain(p: FinitePattern, kind: str, depth: dict) -> tuple[str, ...]:
     return ranked[0][0][1]
 
 
-def _witness(p: FinitePattern, px: Point, py: Point, kind: str):
-    """The longest admissible ``kind`` chain separating two points."""
-    if kind not in KINDS:
-        raise PreconditionError(f"unknown metric kind {kind!r}")
+def _separators(p: FinitePattern, px: Point, py: Point) -> int:
+    """The bitset of the leaves separating two points; none for one point
+    twice.  Distinct points that no leaf separates are degenerate input."""
     if px.key() == py.key():
-        return ()
+        return 0
     seps = p._point_seps(px, py)
     if not seps:
         raise DegenerateInputError(
             f"no leaf of the truncation separates {px.id} from {py.id}")
-    return _longest_chain(p, kind, p._depths(px, _of_kind(p, seps, kind)))
+    return seps
+
+
+def _witness(p: FinitePattern, px: Point, py: Point, kind: str):
+    """The longest admissible ``kind`` chain separating two points."""
+    if kind not in KINDS:
+        raise PreconditionError(f"unknown metric kind {kind!r}")
+    seps = _of_kind(p, _separators(p, px, py), kind)
+    return _longest_chain(p, kind, _ranked(p, px, seps))
 
 
 def longest_chain_witness(p: FinitePattern, x, y, kind: str) -> AlignedFamily:
@@ -117,12 +138,17 @@ def longest_chain_witness(p: FinitePattern, x, y, kind: str) -> AlignedFamily:
     return AlignedFamily(kind, _witness(p, p.point(x), p.point(y), kind))
 
 
+def _distance(kind: str, chain, distinct: bool) -> int:
+    """The wall distance a longest ``kind`` chain realizes: its length, plus
+    one for the one-family kinds between distinct points."""
+    return len(chain) + 1 if distinct and _SIGN_OF[kind] else len(chain)
+
+
 def wall_distance(p: FinitePattern, x, y, kind: str) -> int:
     """The supremum of ``longest_chain_witness``, plus one for the
     one-family kinds between distinct points."""
     px, py = p.point(x), p.point(y)
-    sup = len(_witness(p, px, py, kind))
-    return sup + 1 if _SIGN_OF[kind] and px.key() != py.key() else sup
+    return _distance(kind, _witness(p, px, py, kind), px.key() != py.key())
 
 
 @dataclass(frozen=True)
@@ -174,6 +200,22 @@ class MetricQiReport:
         return not self.violations
 
 
+def _pair_walls(p: FinitePattern, px: Point, py: Point) -> dict:
+    """``wall_distance`` of each one-family kind between two points, from one
+    separator set and one order per sign, which the aligned and the Reeb
+    kind of that sign both read."""
+    t, seps = p._table, _separators(p, px, py)
+    walls = {}
+    for mask, kinds in ((t.plus, (D_PLUS, D_RPLUS)),
+                        (t.minus, (D_MINUS, D_RMINUS))):
+        order = _ranked(p, px, seps & mask)
+        for kind in kinds:
+            # distinct points are the ones with separators
+            walls[kind] = _distance(kind, _longest_chain(p, kind, order),
+                                    seps != 0)
+    return walls
+
+
 def qi_metric_report(p: FinitePattern, points=None) -> MetricQiReport:
     """For every pair of marked crossing points verify
     d_wall - 2 <= d_graph(leaf images) <= 5 d_wall for the four one-family
@@ -181,13 +223,14 @@ def qi_metric_report(p: FinitePattern, points=None) -> MetricQiReport:
     pts = _point_list(p, points)
     crossings = [q for q in pts if q.kind == "crossing"]
     skipped = tuple(q.id for q in pts if q.kind != "crossing")
+    pairs = list(itertools.combinations(crossings, 2))
+    walls = [_pair_walls(p, a, b) for a, b in pairs]
     checks, violations, disconnected = [], [], []
     for kind, gk in _GRAPH_OF.items():
         G = gr.build_graph(p, gk)
         attr = "plus_leaf" if _SIGN_OF[kind] == PLUS else "minus_leaf"
-        for a, b in itertools.combinations(crossings, 2):
-            la, lb = getattr(a, attr), getattr(b, attr)
-            dw = wall_distance(p, a, b, kind)
+        for (a, b), dws in zip(pairs, walls):
+            la, lb, dw = getattr(a, attr), getattr(b, attr), dws[kind]
             dg = 0 if la == lb else gr.distance(G, la, lb)
             checks.append((kind, a.id, b.id, dw, dg))
             if dg == gr.INF:

@@ -6,6 +6,8 @@ periodic windows of 300 to 1300 leaves (well under MAX_WINDOW_LEAVES):
   per-pair midpoint oracle ``oracle_bottleneck_midpoints``;
 - the wall witnesses of every kind between 8 crossing points equal
   ``oracle_longest_chain``, and the wall distances their lengths;
+- every wall value of ``qi_metric_report`` over those points equals the
+  per-kind ``wall_distance``;
 - the affine census CSV that ``bifol census --csv`` writes, for the shipped
   set at radius 14 (the widest default packing) and an asymmetric set with
   a k = 2 letter at radius 12, equals the counts of ``oracle_affine_ball``;
@@ -86,11 +88,12 @@ def check(name, w):
             and abs(parse_leaf_name(a)[1]) <= 2 >= abs(parse_leaf_name(b)[1])]
     pts = [Point.crossing(f"q{i}", *near[i * len(near) // POINTS])
            for i in range(POINTS)]
-    walls_s, most = 0.0, 0
+    walls_s, most, timed = 0.0, 0, {}
     for a, b in itertools.permutations(pts, 2):
         for kind in wl.KINDS:
             d, s = _timed(wl.wall_distance, p, a, b, kind)
             walls_s += s
+            timed[kind, a.id, b.id] = d, s
             sign = wl._SIGN_OF[kind]
             seps = [m for m in p._ids_of(p._point_seps(a, b))
                     if sign in (None, p.leaves[m].sign)]
@@ -100,11 +103,22 @@ def check(name, w):
                     d != len(chain) + (kind != wl.D_H):
                 faults.append(f"{kind} wall {a.id} {b.id} differs from the "
                               f"oracle {chain}")
+    # the QI report's wall values, one separator set per pair and one order
+    # per (pair, sign), against the per-kind distances above
+    qi, qi_s = _timed(wl.qi_metric_report, p, pts)
+    for kind, a, b, dw, _ in qi.checks:
+        if dw != timed[kind, a, b][0]:
+            faults.append(f"qi report {kind} {a} {b}: wall {dw}, per kind "
+                          f"{timed[kind, a, b][0]}")
+    per_kind_s = sum(timed[c[:3]][1] for c in qi.checks)
     print(f"{name} (-{w}, {w}): {len(p.leaves)} leaves, "
           f"{len(p.nonseparated)} nonseparated pairs; gamma graphs "
           f"{gamma_s:.3f} s, bottleneck on {len(H.vertices)} vertices "
           f"{bottleneck_s:.3f} s, {len(pts) * (len(pts) - 1) * len(wl.KINDS)} "
-          f"wall distances (up to {most} separators) {walls_s:.3f} s")
+          f"wall distances (up to {most} separators) {walls_s:.3f} s; "
+          f"qi_metric_report on {len(qi.checks)} checks, its graphs and BFS "
+          f"included, {qi_s:.3f} s, their per-kind wall distances "
+          f"{per_kind_s:.3f} s")
     return faults
 
 

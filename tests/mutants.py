@@ -41,6 +41,9 @@ DYNAMICS_TESTS = ("tests/test_dynamics.py",)
 PATTERN = "src/bifol/pattern.py"
 # the shared-position tests, by leaf name, and the moved-slot oracle test
 PATTERN_TESTS = ("tests/test_pattern.py", "tests/test_io_cli.py")
+WALLS = "src/bifol/walls.py"
+# the QI report's checks against a per-kind wall_distance
+WALLS_TESTS = ("tests/test_walls.py",)
 
 MUTANTS = (
     Mutant("axis: on-axis test without the backward image in the window",
@@ -91,6 +94,15 @@ MUTANTS = (
            PATTERN,
            "if len(set(lf.endpoints)) != len(lf.endpoints) or lf.k < 2:",
            "if lf.k < 2:", PATTERN_TESTS),
+    Mutant("qi report: the minus kinds read the plus-masked depth map",
+           WALLS,
+           "(t.minus, (D_MINUS, D_RMINUS))", "(t.plus, (D_MINUS, D_RMINUS))",
+           WALLS_TESTS),
+    Mutant("qi report: the Reeb kinds reuse the aligned kind's chain",
+           WALLS,
+           "_distance(kind, _longest_chain(p, kind, order),",
+           "_distance(kind, _longest_chain(p, kinds[0], order),",
+           WALLS_TESTS),
 )
 
 
