@@ -167,19 +167,16 @@ def cmd_bottleneck(args):
 
 
 def _metric(fp, a, b, kind):
-    """The wall distance of two points and its witness, the chain found
-    once."""
-    wit = wl.longest_chain_witness(fp, a, b, kind)
-    distinct = fp.point(a).key() != fp.point(b).key()
-    return wl._distance(kind, wit.leaves, distinct), list(wit.leaves)
+    """The wall distance of two points and its witness."""
+    d, chain = wl._walls(fp, fp.point(a), fp.point(b), (kind,))[kind]
+    return d, list(chain)
 
 
 def cmd_metric(args):
     fp, dig = _load_finite(args)
-    results = {"kind": args.kind}
     if not args.all_pairs and not args.points:
-        sys.stderr.write("metric: need --points a,b or --all-pairs FILE\n")
-        return EXIT_USAGE
+        raise UsageError("metric needs --points a,b or --all-pairs FILE")
+    results = {"kind": args.kind}
     if args.all_pairs:
         pts = sorted(fp.points)
         lines = ["point," + ",".join(pts)]
@@ -187,11 +184,10 @@ def cmd_metric(args):
         for a in pts:
             row = [a]
             for b in pts:
-                if a < b:
-                    d, witnesses[f"{a},{b}"] = _metric(fp, a, b, args.kind)
-                else:
-                    d = wl.wall_distance(fp, a, b, args.kind)
+                d, wit = _metric(fp, a, b, args.kind)
                 row.append(str(d))
+                if a < b:
+                    witnesses[f"{a},{b}"] = wit
             lines.append(",".join(row))
         bio.write_text(args.all_pairs, "\n".join(lines) + "\n")
         results["csv"] = args.all_pairs

@@ -13,11 +13,12 @@ bitset masked by the kind's sign, ordered by the pattern's separation depths
 from the first point, admissibility one bit of the crossing bitsets or of
 ``graphs.gamma_rows``, which also answers ``reeb_separated``.
 
-The aligned and the Reeb kind of one sign (d+ and dR+, d- and dR-) count the
-same separators, the pair's bitset under one sign mask, and order them by
-depth from the same first point, so they share one depth map and one order;
-only admissibility tells them apart.  ``qi_metric_report`` therefore takes
-one separator set per pair and one order per (pair, sign).
+Every distance and witness comes from one core, ``_walls``: one separator
+set per pair, one order per sign it needs, one longest chain per kind, and
+the one-family plus-one rule.  The aligned and the Reeb kind of one sign (d+
+and dR+, d- and dR-) count the same separators, the pair's bitset under one
+sign mask, ordered by depth from the same first point, so they share one
+order; only admissibility tells them apart.
 """
 
 from __future__ import annotations
@@ -123,32 +124,37 @@ def _separators(p: FinitePattern, px: Point, py: Point) -> int:
     return seps
 
 
-def _witness(p: FinitePattern, px: Point, py: Point, kind: str):
-    """The longest admissible ``kind`` chain separating two points."""
-    if kind not in KINDS:
-        raise PreconditionError(f"unknown metric kind {kind!r}")
-    seps = _of_kind(p, _separators(p, px, py), kind)
-    return _longest_chain(p, kind, _ranked(p, px, seps))
+def _walls(p: FinitePattern, px: Point, py: Point, kinds) -> dict:
+    """{kind: (wall distance, least longest admissible chain)} between two
+    points for each of ``kinds``: the chain's length, plus one for the
+    one-family kinds between distinct points; for one point twice, zero and
+    the empty chain.  Distinct points that no leaf separates are degenerate
+    input."""
+    for kind in kinds:
+        if kind not in KINDS:
+            raise PreconditionError(f"unknown metric kind {kind!r}")
+    seps, orders, walls = _separators(p, px, py), {}, {}
+    for kind in kinds:
+        sign = _SIGN_OF[kind]
+        if sign not in orders:
+            orders[sign] = _ranked(p, px, _of_kind(p, seps, kind))
+        chain = _longest_chain(p, kind, orders[sign])
+        # distinct points are the ones with separators
+        walls[kind] = (len(chain) + 1 if seps and sign else len(chain)), chain
+    return walls
 
 
 def longest_chain_witness(p: FinitePattern, x, y, kind: str) -> AlignedFamily:
     """A maximal admissible separating family realizing the supremum; empty
-    for one point twice.  Distinct points that no leaf separates are
-    degenerate input."""
-    return AlignedFamily(kind, _witness(p, p.point(x), p.point(y), kind))
-
-
-def _distance(kind: str, chain, distinct: bool) -> int:
-    """The wall distance a longest ``kind`` chain realizes: its length, plus
-    one for the one-family kinds between distinct points."""
-    return len(chain) + 1 if distinct and _SIGN_OF[kind] else len(chain)
+    for one point twice."""
+    px, py = p.point(x), p.point(y)
+    return AlignedFamily(kind, _walls(p, px, py, (kind,))[kind][1])
 
 
 def wall_distance(p: FinitePattern, x, y, kind: str) -> int:
     """The supremum of ``longest_chain_witness``, plus one for the
     one-family kinds between distinct points."""
-    px, py = p.point(x), p.point(y)
-    return _distance(kind, _witness(p, px, py, kind), px.key() != py.key())
+    return _walls(p, p.point(x), p.point(y), (kind,))[kind][0]
 
 
 @dataclass(frozen=True)
@@ -200,22 +206,6 @@ class MetricQiReport:
         return not self.violations
 
 
-def _pair_walls(p: FinitePattern, px: Point, py: Point) -> dict:
-    """``wall_distance`` of each one-family kind between two points, from one
-    separator set and one order per sign, which the aligned and the Reeb
-    kind of that sign both read."""
-    t, seps = p._table, _separators(p, px, py)
-    walls = {}
-    for mask, kinds in ((t.plus, (D_PLUS, D_RPLUS)),
-                        (t.minus, (D_MINUS, D_RMINUS))):
-        order = _ranked(p, px, seps & mask)
-        for kind in kinds:
-            # distinct points are the ones with separators
-            walls[kind] = _distance(kind, _longest_chain(p, kind, order),
-                                    seps != 0)
-    return walls
-
-
 def qi_metric_report(p: FinitePattern, points=None) -> MetricQiReport:
     """For every pair of marked crossing points verify
     d_wall - 2 <= d_graph(leaf images) <= 5 d_wall for the four one-family
@@ -224,13 +214,13 @@ def qi_metric_report(p: FinitePattern, points=None) -> MetricQiReport:
     crossings = [q for q in pts if q.kind == "crossing"]
     skipped = tuple(q.id for q in pts if q.kind != "crossing")
     pairs = list(itertools.combinations(crossings, 2))
-    walls = [_pair_walls(p, a, b) for a, b in pairs]
+    walls = [_walls(p, a, b, _GRAPH_OF) for a, b in pairs]
     checks, violations, disconnected = [], [], []
     for kind, gk in _GRAPH_OF.items():
         G = gr.build_graph(p, gk)
         attr = "plus_leaf" if _SIGN_OF[kind] == PLUS else "minus_leaf"
         for (a, b), dws in zip(pairs, walls):
-            la, lb, dw = getattr(a, attr), getattr(b, attr), dws[kind]
+            la, lb, dw = getattr(a, attr), getattr(b, attr), dws[kind][0]
             dg = 0 if la == lb else gr.distance(G, la, lb)
             checks.append((kind, a.id, b.id, dw, dg))
             if dg == gr.INF:

@@ -42,7 +42,8 @@ PATTERN = "src/bifol/pattern.py"
 # the shared-position tests, by leaf name, and the moved-slot oracle test
 PATTERN_TESTS = ("tests/test_pattern.py", "tests/test_io_cli.py")
 WALLS = "src/bifol/walls.py"
-# the QI report's checks against a per-kind wall_distance
+# the QI report's checks against a per-kind wall_distance, and the
+# distances and witnesses of the fixtures
 WALLS_TESTS = ("tests/test_walls.py",)
 
 MUTANTS = (
@@ -94,15 +95,19 @@ MUTANTS = (
            PATTERN,
            "if len(set(lf.endpoints)) != len(lf.endpoints) or lf.k < 2:",
            "if lf.k < 2:", PATTERN_TESTS),
-    Mutant("qi report: the minus kinds read the plus-masked depth map",
+    Mutant("walls: the minus kinds read the plus order, the sign key dropped",
            WALLS,
-           "(t.minus, (D_MINUS, D_RMINUS))", "(t.plus, (D_MINUS, D_RMINUS))",
+           "chain = _longest_chain(p, kind, orders[sign])",
+           "chain = _longest_chain(p, kind, next(iter(orders.values())))",
            WALLS_TESTS),
-    Mutant("qi report: the Reeb kinds reuse the aligned kind's chain",
+    Mutant("walls: the Reeb kinds reuse the aligned kind's chain",
            WALLS,
-           "_distance(kind, _longest_chain(p, kind, order),",
-           "_distance(kind, _longest_chain(p, kinds[0], order),",
+           "chain = _longest_chain(p, kind, orders[sign])",
+           "chain = _longest_chain(p, {D_RPLUS: D_PLUS, D_RMINUS: D_MINUS}"
+           ".get(kind, kind), orders[sign])",
            WALLS_TESTS),
+    Mutant("walls: the plus-one rule fires for one point twice",
+           WALLS, "if seps and sign else", "if sign else", WALLS_TESTS),
 )
 
 

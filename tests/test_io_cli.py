@@ -707,6 +707,8 @@ def test_cli_wpd_says_whether_the_block_check_ran(name, checked, capsys):
     (["dist", "--kind", "xplus", "--in", _fx("ladder_periodic"), "--from",
       "u0", "--to", "w0", "--window", "0", "9000"],
      "usage error: window (0, 9000) would hold 54006 leaves, more than 16384"),
+    (["metric", "--in", _fx("grid3"), "--kind", "d+"],
+     "usage error: metric needs --points a,b or --all-pairs FILE"),
 ])
 def test_cli_malformed_input_is_a_usage_error(argv, named, capsys):
     assert main(argv) == 1

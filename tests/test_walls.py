@@ -141,14 +141,14 @@ def test_broken_distance_reports_each_violation_kind(grid3, monkeypatch):
     # = 5 beyond both two-step paths.  Every graph distance between the
     # leaf images of grid3's points is 1.  The axiom check reads
     # wall_distance, the QI report the four kinds of a pair at once from
-    # _pair_walls, so both are broken alike.
+    # the core _walls, so both are broken alike.
     broken = {("x00", "x00"): 1, ("x11", "x11"): 0, ("x22", "x22"): 0,
               ("x00", "x11"): 0, ("x11", "x00"): 0, ("x11", "x22"): 1,
               ("x22", "x11"): 2, ("x00", "x22"): 5, ("x22", "x00"): 5}
     monkeypatch.setattr(wl, "wall_distance",
                         lambda p, a, b, kind: broken[a.id, b.id])
-    monkeypatch.setattr(wl, "_pair_walls", lambda p, a, b: dict.fromkeys(
-        (wl.D_PLUS, wl.D_MINUS, wl.D_RPLUS, wl.D_RMINUS), broken[a.id, b.id]))
+    monkeypatch.setattr(wl, "_walls", lambda p, a, b, kinds: dict.fromkeys(
+        kinds, (broken[a.id, b.id], ())))
     pts = ["x00", "x11", "x22"]
     assert wl.metric_axiom_check(grid3, wl.D_PLUS, points=pts).violations == (
         ("identity", "x00"), ("indiscernible", "x00", "x11"),
